@@ -112,14 +112,3 @@ def grid_to_dataset(dem: DemGrid, var_grid: DemGrid | None = None) -> Dataset:
     R_m2 = var_grid.values.ravel()[mask] if var_grid is not None else None
     return from_arrays(X_m, Y_m, R_m2)
 
-
-def dataset_to_csv(ds: Dataset, path) -> None:
-    """Export denormalized samples as x,y,elevation,variance rows."""
-    X_m = ds.stats.denormalize_points(ds.X)
-    Y_m = ds.stats.denormalize_y(ds.Y)
-    R_m2 = ds.stats.denormalize_var(ds.R) if ds.R is not None else None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,elevation,variance\n")
-        for i in range(ds.n):
-            var = f"{R_m2[i]:.17g}" if R_m2 is not None else ""
-            fh.write(f"{X_m[i, 0]:.17g},{X_m[i, 1]:.17g},{Y_m[i]:.17g},{var}\n")

@@ -11,6 +11,7 @@ one.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,8 +175,8 @@ def fit_exact(
     """
     rng = stream_rng(seed, INIT)
     kernel = init_kernel(method, rng)
-    if mean_fn is None:
-        mean_fn = default_mean(method)
+    # a learnable constant is trained in place, so train the model's own copy
+    mean_fn = default_mean(method) if mean_fn is None else copy.copy(mean_fn)
 
     X, Y = data.X, data.Y
     n = data.n
@@ -219,7 +220,7 @@ def fit_exact(
         if learn_noise:
             noise_vec = np.full(n, float(np.exp(vec[i])))
 
-    adam_cfg = AdamConfig(learning_rate=method.learning_rate, max_epochs=method.epochs)
+    adam_cfg = AdamConfig(learning_rate=method.learning_rate)
     params = pack()
     state = adam_init(params.size)
     history: list[float] = []

@@ -51,7 +51,3 @@ class GridInterpMean:
         pts_m = self.stats.denormalize_points(np.atleast_2d(X))
         return self.stats.normalize_y(bilinear_sample(self.grid, pts_m))
 
-
-def bilinear_prior(prior: DemGrid, stats: NormStats) -> GridInterpMean:
-    """Mean function backed by the factor-5 low-resolution sample."""
-    return GridInterpMean(prior, stats)

@@ -254,13 +254,6 @@ def _unprefixed(payload: dict, prefix: str) -> dict:
     return {k[len(prefix):]: v for k, v in payload.items() if k.startswith(prefix)}
 
 
-def noise_model_bytes(noise: two_stage.NoiseModel) -> bytes:
-    """Canonical byte serialization of a (frozen) noise model."""
-    gp = noise.gp
-    payload = _svgp_payload(gp) if isinstance(gp, svgp.SvgpState) else _exact_payload(gp)
-    return payload_to_bytes(payload)
-
-
 def model_payload(method_id: str, model, stats: NormStats) -> dict:
     payload: dict = {"method_id": method_id}
     if isinstance(model, two_stage.TwoStageModel):
@@ -305,7 +298,7 @@ def model_from_payload(payload: dict):
             else _exact_from(terrain_sub, stats)
         )
         model = two_stage.TwoStageModel(
-            noise=two_stage.NoiseModel(gp=noise_gp, frozen=True),
+            noise=two_stage.NoiseModel(gp=noise_gp),
             terrain=terrain,
             variational=payload["variational"],
             stats=stats,

@@ -8,8 +8,6 @@ inputs produce bitwise-identical trajectories.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +21,6 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    max_epochs: int = 40
-    batch_size: int | None = None  # None means full batch
 
 
 @dataclass
@@ -67,23 +63,6 @@ def adam_step(
     v_hat = v / (1.0 - cfg.beta2**t)
     new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     return new_params, AdamState(step=t, m=m, v=v)
-
-
-def adam_state_to_bytes(state: AdamState) -> bytes:
-    buf = io.BytesIO()
-    buf.write(struct.pack("<qq", state.step, state.m.size))
-    buf.write(np.ascontiguousarray(state.m, dtype=np.float64).tobytes())
-    buf.write(np.ascontiguousarray(state.v, dtype=np.float64).tobytes())
-    return buf.getvalue()
-
-
-def adam_state_from_bytes(raw: bytes) -> AdamState:
-    step, dim = struct.unpack_from("<qq", raw, 0)
-    off = 16
-    m = np.frombuffer(raw, dtype=np.float64, count=dim, offset=off).copy()
-    off += 8 * dim
-    v = np.frombuffer(raw, dtype=np.float64, count=dim, offset=off).copy()
-    return AdamState(step=step, m=m, v=v)
 
 
 def check_gradient(f, x, analytic_grad, step: float = 1e-5) -> float:

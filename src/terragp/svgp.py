@@ -7,10 +7,10 @@ at the prior".  The likelihood is Gaussian with either a learned
 constant variance or fixed per-point variances, which keeps the
 expected log-likelihood in closed form; no sampling anywhere.
 
-All ELBO gradients are analytic.  The heavy lifting is a single
-reverse-mode pass: adjoints for the kernel matrices Kzz and Kxz are
-accumulated from the data-fit and KL terms, then pushed into the kernel
-hyperparameters and the inducing locations through dK/d(r^2).
+All ELBO gradients are analytic and come from one reverse-mode pass in
+the whitened coordinates the trainer optimizes; the public unwhitened
+`elbo_minibatch` pulls them back through the whitening map.  Kernel-matrix
+adjoints reach the hyperparameters and inducing locations via dK/d(r^2).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .methods import MethodConfig, init_kernel
 from .optim import AdamConfig, adam_init, adam_step, epoch_batches
 from .seeding import BATCH_SHUFFLE, INDUCING_INIT, INIT, stream_rng
 
-INIT_CHOL_SCALE = 0.1
 NOISE_FLOOR = 1e-6
 LOG_NOISE_VARIANCE = "log_noise_variance"
 
@@ -61,36 +60,6 @@ def init_inducing(X: np.ndarray, m: int, seed: int) -> np.ndarray:
     rng = stream_rng(seed, INDUCING_INIT)
     idx = rng.choice(n, size=m, replace=False)
     return X[idx].copy()
-
-
-def init_state(
-    X: np.ndarray,
-    m: int,
-    kernel: kernels.KernelConfig,
-    mean_fn,
-    seed: int,
-    log_noise_var: float | None,
-) -> SvgpState:
-    """Inducing points from a random training subset; q(u) starts small
-    but shaped like the prior, S = 0.01 Kzz.
-
-    A spherical start (0.1 I) looks equivalent but is not: smooth
-    kernels make Kzz nearly singular, A = Kxz Kzz^-1 then has huge rows,
-    and any S component outside the prior's small-eigenvalue directions
-    inflates the marginal variances A S A^T by orders of magnitude,
-    which a fixed epoch budget cannot undo.
-    """
-    Z = init_inducing(X, m, seed)
-    Kzz = kernels.gram(kernel, Z, Z)
-    Lz, _ = chol_with_jitter(Kzz)
-    return SvgpState(
-        Z=Z,
-        mvec=np.zeros(m),
-        L=INIT_CHOL_SCALE * Lz,
-        kernel=kernel,
-        mean_fn=mean_fn,
-        log_noise_var=log_noise_var,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,139 +125,6 @@ def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # ELBO and analytic gradients
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ElboGradients:
-    Z: np.ndarray  # (m, 2)
-    mvec: np.ndarray  # (m,)
-    L: np.ndarray  # (m, m); diagonal entries already in log-diagonal space
-    kernel: dict[str, float]
-    log_noise_var: float | None
-
-
-def elbo_minibatch(
-    state: SvgpState,
-    Xb: np.ndarray,
-    yb: np.ndarray,
-    n_total: int,
-    noise_var,
-) -> tuple[float, ElboGradients]:
-    """Minibatch ELBO (n/b) sum_i E[log p(y_i | f_i)] - KL and its
-    gradients with respect to every free parameter.
-
-    `noise_var` is a scalar (constant noise) or an array aligned with
-    the batch (fixed spatial noise).
-    """
-    Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
-    yb = np.asarray(yb, dtype=float)
-    b = Xb.shape[0]
-    if b == 0:
-        raise InvalidInputError("batch must be nonempty")
-    v = np.asarray(noise_var, dtype=float)
-    if v.ndim == 0:
-        v = np.full(b, float(v))
-    if np.any(v <= 0):
-        raise InvalidInputError("noise variance must be positive")
-    w = n_total / b
-
-    Z, mvec, L, kernel = state.Z, state.mvec, state.L, state.kernel
-    m = state.num_inducing
-    S = L @ L.T
-
-    Kzz = kernels.gram(kernel, Z, Z)
-    Lz, _ = chol_with_jitter(Kzz)
-    Kxz = kernels.gram(kernel, Xb, Z)
-    kxx = kernels.gram_diag(kernel, Xb)
-    A = chol_solve(Lz, Kxz.T).T  # b x m
-
-    mX = state.mean_fn(Xb)
-    mu = mX + A @ mvec
-    AS = A @ S
-    t1 = np.einsum("ij,ij->i", A, Kxz)
-    t2 = np.einsum("ij,ij->i", AS, A)
-    s2 = kxx - t1 + t2
-
-    resid = yb - mu
-    data_term = w * float(
-        np.sum(-0.5 * np.log(2.0 * np.pi * v) - (resid**2 + s2) / (2.0 * v))
-    )
-
-    Kzz_inv = chol_solve(Lz, np.eye(m))
-    Kzz_inv_S = Kzz_inv @ S
-    cvec = Kzz_inv @ mvec
-    logdet_kzz = 2.0 * float(np.log(np.diag(Lz)).sum())
-    logdet_s = 2.0 * float(np.log(np.diag(L)).sum())
-    kl = 0.5 * (
-        float(np.trace(Kzz_inv_S)) + float(mvec @ cvec) - m + logdet_kzz - logdet_s
-    )
-    elbo = data_term - kl
-
-    # --- reverse pass -----------------------------------------------------
-    ebar = w * resid / v  # d elbo / d mu
-    ubar = -w / (2.0 * v)  # d elbo / d s2
-
-    # data-fit adjoints
-    mvec_bar = A.T @ ebar
-    S_bar = A.T @ (A * ubar[:, None])
-    A_bar = np.outer(ebar, mvec) - ubar[:, None] * Kxz + 2.0 * ubar[:, None] * AS
-    Kxz_bar = -ubar[:, None] * A
-    kxx_bar = ubar
-
-    # A = Kxz Kzz^-1
-    At = A_bar @ Kzz_inv
-    Kxz_bar += At
-    Kzz_bar = -A.T @ At
-
-    # KL adjoints (elbo = data - KL)
-    Kzz_inv_S_Kzz_inv = Kzz_inv_S @ Kzz_inv
-    Kzz_bar += 0.5 * (Kzz_inv_S_Kzz_inv + np.outer(cvec, cvec) - Kzz_inv)
-    mvec_bar -= cvec
-    S_bar -= 0.5 * Kzz_inv
-
-    # S = L L^T; S_bar is symmetric by construction
-    L_bar = 2.0 * (S_bar @ L)
-    L_bar = np.tril(L_bar)
-    # diagonal is parameterized as log values
-    diag = np.diag(L).copy()
-    L_bar[np.diag_indices(m)] = np.diag(L_bar) * diag
-    # the +0.5 log|S| piece of -KL differentiates directly in L-space:
-    # exactly +1 per log-diagonal entry, zero elsewhere (going through
-    # S^-1 instead is the same after the tril mask but explodes when S
-    # is badly conditioned mid-optimization)
-    L_bar[np.diag_indices(m)] += 1.0
-
-    # kernel hyperparameters
-    kern_grads: dict[str, float] = {}
-    dKzz = kernels.gram_gradients(kernel, Z, Z)
-    dKxz = kernels.gram_gradients(kernel, Xb, Z)
-    for name in kernels.param_names(kernel):
-        g = float(np.sum(Kzz_bar * dKzz[name])) + float(np.sum(Kxz_bar * dKxz[name]))
-        if name == kernels.LOG_OUTPUTSCALE:
-            g += float(np.sum(kxx_bar * kxx))
-        kern_grads[name] = g
-
-    # inducing locations
-    Gz = kernels.gram_dr2(kernel, Z, Z)
-    Wz = (Kzz_bar + Kzz_bar.T) * Gz
-    np.fill_diagonal(Wz, 0.0)
-    Z_bar = 2.0 * (Wz.sum(axis=1)[:, None] * Z - Wz @ Z)
-    Gx = kernels.gram_dr2(kernel, Xb, Z)
-    Wx = Kxz_bar * Gx
-    Z_bar += 2.0 * (Wx.sum(axis=0)[:, None] * Z - Wx.T @ Xb)
-
-    noise_grad = None
-    if state.log_noise_var is not None:
-        noise_grad = float(w * np.sum(-0.5 + (resid**2 + s2) / (2.0 * v)))
-
-    return elbo, ElboGradients(
-        Z=Z_bar, mvec=mvec_bar, L=L_bar, kernel=kern_grads, log_noise_var=noise_grad
-    )
-
-
-# ---------------------------------------------------------------------------
-# Whitened training parameterization
-# ---------------------------------------------------------------------------
 #
 # The public state stores q(u) = N(m(Z) + mvec, L L^T) directly, but the
 # loss surface in those coordinates is catastrophically ill-conditioned
@@ -304,6 +140,121 @@ def elbo_minibatch(
 # with no Kzz dependence.  Both lower-triangular factors have positive
 # diagonals, so the unwhitened state is recovered exactly as a product
 # of triangles; the two parameterizations describe the same q(u).
+#
+# The ELBO is written once, as `_whitened_pass`.  The trainer's
+# `_elbo_whitened` calls it directly; the public `elbo_minibatch` whitens
+# first (mw = Lz^-1 mvec, Lw = Lz^-1 L) and pulls the adjoints back:
+#
+#     mvec_bar = Lz^-T mw_bar,   G = Lz^-T Lw_bar,   L_bar = tril(G),
+#     Lz_bar  += -mvec_bar mw^T - G Lw^T.
+#
+# The log|Lw| = log|L| - log|Lz| term is differentiated in each entry
+# point's own coordinates, directly on the diagonals; going through an
+# inverse instead explodes when a factor is badly conditioned.
+
+
+@dataclass
+class ElboGradients:
+    Z: np.ndarray  # (m, 2)
+    mvec: np.ndarray  # (m,)
+    L: np.ndarray  # (m, m); diagonal entries already in log-diagonal space
+    kernel: dict[str, float]
+    log_noise_var: float | None
+
+
+@dataclass
+class _WhitenedAdjoints:
+    """ELBO adjoints that `_whitened_pass` leaves for its entry point."""
+
+    Xb: np.ndarray  # (b, 2) batch inputs
+    mw: np.ndarray  # d elbo / d mw
+    Lw: np.ndarray  # d elbo / d Lw, lower triangle, without the log|Lw| term
+    Lz: np.ndarray  # d elbo / d Lz through B = Kxz Lz^-T only
+    Kxz: np.ndarray  # d elbo / d Kxz
+    kxx: float  # sum_i (d elbo / d kxx_i) kxx_i, the log-outputscale share
+    log_noise_var: float | None
+
+
+def _whitened_pass(
+    wstate: SvgpState,
+    Lz: np.ndarray,
+    Xb: np.ndarray,
+    yb: np.ndarray,
+    n_total: int,
+    noise_var,
+) -> tuple[float, _WhitenedAdjoints]:
+    """Minibatch ELBO (n/b) sum_i E[log p(y_i | f_i)] - KL in whitened
+    coordinates, and its reverse pass down to the kernel matrices.
+
+    `wstate.mvec` holds mw, `wstate.L` holds Lw, and `Lz` = chol(Kzz).
+    `noise_var` is a scalar (constant noise) or an array aligned with
+    the batch (fixed spatial noise).
+    """
+    Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
+    yb = np.asarray(yb, dtype=float)
+    b = Xb.shape[0]
+    if b == 0:
+        raise InvalidInputError("batch must be nonempty")
+    v = np.asarray(noise_var, dtype=float)
+    if v.ndim == 0:
+        v = np.full(b, float(v))
+    if np.any(v <= 0):
+        raise InvalidInputError("noise variance must be positive")
+    w = n_total / b
+
+    Z, mw, Lw, kernel = wstate.Z, wstate.mvec, wstate.L, wstate.kernel
+    m = wstate.num_inducing
+
+    Kxz = kernels.gram(kernel, Xb, Z)
+    kxx = kernels.gram_diag(kernel, Xb)
+    B = solve_triangular(Lz, Kxz.T, lower=True).T  # Kxz Lz^-T
+
+    mu = wstate.mean_fn(Xb) + B @ mw
+    BL = B @ Lw
+    q1 = np.einsum("ij,ij->i", B, B)
+    q2 = np.einsum("ij,ij->i", BL, BL)
+    s2 = kxx - q1 + q2
+
+    resid = yb - mu
+    data_term = w * float(
+        np.sum(-0.5 * np.log(2.0 * np.pi * v) - (resid**2 + s2) / (2.0 * v))
+    )
+    logdet_lw = float(np.log(np.diag(Lw)).sum())
+    kl = 0.5 * (float(np.sum(Lw**2)) + float(mw @ mw) - m - 2.0 * logdet_lw)
+    elbo = data_term - kl
+
+    # reverse pass
+    ebar = w * resid / v  # d elbo / d mu
+    ubar = -w / (2.0 * v)  # d elbo / d s2
+    B_bar = (
+        np.outer(ebar, mw)
+        - 2.0 * ubar[:, None] * B
+        + 2.0 * ubar[:, None] * (BL @ Lw.T)
+    )
+    # B = Kxz Lz^-T:  Kxz_bar = B_bar Lz^-1,  Lz_bar = -Kxz_bar^T B
+    Kxz_bar = solve_triangular(Lz, B_bar.T, lower=True, trans="T").T
+
+    noise_grad = None
+    if wstate.log_noise_var is not None:
+        noise_grad = float(w * np.sum(-0.5 + (resid**2 + s2) / (2.0 * v)))
+
+    return elbo, _WhitenedAdjoints(
+        Xb=Xb,
+        mw=B.T @ ebar - mw,
+        Lw=np.tril(2.0 * (B.T @ (ubar[:, None] * BL)) - Lw),
+        Lz=-(Kxz_bar.T @ B),
+        Kxz=Kxz_bar,
+        kxx=float(np.sum(ubar * kxx)),
+        log_noise_var=noise_grad,
+    )
+
+
+def _log_diag(chol_bar: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Move the diagonal of a factor's adjoint into log-diagonal space and
+    add the +1 per entry of the ELBO's +log|chol| term, in place."""
+    diag = np.diag_indices_from(chol_bar)
+    chol_bar[diag] = chol_bar[diag] * np.diag(chol) + 1.0
+    return chol_bar
 
 
 def _phi_half_diag(mat: np.ndarray) -> np.ndarray:
@@ -321,71 +272,17 @@ def _chol_backward(Lz: np.ndarray, Lz_bar: np.ndarray) -> np.ndarray:
     return 0.5 * (T + T.T)
 
 
-def _elbo_whitened(
+def _gradients(
     state: SvgpState,
-    Xb: np.ndarray,
-    yb: np.ndarray,
-    n_total: int,
-    noise_var,
-) -> tuple[float, ElboGradients]:
-    """Minibatch ELBO and gradients in the whitened coordinates.
-
-    `state` fields are reinterpreted: mvec holds mw and L holds Lw.  The
-    gradient container layout matches `pack_gradients`.
-    """
-    Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
-    yb = np.asarray(yb, dtype=float)
-    b = Xb.shape[0]
-    v = np.asarray(noise_var, dtype=float)
-    if v.ndim == 0:
-        v = np.full(b, float(v))
-    w = n_total / b
-
-    Z, mw, Lw, kernel = state.Z, state.mvec, state.L, state.kernel
-    m = state.num_inducing
-
-    Kzz = kernels.gram(kernel, Z, Z)
-    Lz, _ = chol_with_jitter(Kzz)
-    Kxz = kernels.gram(kernel, Xb, Z)
-    kxx = kernels.gram_diag(kernel, Xb)
-    B = solve_triangular(Lz, Kxz.T, lower=True).T  # Kxz Lz^-T
-
-    mu = state.mean_fn(Xb) + B @ mw
-    BL = B @ Lw
-    q1 = np.einsum("ij,ij->i", B, B)
-    q2 = np.einsum("ij,ij->i", BL, BL)
-    s2 = kxx - q1 + q2
-
-    resid = yb - mu
-    data_term = w * float(
-        np.sum(-0.5 * np.log(2.0 * np.pi * v) - (resid**2 + s2) / (2.0 * v))
-    )
-    diag_lw = np.diag(Lw)
-    kl = 0.5 * (
-        float(np.sum(Lw**2)) + float(mw @ mw) - m - 2.0 * float(np.log(diag_lw).sum())
-    )
-    elbo = data_term - kl
-
-    # reverse pass
-    ebar = w * resid / v
-    ubar = -w / (2.0 * v)
-
-    mw_bar = B.T @ ebar - mw
-    Lw_bar = 2.0 * (B.T @ (ubar[:, None] * BL)) - Lw
-    Lw_bar = np.tril(Lw_bar)
-    Lw_bar[np.diag_indices(m)] = np.diag(Lw_bar) * diag_lw + 1.0
-
-    B_bar = (
-        np.outer(ebar, mw)
-        - 2.0 * ubar[:, None] * B
-        + 2.0 * ubar[:, None] * (BL @ Lw.T)
-    )
-    kxx_bar = ubar
-
-    # B = Kxz Lz^-T:  Kxz_bar = B_bar Lz^-1,  Lz_bar = -Kxz_bar^T B
-    X_t = solve_triangular(Lz, B_bar.T, lower=True, trans="T")  # (B_bar Lz^-1)^T
-    Kxz_bar = X_t.T
-    Lz_bar = -(Kxz_bar.T @ B)
+    Lz: np.ndarray,
+    adj: _WhitenedAdjoints,
+    Lz_bar: np.ndarray,
+    mvec_bar: np.ndarray,
+    L_bar: np.ndarray,
+) -> ElboGradients:
+    """Push Lz_bar through the Cholesky, then Kzz_bar and Kxz_bar into the
+    kernel hyperparameters and the inducing locations."""
+    Z, Xb, kernel, Kxz_bar = state.Z, adj.Xb, state.kernel, adj.Kxz
     Kzz_bar = _chol_backward(Lz, Lz_bar)
 
     kern_grads: dict[str, float] = {}
@@ -394,7 +291,7 @@ def _elbo_whitened(
     for name in kernels.param_names(kernel):
         g = float(np.sum(Kzz_bar * dKzz[name])) + float(np.sum(Kxz_bar * dKxz[name]))
         if name == kernels.LOG_OUTPUTSCALE:
-            g += float(np.sum(kxx_bar * kxx))
+            g += adj.kxx
         kern_grads[name] = g
 
     Gz = kernels.gram_dr2(kernel, Z, Z)
@@ -405,13 +302,62 @@ def _elbo_whitened(
     Wx = Kxz_bar * Gx
     Z_bar += 2.0 * (Wx.sum(axis=0)[:, None] * Z - Wx.T @ Xb)
 
-    noise_grad = None
-    if state.log_noise_var is not None:
-        noise_grad = float(w * np.sum(-0.5 + (resid**2 + s2) / (2.0 * v)))
-
-    return elbo, ElboGradients(
-        Z=Z_bar, mvec=mw_bar, L=Lw_bar, kernel=kern_grads, log_noise_var=noise_grad
+    return ElboGradients(
+        Z=Z_bar,
+        mvec=mvec_bar,
+        L=L_bar,
+        kernel=kern_grads,
+        log_noise_var=adj.log_noise_var,
     )
+
+
+def _elbo_whitened(
+    state: SvgpState,
+    Xb: np.ndarray,
+    yb: np.ndarray,
+    n_total: int,
+    noise_var,
+) -> tuple[float, ElboGradients]:
+    """Minibatch ELBO and gradients in the whitened coordinates the
+    trainer optimizes.
+
+    `state` fields are reinterpreted: mvec holds mw and L holds Lw.  The
+    gradient container layout matches `pack_gradients`.
+    """
+    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
+    Lz, _ = chol_with_jitter(Kzz)
+    elbo, adj = _whitened_pass(state, Lz, Xb, yb, n_total, noise_var)
+    return elbo, _gradients(state, Lz, adj, adj.Lz, adj.mw, _log_diag(adj.Lw, state.L))
+
+
+def elbo_minibatch(
+    state: SvgpState,
+    Xb: np.ndarray,
+    yb: np.ndarray,
+    n_total: int,
+    noise_var,
+) -> tuple[float, ElboGradients]:
+    """Minibatch ELBO (n/b) sum_i E[log p(y_i | f_i)] - KL and its
+    gradients with respect to every free parameter of the unwhitened
+    state: the trainer's whitened pass, pulled back through
+    mw = Lz^-1 mvec and Lw = Lz^-1 L.
+
+    `noise_var` is a scalar (constant noise) or an array aligned with
+    the batch (fixed spatial noise).
+    """
+    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
+    Lz, _ = chol_with_jitter(Kzz)
+    mw = solve_triangular(Lz, state.mvec, lower=True)
+    Lw = solve_triangular(Lz, state.L, lower=True)
+    wstate = replace(state, mvec=mw, L=Lw)
+    elbo, adj = _whitened_pass(wstate, Lz, Xb, yb, n_total, noise_var)
+
+    mvec_bar = solve_triangular(Lz, adj.mw, lower=True, trans="T")
+    G = solve_triangular(Lz, adj.Lw, lower=True, trans="T")
+    L_bar = _log_diag(np.tril(G), state.L)
+    Lz_bar = adj.Lz - np.outer(mvec_bar, mw) - G @ Lw.T
+    Lz_bar[np.diag_indices_from(Lz_bar)] -= 1.0 / np.diag(Lz)  # -log|Lz| term
+    return elbo, _gradients(state, Lz, adj, Lz_bar, mvec_bar, L_bar)
 
 
 def whitened_to_state(wstate: SvgpState) -> SvgpState:
@@ -570,6 +516,12 @@ def fit_svgp(
         noise_all = np.asarray(noise_vector, dtype=float)
         if noise_all.shape != (n,):
             raise InvalidInputError("noise vector length must match the dataset")
+        bad = np.flatnonzero(~(np.isfinite(noise_all) & (noise_all > 0)))
+        if bad.size:
+            raise InvalidInputError(
+                "noise variance must be finite and positive; "
+                f"noise_vector[{int(bad[0])}] = {noise_all[bad[0]]}"
+            )
         log_noise = None
     else:
         noise_all = None
@@ -591,11 +543,7 @@ def fit_svgp(
     )
     learn_noise = (not method.heteroscedastic) and method.fixed_noise_var is None
 
-    adam_cfg = AdamConfig(
-        learning_rate=method.learning_rate,
-        max_epochs=method.epochs,
-        batch_size=method.batch_size,
-    )
+    adam_cfg = AdamConfig(learning_rate=method.learning_rate)
     params = pack_state(wstate)
     opt = adam_init(params.size)
     rng_batches = stream_rng(seed, BATCH_SHUFFLE)

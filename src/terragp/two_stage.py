@@ -39,7 +39,6 @@ class NoiseModel:
     """Frozen GP over log noise variance (normalized target units)."""
 
     gp: exact_gp.ExactGpModel | svgp.SvgpState
-    frozen: bool = True
 
     def log_var_mean(self, Xn: np.ndarray) -> np.ndarray:
         """Posterior mean of the log variance, clamped to +-20."""
@@ -101,13 +100,7 @@ def fit_noise_gp(
         )
         mean_fn = ConstantMean(float(targets.mean()), learnable=False)
         gp = svgp.fit_svgp(data, cfg, seed, mean_fn=mean_fn)
-    return NoiseModel(gp=gp, frozen=True)
-
-
-def terrain_noise_vector(noise_model: NoiseModel, Xn: np.ndarray) -> np.ndarray:
-    """Per-point likelihood variances for stage 2: exp of the frozen
-    stage-1 posterior mean at the training inputs."""
-    return noise_model.noise_variances(Xn)
+    return NoiseModel(gp=gp)
 
 
 def fit_terrain(
@@ -118,7 +111,7 @@ def fit_terrain(
     mean_fn=None,
 ) -> TwoStageModel:
     """Stage 2: fit the terrain GP with the frozen noise field."""
-    v = terrain_noise_vector(noise_model, data.X)
+    v = noise_model.noise_variances(data.X)
     if method.variational:
         terrain = svgp.fit_svgp(data, method, seed, mean_fn=mean_fn, noise_vector=v)
     else:

@@ -1,0 +1,110 @@
+"""The benchmark in perfbench/ reaches into terragp by name: its tracer
+wraps the functions listed in `tracing.LAYERS`, and its workloads patch
+and call module attributes.  A rename that breaks one of those names
+fails here instead of in a benchmark run."""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from terragp.methods import MethodConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _resolve(module: str, attr: str):
+    """The object `Patcher.wrap` would replace: a module attribute, or a
+    method defined on the class itself for "Class.method"."""
+    owner = importlib.import_module(module)
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        return vars(getattr(owner, cls_name))[meth]
+    return getattr(owner, attr)
+
+
+def _patch_calls(tree: ast.AST):
+    """(method, module, attr) of every `<patcher>.wrap/set("terragp...", "attr", ...)`."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        args = node.args[:2]
+        if node.func.attr in ("wrap", "set") and len(args) == 2 and all(
+            isinstance(a, ast.Constant) and isinstance(a.value, str) for a in args
+        ):
+            module, attr = (a.value for a in args)
+            if module.startswith("terragp"):
+                yield node.func.attr, module, attr
+
+
+def _terragp_references(tree: ast.AST):
+    """(module, attr) of every `mod.attr` where `mod` came from `from terragp import`."""
+    modules = {
+        alias.asname or alias.name: f"terragp.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "terragp"
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            yield modules[node.value.id], node.attr
+
+
+def _parse(name: str) -> ast.AST:
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+LAYERS = _load_tracing().LAYERS
+PATCHES = sorted(
+    {call for name in ("workloads.py", "selftest.py") for call in _patch_calls(_parse(name))}
+)
+
+
+def test_scan_finds_the_patches():
+    # guards the AST scan itself: these are patched today
+    assert ("set", "terragp.two_stage", "NOISE_GP") in PATCHES
+    assert ("wrap", "terragp.two_stage", "fit_terrain") in PATCHES
+
+
+@pytest.mark.parametrize("layer", LAYERS, ids=lambda layer: layer.name)
+def test_traced_layer_is_callable(layer):
+    assert callable(_resolve(layer.module, layer.attr))
+
+
+@pytest.mark.parametrize("how, module, attr", PATCHES, ids=str)
+def test_patched_attribute_exists(how, module, attr):
+    target = _resolve(module, attr)
+    if how == "set":
+        # the benchmark rebinds it with dataclasses.replace(..., epochs=...)
+        assert isinstance(target, MethodConfig)
+    else:
+        assert callable(target)
+
+
+def test_workload_references_resolve():
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(set(_terragp_references(_parse("workloads.py"))))
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

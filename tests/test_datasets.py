@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from terragp.datasets import dataset_to_csv, from_arrays, grid_to_dataset
+from terragp.datasets import from_arrays, grid_to_dataset
 from terragp.errors import EmptyDatasetError, InvalidInputError
 from terragp.grids import make_grid
 
@@ -73,15 +73,3 @@ class TestGridToDataset:
         ds = grid_to_dataset(g, v)
         assert ds.R.shape == (3,)
 
-
-class TestCsvExport:
-    def test_header_and_rows(self, tmp_path, rng):
-        g = make_grid(rng.normal(size=(2, 2)))
-        v = make_grid(np.full((2, 2), 0.5))
-        ds = grid_to_dataset(g, v)
-        path = tmp_path / "d.csv"
-        dataset_to_csv(ds, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,elevation,variance"
-        assert len(lines) == 5
-        assert float(lines[1].split(",")[3]) == pytest.approx(0.5)

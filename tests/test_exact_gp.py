@@ -217,6 +217,15 @@ class TestFitExact:
         fitted_l = model.kernel.lengthscale * data.stats.x_std.mean()
         assert abs(np.log(fitted_l) - np.log(true_l)) < 0.3
 
+    def test_caller_mean_not_mutated(self, rng):
+        data = from_arrays(rng.normal(size=(16, 2)), rng.normal(size=16) + 3.0)
+        method = with_overrides(method_defaults("hayner"), epochs=5)
+        cm = ConstantMean(0.0, learnable=True)
+        model = exact_gp.fit_exact(data, method, seed=0, mean_fn=cm)
+        assert cm.constant == 0.0
+        assert model.mean_fn is not cm
+        assert model.mean_fn.constant != 0.0
+
     def test_heteroscedastic_requires_noise_vector(self, rng):
         data = from_arrays(rng.normal(size=(10, 2)), rng.normal(size=10))
         with pytest.raises(InvalidConfigError):

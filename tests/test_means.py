@@ -3,7 +3,7 @@ import pytest
 
 from terragp.datasets import NormStats, grid_to_dataset
 from terragp.grids import make_grid
-from terragp.means import ConstantMean, GridInterpMean, ZeroMean, bilinear_prior
+from terragp.means import ConstantMean, GridInterpMean, ZeroMean
 
 
 class TestBasicMeans:
@@ -22,7 +22,7 @@ class TestGridPrior:
         # must evaluate to the normalized Y at the cell centers
         g = make_grid(np.array([[10.0, 20.0], [30.0, 40.0]]), cellsize=2.0)
         ds = grid_to_dataset(g)
-        prior = bilinear_prior(g, ds.stats)
+        prior = GridInterpMean(g, ds.stats)
         np.testing.assert_allclose(prior(ds.X), ds.Y, atol=1e-12)
 
     def test_identity_stats_pass_through(self):

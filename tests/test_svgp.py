@@ -112,9 +112,12 @@ class TestPredictive:
         X = rng.normal(size=(20, 2)) * 2
         kernel = kernels.KernelConfig(kernels.MATERN, nu=1.5)
         Z = svgp.init_inducing(X, 10, seed=0)
-        state = svgp.init_state(X, 10, kernel, ZeroMean(), seed=0, log_noise_var=None)
-        Kzz = kernels.gram(kernel, state.Z, state.Z)
+        Kzz = kernels.gram(kernel, Z, Z)
         Lz, _ = chol_with_jitter(Kzz)
+        state = svgp.SvgpState(
+            Z=Z, mvec=np.zeros(10), L=0.1 * Lz, kernel=kernel, mean_fn=ZeroMean(),
+            log_noise_var=None,
+        )
         Xs = np.vstack([X, Z])
         Ksz = kernels.gram(kernel, Xs, state.Z)
         A = np.linalg.solve(Kzz + 1e-12 * np.eye(10), Ksz.T).T
@@ -195,6 +198,13 @@ class TestKlTerm:
         assert svgp.kl_term(state2) == pytest.approx(base, abs=1e-9)
 
 
+# the public unwhitened ELBO and the whitened one the trainer follows; both
+# take a state and return gradients laid out as `pack_gradients` expects
+ELBO_ENTRY_POINTS = pytest.mark.parametrize(
+    "elbo_fn", [svgp.elbo_minibatch, svgp._elbo_whitened], ids=lambda f: f.__name__
+)
+
+
 class TestElbo:
     def test_full_batch_scale_factor_one(self, rng):
         state = random_state(rng, m=4)
@@ -207,7 +217,8 @@ class TestElbo:
         manual = float(np.sum(svgp.expected_loglik(mean, s2, y, v))) - svgp.kl_term(state)
         assert elbo == pytest.approx(manual, abs=1e-8)
 
-    def test_gradients_match_finite_differences(self, rng):
+    @ELBO_ENTRY_POINTS
+    def test_gradients_match_finite_differences(self, rng, elbo_fn):
         for trial in range(6):
             homosc = trial % 2 == 0
             family = [kernels.RBF, kernels.RATIONAL_QUADRATIC, kernels.MATERN][trial % 3]
@@ -221,14 +232,14 @@ class TestElbo:
                 if homosc
                 else np.exp(rng.normal(size=b) * 0.3 - 2.0)
             )
-            _, grads = svgp.elbo_minibatch(state, Xb, yb, 3 * b, noise)
+            _, grads = elbo_fn(state, Xb, yb, 3 * b, noise)
             gvec = svgp.pack_gradients(state, grads)
             p0 = svgp.pack_state(state)
 
             def f(p):
                 s2 = svgp.unpack_state(state, p)
                 nv = np.exp(s2.log_noise_var) if homosc else noise
-                return svgp.elbo_minibatch(s2, Xb, yb, 3 * b, nv)[0]
+                return elbo_fn(s2, Xb, yb, 3 * b, nv)[0]
 
             h = 1e-5
             for i in range(p0.size):
@@ -285,10 +296,11 @@ class TestElbo:
             p = p + 1e-3 * svgp.pack_gradients(st, grads)
         assert increases >= 0.95 * steps
 
-    def test_empty_batch_rejected(self, rng):
+    @ELBO_ENTRY_POINTS
+    def test_empty_batch_rejected(self, rng, elbo_fn):
         state = random_state(rng, m=3)
         with pytest.raises(InvalidInputError):
-            svgp.elbo_minibatch(state, np.zeros((0, 2)), np.zeros(0), 5, 0.1)
+            elbo_fn(state, np.zeros((0, 2)), np.zeros(0), 5, 0.1)
 
 
 class TestFitSvgp:
@@ -353,6 +365,17 @@ class TestFitSvgp:
             np.sqrt(np.mean((train.stats.denormalize_y(sm) - truth) ** 2))
         )
         assert sparse_rmse <= 2.0 * exact_rmse
+
+    @pytest.mark.parametrize("bad", [-0.1, 0.0, np.nan, np.inf])
+    def test_bad_noise_vector_is_input_error(self, rng, bad):
+        data = from_arrays(rng.normal(size=(20, 2)), rng.normal(size=20))
+        method = with_overrides(
+            method_defaults("ours-variational"), epochs=2, num_inducing=4, batch_size=8
+        )
+        noise = np.full(20, 0.1)
+        noise[3] = bad
+        with pytest.raises(InvalidInputError, match=r"noise_vector\[3\]"):
+            svgp.fit_svgp(data, method, seed=0, noise_vector=noise)
 
     def test_heteroscedastic_requires_vector(self, rng):
         data = from_arrays(rng.normal(size=(20, 2)), rng.normal(size=20))

@@ -82,11 +82,16 @@ class TestTwoStage:
         scene = self.scene()
         data = grid_to_dataset(scene.train, scene.uncertainty)
         nm = two_stage.fit_noise_gp(data.X, data.R, seed=0)
-        before = modelio.noise_model_bytes(nm)
+
+        def noise_bytes():
+            payload = modelio.model_payload("noise", nm.gp, data.stats)
+            return modelio.payload_to_bytes(payload)
+
+        before = noise_bytes()
         method = with_overrides(method_defaults("ours-exact"), epochs=3)
         mean_fn = GridInterpMean(scene.prior, data.stats)
         two_stage.fit_terrain(data, nm, method, seed=0, mean_fn=mean_fn)
-        assert modelio.noise_model_bytes(nm) == before
+        assert noise_bytes() == before
 
     def test_homoscedastic_collapse(self):
         # constant uncertainty: the two-stage fit must match a matched
