@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import modelio, pipeline
+from . import kernels, modelio, pipeline
 from .errors import (
     DataFormatError,
     IllConditionedKernelError,
@@ -95,8 +95,8 @@ def _add_fit(sub):
     p.add_argument("--lr", type=float)
     p.add_argument("--inducing", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--kernel", choices=("rbf", "rq", "abs_exp", "matern"))
-    p.add_argument("--nu", type=float, choices=(0.5, 1.5, 2.5))
+    p.add_argument("--kernel", choices=kernels.FAMILIES)
+    p.add_argument("--nu", type=float, choices=kernels.MATERN_NUS)
     p.add_argument("--mean", choices=("constant", "zero", "prior"))
     p.add_argument(
         "--fixed-noise", type=float,

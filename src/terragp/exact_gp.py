@@ -47,6 +47,14 @@ class ExactGpModel:
     jitter: float
     loss_history: list = field(default_factory=list, repr=False, compare=False)
 
+    variational = False
+
+    def predict(self, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return predict_exact(self, Xn)
+
+    def obs_noise(self, Xn: np.ndarray) -> float:
+        return float(self.noise_var[0]) if self.homoscedastic else 0.0
+
 
 def _noise_vector(noise_var, n: int) -> np.ndarray:
     vec = np.asarray(noise_var, dtype=float)
@@ -54,8 +62,12 @@ def _noise_vector(noise_var, n: int) -> np.ndarray:
         vec = np.full(n, float(vec))
     if vec.shape != (n,):
         raise InvalidInputError(f"noise vector length {vec.shape} != n ({n})")
-    if np.any(vec < 0):
-        raise InvalidInputError("noise variances must be nonnegative")
+    bad = np.flatnonzero(~(np.isfinite(vec) & (vec >= 0)))
+    if bad.size:
+        raise InvalidInputError(
+            "noise variances must be finite and nonnegative; "
+            f"noise_vector[{int(bad[0])}] = {vec[bad[0]]}"
+        )
     return vec
 
 
@@ -219,6 +231,8 @@ def fit_exact(
             i += 1
         if learn_noise:
             noise_vec = np.full(n, float(np.exp(vec[i])))
+            if not np.isfinite(noise_vec[0]):
+                raise TrainingDivergedError("learned noise variance overflowed")
 
     adam_cfg = AdamConfig(learning_rate=method.learning_rate)
     params = pack()

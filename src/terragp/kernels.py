@@ -6,6 +6,10 @@ smoothness 1/2, 3/2 or 5/2 (closed forms only; the Bessel-function
 general case is deliberately avoided because the closed forms are cheap
 and differentiable).
 
+Each family is written once, in `_profile`, as k_base(r2) and its slope
+dk_base/d(r2); location and lengthscale derivatives follow from the
+slope by the chain rule (see `gram_gradients`).
+
 Every family is wrapped by an output scale, k(x, x') = s2 * k_base, and
 all positive hyperparameters are stored as logarithms so unconstrained
 gradient steps can never produce an invalid kernel.  Distances are
@@ -104,31 +108,56 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(cdist(a, b, metric="sqeuclidean"), 0.0)
 
 
-def _base(cfg: KernelConfig, r2: np.ndarray) -> np.ndarray:
+def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
+    """k_base(r2) and, when `with_slope`, dk_base/d(r2) (else None).
+
+    The one place the families differ; in-place updates spare the hot
+    loops full-size temporaries.
+    """
     ell = cfg.lengthscale
+    ell2 = ell**2
+    slope = None
     if cfg.family == RBF:
-        return np.exp(-0.5 * r2 / ell**2)
-    if cfg.family == RATIONAL_QUADRATIC:
-        u = r2 / (2.0 * cfg.alpha * ell**2)
-        return np.power(1.0 + u, -cfg.alpha)
-    r = np.sqrt(r2)
-    if cfg.family == ABS_EXP:
-        return np.exp(-r / ell)
-    # matern
-    if cfg.nu == 0.5:
-        return np.exp(-r / ell)
-    if cfg.nu == 1.5:
-        s = np.sqrt(3.0) * r / ell
-        return (1.0 + s) * np.exp(-s)
-    s = np.sqrt(5.0) * r / ell
-    return (1.0 + s + s**2 / 3.0) * np.exp(-s)
+        k = -0.5 * r2
+        k /= ell2
+        np.exp(k, out=k)
+        if with_slope:
+            slope = k * (-0.5 / ell2)
+    elif cfg.family == RATIONAL_QUADRATIC:
+        base = r2 / (2.0 * cfg.alpha * ell2)
+        base += 1.0
+        k = np.power(base, -cfg.alpha)
+        if with_slope:
+            slope = np.divide(k, base, out=base)
+            slope *= -0.5 / ell2
+    elif cfg.family == ABS_EXP or cfg.nu == 0.5:
+        r = np.sqrt(r2)
+        k = -r
+        k /= ell
+        np.exp(k, out=k)
+        if with_slope:
+            # not differentiable at r = 0; use the subgradient 0 there
+            slope = np.divide(k, r, out=np.zeros_like(r), where=r > 0.0)
+            slope *= -0.5 / ell
+    else:  # matern 3/2 or 5/2
+        s = np.sqrt(2.0 * cfg.nu) * np.sqrt(r2) / ell
+        e = np.exp(-s)
+        if cfg.nu == 1.5:
+            k = (1.0 + s) * e
+            if with_slope:
+                slope = e * (-1.5 / ell2)
+        else:
+            k = (1.0 + s + s**2 / 3.0) * e
+            if with_slope:
+                slope = (-5.0 / (6.0 * ell2)) * (1.0 + s) * e
+    return k, slope
 
 
 def gram(cfg: KernelConfig, a, b) -> np.ndarray:
     """Covariance matrix with entries s2 * k_base(a_i, b_j)."""
-    a = _as_points(a)
-    b = _as_points(b)
-    return cfg.outputscale * _base(cfg, _sq_dists(a, b))
+    k, _ = _profile(cfg, _sq_dists(_as_points(a), _as_points(b)))
+    k *= cfg.outputscale
+    return k
 
 
 def eval_kernel(cfg: KernelConfig, x, xp) -> float:
@@ -143,63 +172,30 @@ def gram_diag(cfg: KernelConfig, a) -> np.ndarray:
 
 
 def gram_gradients(cfg: KernelConfig, a, b) -> dict[str, np.ndarray]:
-    """dK/dtheta for each log-space hyperparameter in `param_names` order."""
-    a = _as_points(a)
-    b = _as_points(b)
-    r2 = _sq_dists(a, b)
-    s2 = cfg.outputscale
-    ell = cfg.lengthscale
-    K = s2 * _base(cfg, r2)
-    grads: dict[str, np.ndarray] = {}
+    """dK/dtheta for each log-space hyperparameter in `param_names` order.
 
-    if cfg.family == RBF:
-        grads[LOG_LENGTHSCALE] = K * (r2 / ell**2)
-    elif cfg.family == RATIONAL_QUADRATIC:
-        al = cfg.alpha
-        u = r2 / (2.0 * al * ell**2)
-        grads[LOG_LENGTHSCALE] = s2 * np.power(1.0 + u, -al - 1.0) * (r2 / ell**2)
-        grads[LOG_ALPHA] = K * al * (u / (1.0 + u) - np.log1p(u))
-    elif cfg.family == ABS_EXP or (cfg.family == MATERN and cfg.nu == 0.5):
-        r = np.sqrt(r2)
-        grads[LOG_LENGTHSCALE] = K * (r / ell)
-    elif cfg.family == MATERN and cfg.nu == 1.5:
-        s = np.sqrt(3.0) * np.sqrt(r2) / ell
-        grads[LOG_LENGTHSCALE] = s2 * s**2 * np.exp(-s)
-    else:  # matern 5/2
-        s = np.sqrt(5.0) * np.sqrt(r2) / ell
-        grads[LOG_LENGTHSCALE] = s2 * (s**2 * (1.0 + s) / 3.0) * np.exp(-s)
-
-    grads[LOG_OUTPUTSCALE] = K
-    return {name: grads[name] for name in param_names(cfg)}
-
-
-def gram_dr2(cfg: KernelConfig, a, b) -> np.ndarray:
-    """dk/d(r2) entrywise, used for gradients with respect to locations.
-
-    The absolute-exponential and Matern-1/2 families are not
-    differentiable at coincident points; the subgradient 0 is returned
-    there.
+    Every family depends on r2 only through r2 / ell^2, so by the chain
+    rule dK/dlog(ell) = -2 r2 dK/d(r2); dK/dlog(s2) = K.
     """
     a = _as_points(a)
     b = _as_points(b)
     r2 = _sq_dists(a, b)
     s2 = cfg.outputscale
-    ell = cfg.lengthscale
-
-    if cfg.family == RBF:
-        return -s2 * np.exp(-0.5 * r2 / ell**2) / (2.0 * ell**2)
+    K, slope = _profile(cfg, r2, with_slope=True)
+    K *= s2
+    slope *= -2.0 * s2
+    slope *= r2
+    grads = {LOG_LENGTHSCALE: slope, LOG_OUTPUTSCALE: K}
     if cfg.family == RATIONAL_QUADRATIC:
-        al = cfg.alpha
-        u = r2 / (2.0 * al * ell**2)
-        return -s2 * np.power(1.0 + u, -al - 1.0) / (2.0 * ell**2)
-    r = np.sqrt(r2)
-    if cfg.family == ABS_EXP or (cfg.family == MATERN and cfg.nu == 0.5):
-        out = np.zeros_like(r)
-        nz = r > 0.0
-        out[nz] = -s2 * np.exp(-r[nz] / ell) / (2.0 * r[nz] * ell)
-        return out
-    if cfg.nu == 1.5:
-        s = np.sqrt(3.0) * r / ell
-        return -s2 * (3.0 / (2.0 * ell**2)) * np.exp(-s)
-    s = np.sqrt(5.0) * r / ell
-    return -s2 * (5.0 / (6.0 * ell**2)) * (1.0 + s) * np.exp(-s)
+        u = r2 / (2.0 * cfg.alpha * cfg.lengthscale**2)
+        grads[LOG_ALPHA] = K * cfg.alpha * (u / (1.0 + u) - np.log1p(u))
+    return grads
+
+
+def gram_dr2(cfg: KernelConfig, a, b) -> np.ndarray:
+    """dK/d(r2) entrywise, used for gradients with respect to locations;
+    the subgradient 0 at coincident points for the non-differentiable
+    absolute-exponential and Matern-1/2 families."""
+    _, slope = _profile(cfg, _sq_dists(_as_points(a), _as_points(b)), with_slope=True)
+    slope *= cfg.outputscale
+    return slope

@@ -9,6 +9,7 @@ rebuilt deterministically on load.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -27,6 +28,7 @@ _T_I64 = 1
 _T_STR = 2
 _T_ARR = 3
 _T_BOOL = 4
+_SCALAR_FORMATS = {_T_BOOL: "<B", _T_I64: "<q", _T_F64: "<d"}
 
 
 def _encode_value(value) -> tuple[int, bytes]:
@@ -48,26 +50,37 @@ def _encode_value(value) -> tuple[int, bytes]:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+class _Reader:
+    """Sequential reads that raise DataFormatError past the end."""
+
+    def __init__(self, raw: bytes):
+        self.raw, self.off = raw, 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > len(self.raw) - self.off:
+            raise DataFormatError(f"model file truncated in {what}")
+        self.off += n
+        return self.raw[self.off - n : self.off]
+
+    def unpack(self, fmt: str, what: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
+
+
 def _decode_value(tag: int, raw: bytes):
-    if tag == _T_BOOL:
-        return raw[0] != 0
-    if tag == _T_I64:
-        return struct.unpack("<q", raw)[0]
-    if tag == _T_F64:
-        return struct.unpack("<d", raw)[0]
+    if tag in _SCALAR_FORMATS:
+        value = _Reader(raw).unpack(_SCALAR_FORMATS[tag], f"scalar of type tag {tag}")
+        return value != 0 if tag == _T_BOOL else value
     if tag == _T_STR:
         return raw.decode("utf-8")
     if tag == _T_ARR:
-        dlen = raw[0]
-        dtype = raw[1 : 1 + dlen].decode("ascii")
-        off = 1 + dlen
-        ndim = raw[off]
-        off += 1
-        shape = []
-        for _ in range(ndim):
-            shape.append(struct.unpack_from("<q", raw, off)[0])
-            off += 8
-        return np.frombuffer(raw[off:], dtype=dtype).reshape(shape).copy()
+        r = _Reader(raw)
+        dtype = r.take(r.unpack("<B", "array dtype length"), "array dtype")
+        if dtype not in (b"<f8", b"<i8"):  # both 8 bytes per item
+            raise DataFormatError(f"unsupported array dtype {dtype!r}")
+        shape = [r.unpack("<q", "array shape") for _ in range(r.unpack("<B", "array rank"))]
+        if min(shape, default=0) < 0 or 8 * math.prod(shape) != len(raw) - r.off:
+            raise DataFormatError(f"array shape {shape} does not fit a {len(raw)}-byte section")
+        return np.frombuffer(raw[r.off :], dtype=dtype.decode()).reshape(shape).copy()
     raise DataFormatError(f"unknown section type tag {tag}")
 
 
@@ -84,24 +97,31 @@ def payload_to_bytes(payload: dict) -> bytes:
     return b"".join(out)
 
 
+class _Sections(dict):
+    """Decoded sections; asking for a missing one is a format error."""
+
+    prefix = ""
+
+    def __missing__(self, key):
+        raise DataFormatError(f"model file has no {self.prefix + key!r} section")
+
+
 def bytes_to_payload(raw: bytes) -> dict:
-    if raw[:4] != MAGIC:
+    r = _Reader(raw)
+    if r.take(4, "magic") != MAGIC:
         raise DataFormatError("not a model file (bad magic)")
-    if raw[4] != VERSION:
-        raise DataFormatError(f"unsupported model file version {raw[4]}")
-    payload = {}
-    off = 5
-    while off < len(raw):
-        (klen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        key = raw[off : off + klen].decode("utf-8")
-        off += klen
-        tag = raw[off]
-        off += 1
-        (plen,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        payload[key] = _decode_value(tag, raw[off : off + plen])
-        off += plen
+    version = r.unpack("<B", "version")
+    if version != VERSION:
+        raise DataFormatError(f"unsupported model file version {version}")
+    payload = _Sections()
+    try:
+        while r.off < len(raw):
+            key = r.take(r.unpack("<H", "key length"), "key").decode("utf-8")
+            tag = r.unpack("<B", f"type tag of {key!r}")
+            size = r.unpack("<Q", f"length of {key!r}")
+            payload[key] = _decode_value(tag, r.take(size, f"value of {key!r}"))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"model file holds invalid text: {exc}") from None
     return payload
 
 
@@ -158,6 +178,8 @@ def _mean_from(payload: dict, stats: NormStats):
         return ZeroMean()
     if kind == "constant":
         return ConstantMean(payload["mean.constant"], payload["mean.learnable"])
+    if kind != "grid":
+        raise DataFormatError(f"unknown mean kind {kind!r}")
     values = payload["mean.grid_values"]
     grid = DemGrid(
         ncols=values.shape[1],
@@ -189,69 +211,61 @@ def _stats_from(payload: dict) -> NormStats:
     )
 
 
-def _exact_payload(model: exact_gp.ExactGpModel) -> dict:
-    out = {"model_kind": "exact"}
-    out.update(_kernel_payload(model.kernel))
-    out.update(_mean_payload(model.mean_fn))
-    out.update(
-        {
-            "noise_var": model.noise_var,
-            "homoscedastic": model.homoscedastic,
-            "noise_learned": model.noise_learned,
-            "train_x": model.X,
-            "train_y": model.Y,
+def _gp_payload(gp) -> dict:
+    if isinstance(gp, svgp.SvgpState):
+        kind, fields = "svgp", {
+            "inducing": gp.Z,
+            "variational_mean": gp.mvec,
+            "variational_chol": gp.L,
+            "has_noise": gp.log_noise_var is not None,
+            "log_noise_var": gp.log_noise_var if gp.log_noise_var is not None else 0.0,
         }
-    )
-    return out
-
-
-def _exact_from(payload: dict, stats: NormStats) -> exact_gp.ExactGpModel:
-    return exact_gp.build_model(
-        payload["train_x"],
-        payload["train_y"],
-        _mean_from(payload, stats),
-        _kernel_from(payload),
-        payload["noise_var"],
-        homoscedastic=payload["homoscedastic"],
-        noise_learned=payload["noise_learned"],
-    )
-
-
-def _svgp_payload(state: svgp.SvgpState) -> dict:
-    out = {"model_kind": "svgp"}
-    out.update(_kernel_payload(state.kernel))
-    out.update(_mean_payload(state.mean_fn))
-    out.update(
-        {
-            "inducing": state.Z,
-            "variational_mean": state.mvec,
-            "variational_chol": state.L,
-            "has_noise": state.log_noise_var is not None,
-            "log_noise_var": (
-                state.log_noise_var if state.log_noise_var is not None else 0.0
-            ),
+    elif isinstance(gp, exact_gp.ExactGpModel):
+        kind, fields = "exact", {
+            "noise_var": gp.noise_var,
+            "homoscedastic": gp.homoscedastic,
+            "noise_learned": gp.noise_learned,
+            "train_x": gp.X,
+            "train_y": gp.Y,
         }
-    )
-    return out
+    else:
+        raise TypeError(f"cannot serialize model {type(gp)!r}")
+    head = {"model_kind": kind, **_kernel_payload(gp.kernel), **_mean_payload(gp.mean_fn)}
+    return {**head, **fields}
 
 
-def _svgp_from(payload: dict, stats: NormStats) -> svgp.SvgpState:
-    return svgp.SvgpState(
-        Z=payload["inducing"],
-        mvec=payload["variational_mean"],
-        L=payload["variational_chol"],
-        kernel=_kernel_from(payload),
-        mean_fn=_mean_from(payload, stats),
-        log_noise_var=payload["log_noise_var"] if payload["has_noise"] else None,
-    )
+def _gp_from(payload: dict, stats: NormStats):
+    kind = payload["model_kind"]
+    if kind == "svgp":
+        return svgp.SvgpState(
+            Z=payload["inducing"],
+            mvec=payload["variational_mean"],
+            L=payload["variational_chol"],
+            kernel=_kernel_from(payload),
+            mean_fn=_mean_from(payload, stats),
+            log_noise_var=payload["log_noise_var"] if payload["has_noise"] else None,
+        )
+    if kind == "exact":
+        return exact_gp.build_model(
+            payload["train_x"],
+            payload["train_y"],
+            _mean_from(payload, stats),
+            _kernel_from(payload),
+            payload["noise_var"],
+            homoscedastic=payload["homoscedastic"],
+            noise_learned=payload["noise_learned"],
+        )
+    raise DataFormatError(f"unknown model kind {payload.prefix}model_kind = {kind!r}")
 
 
 def _prefixed(payload: dict, prefix: str) -> dict:
     return {prefix + k: v for k, v in payload.items()}
 
 
-def _unprefixed(payload: dict, prefix: str) -> dict:
-    return {k[len(prefix):]: v for k, v in payload.items() if k.startswith(prefix)}
+def _unprefixed(payload: dict, prefix: str) -> _Sections:
+    sub = _Sections((k[len(prefix):], v) for k, v in payload.items() if k.startswith(prefix))
+    sub.prefix = prefix
+    return sub
 
 
 def model_payload(method_id: str, model, stats: NormStats) -> dict:
@@ -259,56 +273,30 @@ def model_payload(method_id: str, model, stats: NormStats) -> dict:
     if isinstance(model, two_stage.TwoStageModel):
         payload["model_kind"] = "two_stage"
         payload["variational"] = model.variational
-        gp = model.noise.gp
-        sub = _svgp_payload(gp) if isinstance(gp, svgp.SvgpState) else _exact_payload(gp)
-        payload.update(_prefixed(sub, "noise."))
-        terr = model.terrain
-        sub = (
-            _svgp_payload(terr)
-            if isinstance(terr, svgp.SvgpState)
-            else _exact_payload(terr)
-        )
-        payload.update(_prefixed(sub, "terrain."))
-    elif isinstance(model, svgp.SvgpState):
-        payload.update(_svgp_payload(model))
-    elif isinstance(model, exact_gp.ExactGpModel):
-        payload.update(_exact_payload(model))
+        payload.update(_prefixed(_gp_payload(model.noise.gp), "noise."))
+        payload.update(_prefixed(_gp_payload(model.terrain), "terrain."))
     else:
-        raise TypeError(f"cannot serialize model {type(model)!r}")
+        payload.update(_gp_payload(model))
     payload.update(_stats_payload(stats))
     return payload
 
 
 def model_from_payload(payload: dict):
+    """(method_id, model, stats); any missing or inconsistent section
+    raises DataFormatError."""
+    payload = _Sections(payload)
     stats = _stats_from(payload)
     method_id = payload["method_id"]
-    kind = payload.get("model_kind")
-    if kind == "two_stage":
-        identity = NormStats(np.zeros(2), np.ones(2), 0.0, 1.0)
-        noise_sub = _unprefixed(payload, "noise.")
-        noise_gp = (
-            _svgp_from(noise_sub, identity)
-            if noise_sub["model_kind"] == "svgp"
-            else _exact_from(noise_sub, identity)
-        )
-        terrain_sub = _unprefixed(payload, "terrain.")
-        terrain = (
-            _svgp_from(terrain_sub, stats)
-            if terrain_sub["model_kind"] == "svgp"
-            else _exact_from(terrain_sub, stats)
-        )
-        model = two_stage.TwoStageModel(
-            noise=two_stage.NoiseModel(gp=noise_gp),
-            terrain=terrain,
-            variational=payload["variational"],
-            stats=stats,
-        )
-    elif kind == "svgp":
-        model = _svgp_from(payload, stats)
-    elif kind == "exact":
-        model = _exact_from(payload, stats)
-    else:
-        raise DataFormatError(f"unknown model kind {kind!r}")
+    if payload["model_kind"] != "two_stage":
+        return method_id, _gp_from(payload, stats), stats
+    identity = NormStats(np.zeros(2), np.ones(2), 0.0, 1.0)
+    model = two_stage.TwoStageModel(
+        noise=two_stage.NoiseModel(gp=_gp_from(_unprefixed(payload, "noise."), identity)),
+        terrain=_gp_from(_unprefixed(payload, "terrain."), stats),
+        stats=stats,
+    )
+    if payload["variational"] != model.variational:
+        raise DataFormatError(f"variational = {payload['variational']} disagrees with the terrain")
     return method_id, model, stats
 
 

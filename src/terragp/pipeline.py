@@ -4,6 +4,9 @@ The data protocol: synthesize a full-resolution reference terrain, keep
 it untouched as truth, train on its factor-2 decimation with injected
 white noise, use the factor-5 decimation as a low-resolution mean
 prior, and evaluate dense predictions back at the full resolution.
+
+Prediction serves every model kind `fit_method` returns through the
+`predict`/`obs_noise` interface described in `two_stage`.
 """
 
 from __future__ import annotations
@@ -87,35 +90,11 @@ def fit_method(
     return model, data.stats, list(model.loss_history)
 
 
-def predict_points(model, stats: NormStats, X_m: np.ndarray):
-    """(mean m, latent variance m^2, predictive variance m^2) at meter
-    coordinates, for any fitted model kind.
-
-    The predictive variance adds the model's observation noise: the
-    stage-1 field for two-stage models, the constant variance for
-    homoscedastic ones.
-    """
-    if isinstance(model, two_stage.TwoStageModel):
-        return two_stage.predict_terrain(model, X_m)
-    Xn = stats.normalize_points(np.atleast_2d(X_m))
-    if isinstance(model, svgp.SvgpState):
-        mean_n, latent_n = svgp.predictive_qf(model, Xn)
-        noise_n = np.exp(model.log_noise_var) if model.log_noise_var is not None else 0.0
-    else:
-        mean_n, latent_n = exact_gp.predict_exact(model, Xn)
-        noise_n = float(model.noise_var[0]) if model.homoscedastic else 0.0
-    return (
-        stats.denormalize_y(mean_n),
-        stats.denormalize_var(latent_n),
-        stats.denormalize_var(latent_n + noise_n),
-    )
-
-
 def predict_grid(model, stats: NormStats, geometry: DemGrid):
     """Dense prediction at a target grid's cell centers; returns mean,
     latent-variance and predictive-variance grids."""
     X_m = geometry.cell_centers()
-    mean_m, latent_m2, pred_m2 = predict_points(model, stats, X_m)
+    mean_m, latent_m2, pred_m2 = two_stage.predict_points(model, stats, X_m)
     shape = geometry.values.shape
     return (
         geometry.with_values(mean_m.reshape(shape)),

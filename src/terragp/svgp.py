@@ -43,9 +43,17 @@ class SvgpState:
     log_noise_var: float | None  # None when the noise is an external field
     loss_history: list = field(default_factory=list, repr=False, compare=False)
 
+    variational = True
+
     @property
     def num_inducing(self) -> int:
         return self.Z.shape[0]
+
+    def predict(self, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return predictive_qf(self, Xn)
+
+    def obs_noise(self, Xn: np.ndarray) -> float:
+        return 0.0 if self.log_noise_var is None else np.exp(self.log_noise_var)
 
     def cov(self) -> np.ndarray:
         return self.L @ self.L.T

@@ -5,6 +5,11 @@ variances and freezes it.  Stage 2 fits the terrain GP (exact or sparse
 variational) whose likelihood uses the frozen stage-1 posterior mean as
 a fixed log-variance field.  The noise is therefore never re-estimated
 from the elevations; it comes entirely from the confidence data.
+
+Every fitted model (`ExactGpModel`, `SvgpState`, `TwoStageModel`) offers
+`predict(Xn)`, the mean and latent variance at normalized points, and
+`obs_noise(Xn)`, the observation noise it owns; `predict_points` serves
+any of them.
 """
 
 from __future__ import annotations
@@ -42,10 +47,7 @@ class NoiseModel:
 
     def log_var_mean(self, Xn: np.ndarray) -> np.ndarray:
         """Posterior mean of the log variance, clamped to +-20."""
-        if isinstance(self.gp, svgp.SvgpState):
-            mu, _ = svgp.predictive_qf(self.gp, Xn)
-        else:
-            mu, _ = exact_gp.predict_exact(self.gp, Xn)
+        mu, _ = self.gp.predict(Xn)
         return np.clip(mu, -LOG_VAR_CLAMP, LOG_VAR_CLAMP)
 
     def noise_variances(self, Xn: np.ndarray) -> np.ndarray:
@@ -56,9 +58,19 @@ class NoiseModel:
 class TwoStageModel:
     noise: NoiseModel
     terrain: exact_gp.ExactGpModel | svgp.SvgpState
-    variational: bool
     stats: NormStats
     loss_history: list = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def variational(self) -> bool:
+        return self.terrain.variational
+
+    def predict(self, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.terrain.predict(Xn)
+
+    def obs_noise(self, Xn: np.ndarray) -> np.ndarray:
+        """The frozen stage-1 noise field at normalized points."""
+        return self.noise.noise_variances(Xn)
 
 
 def fit_noise_gp(
@@ -116,14 +128,12 @@ def fit_terrain(
         terrain = svgp.fit_svgp(data, method, seed, mean_fn=mean_fn, noise_vector=v)
     else:
         terrain = exact_gp.fit_exact(data, method, seed, mean_fn=mean_fn, noise_vector=v)
-    model = TwoStageModel(
+    return TwoStageModel(
         noise=noise_model,
         terrain=terrain,
-        variational=method.variational,
         stats=data.stats,
+        loss_history=terrain.loss_history,
     )
-    model.loss_history = terrain.loss_history
-    return model
 
 
 def fit_two_stage(
@@ -136,19 +146,21 @@ def fit_two_stage(
     return fit_terrain(data, noise_model, method, seed, mean_fn=mean_fn)
 
 
+def predict_points(model, stats: NormStats, X_m: np.ndarray):
+    """(mean m, latent variance m^2, predictive variance m^2) at meter
+    coordinates; the predictive variance adds `model.obs_noise`."""
+    Xn = stats.normalize_points(np.atleast_2d(X_m))
+    mean_n, latent_n = model.predict(Xn)
+    return (
+        stats.denormalize_y(mean_n),
+        stats.denormalize_var(latent_n),
+        stats.denormalize_var(latent_n + model.obs_noise(Xn)),
+    )
+
+
 def predict_terrain(
     model: TwoStageModel, Xstar_m: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, latent variance, and noise-inclusive predictive variance at
     meter-unit query points, denormalized to meters / m^2."""
-    Xn = model.stats.normalize_points(np.atleast_2d(Xstar_m))
-    if model.variational:
-        mean_n, latent_n = svgp.predictive_qf(model.terrain, Xn)
-    else:
-        mean_n, latent_n = exact_gp.predict_exact(model.terrain, Xn)
-    pred_n = latent_n + model.noise.noise_variances(Xn)
-    return (
-        model.stats.denormalize_y(mean_n),
-        model.stats.denormalize_var(latent_n),
-        model.stats.denormalize_var(pred_n),
-    )
+    return predict_points(model, model.stats, Xstar_m)

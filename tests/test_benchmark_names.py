@@ -7,11 +7,14 @@ import ast
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from terragp.methods import MethodConfig
+from terragp import pipeline
+from terragp.methods import MethodConfig, method_defaults, with_overrides
+from terragp.synth import SynthParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,7 +77,8 @@ def _parse(name: str) -> ast.AST:
     return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
 
 
-LAYERS = _load_tracing().LAYERS
+TRACING = _load_tracing()
+LAYERS = TRACING.LAYERS
 PATCHES = sorted(
     {call for name in ("workloads.py", "selftest.py") for call in _patch_calls(_parse(name))}
 )
@@ -108,3 +112,45 @@ def test_workload_references_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "method_id, expected",
+    [
+        ("hayner", {"predict_exact": 1}),
+        ("torroba", {"predictive_qf": 1}),
+        # the terrain is sparse, the stage-1 noise GP exact
+        ("ours-variational", {"predictive_qf": 1, "predict_exact": 1, "noise_variances": 1}),
+    ],
+)
+def test_prediction_reaches_the_traced_layers(method_id, expected):
+    """The tracer rebinds module attributes (and the noise-field method on
+    its class); a model method bound to the original function object
+    would bypass it and zero these per-layer counts."""
+    scene = pipeline.make_scene(SynthParams(size=16, seed=2), noise_mode="split")
+    method = with_overrides(
+        method_defaults(method_id), epochs=2, num_inducing=8, batch_size=16
+    )
+    model, stats, _ = pipeline.fit_method(
+        method, scene.train, scene.uncertainty, scene.prior, seed=0
+    )
+    calls = Counter()
+
+    def counted(name):
+        def make_wrapper(fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        return make_wrapper
+
+    with TRACING.Patcher() as patcher:
+        patcher.wrap("terragp.exact_gp", "predict_exact", counted("predict_exact"))
+        patcher.wrap("terragp.svgp", "predictive_qf", counted("predictive_qf"))
+        patcher.wrap(
+            "terragp.two_stage", "NoiseModel.noise_variances", counted("noise_variances")
+        )
+        pipeline.predict_grid(model, stats, scene.truth)
+    assert dict(calls) == expected

@@ -212,6 +212,21 @@ class TestPredictCommand:
         assert code == 2
 
 
+    def test_truncated_model_is_data_error(self, tmp_path):
+        out = synth(tmp_path)
+        model = tmp_path / "m.bin"
+        main([
+            "fit", "--method", "hayner", "--train", str(out / "train.asc"),
+            "--out", str(model), "--epochs", "2",
+        ])
+        model.write_bytes(model.read_bytes()[:-5])
+        code = main([
+            "predict", "--model", str(model),
+            "--target", str(out / "truth.asc"), "--out-dir", str(tmp_path / "pred"),
+        ])
+        assert code == 3
+
+
 class TestEvalCommand:
     def test_perfect_prediction(self, tmp_path):
         out = synth(tmp_path)

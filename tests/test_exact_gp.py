@@ -3,7 +3,7 @@ import pytest
 
 from terragp import exact_gp, kernels
 from terragp.datasets import from_arrays
-from terragp.errors import InvalidConfigError
+from terragp.errors import InvalidConfigError, InvalidInputError
 from terragp.means import ConstantMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
 from terragp.optim import check_gradient
@@ -230,6 +230,17 @@ class TestFitExact:
         data = from_arrays(rng.normal(size=(10, 2)), rng.normal(size=10))
         with pytest.raises(InvalidConfigError):
             exact_gp.fit_exact(data, method_defaults("ours-exact"), seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_vector_is_input_error(self, rng, bad):
+        data = from_arrays(rng.normal(size=(20, 2)), rng.normal(size=20))
+        v = np.full(20, 0.1)
+        v[3] = bad
+        with pytest.raises(InvalidInputError, match=r"noise_vector\[3\]"):
+            exact_gp.fit_exact(
+                data, method_defaults("ours-exact"), seed=0, mean_fn=ZeroMean(),
+                noise_vector=v,
+            )
 
     def test_fixed_noise_not_learned(self, rng):
         data = from_arrays(rng.normal(size=(12, 2)), rng.normal(size=12))

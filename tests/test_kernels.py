@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,12 @@ from terragp.errors import InvalidConfigError, InvalidInputError
 from terragp.linalg import chol_with_jitter
 
 from conftest import all_family_configs
+
+FAMILY_CONFIGS = all_family_configs()
+
+
+def family_id(cfg):
+    return f"matern{cfg.nu}" if cfg.family == kernels.MATERN else cfg.family
 
 
 class TestKernelValues:
@@ -132,10 +140,26 @@ class TestGradients:
                 grads[kernels.LOG_OUTPUTSCALE], kernels.gram(cfg, A, B), atol=0
             )
 
-    def test_rbf_lengthscale_gradient_zero_on_diagonal(self):
-        cfg = kernels.KernelConfig(kernels.RBF)
-        grads = kernels.gram_gradients(cfg, [[1.0, 1.0]], [[1.0, 1.0]])
-        assert grads[kernels.LOG_LENGTHSCALE][0, 0] == 0.0
+    @pytest.mark.parametrize("cfg", FAMILY_CONFIGS, ids=family_id)
+    def test_lengthscale_gradient_zero_on_diagonal(self, cfg, rng):
+        A = rng.normal(size=(6, 2))
+        grads = kernels.gram_gradients(cfg, A, A)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert np.all(np.diag(grads[kernels.LOG_LENGTHSCALE]) == 0.0)
+
+    @pytest.mark.parametrize("cfg", FAMILY_CONFIGS, ids=family_id)
+    def test_dr2_at_coincident_points_is_the_limit(self, cfg):
+        # lim dK/d(r2) as r2 -> 0, in units of s2 / l^2; the subgradient 0
+        # where that limit is infinite
+        limit = {"rbf": -1 / 2, "rq": -1 / 2, "abs_exp": 0.0, "matern0.5": 0.0,
+                 "matern1.5": -3 / 2, "matern2.5": -5 / 6}[family_id(cfg)]
+        cfg = replace(cfg, log_lengthscale=0.4, log_outputscale=0.3, log_alpha=0.2)
+        A = np.array([[0.3, -1.2], [2.0, 0.5]])
+        np.testing.assert_allclose(
+            np.diag(kernels.gram_dr2(cfg, A, A)),
+            limit * cfg.outputscale / cfg.lengthscale**2,
+            rtol=1e-14,
+        )
 
     def test_rbf_lengthscale_gradient_value(self):
         # l=1, ||d||^2=2: dk/d(log l) = exp(-1) * 2

@@ -112,6 +112,25 @@ class TestModelRoundtrips:
         modelio.save_model(path2, mid, loaded, stats)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_two_stage_with_sparse_stage_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(two_stage, "STAGE1_EXACT_MAX_N", 10)
+        scene = small_scene()
+        data = grid_to_dataset(scene.train, scene.uncertainty)
+        method = with_overrides(method_defaults("ours-exact"), epochs=2)
+        mean_fn = GridInterpMean(scene.prior, data.stats)
+        model = two_stage.fit_two_stage(data, method, seed=0, mean_fn=mean_fn)
+        assert model.noise.gp.variational and not model.variational
+        path = tmp_path / "t.bin"
+        modelio.save_model(path, "ours-exact", model, data.stats)
+        mid, loaded, stats = modelio.load_model(path)
+        pts = scene.truth.cell_centers()
+        for a, b in zip(two_stage.predict_terrain(model, pts),
+                        two_stage.predict_terrain(loaded, pts)):
+            np.testing.assert_array_equal(a, b)
+        path2 = tmp_path / "t2.bin"
+        modelio.save_model(path2, mid, loaded, stats)
+        assert path.read_bytes() == path2.read_bytes()
+
     def test_mean_function_kinds(self, tmp_path, rng):
         scene = small_scene()
         data = grid_to_dataset(scene.train)
@@ -133,3 +152,48 @@ class TestModelRoundtrips:
             np.testing.assert_allclose(
                 loaded.mean_fn(q), mean_fn(q), atol=1e-12
             )
+
+
+@pytest.fixture(scope="module")
+def two_stage_payload():
+    scene = small_scene()
+    data = grid_to_dataset(scene.train, scene.uncertainty)
+    method = with_overrides(method_defaults("ours-exact"), epochs=2)
+    mean_fn = GridInterpMean(scene.prior, data.stats)
+    model = two_stage.fit_two_stage(data, method, seed=0, mean_fn=mean_fn)
+    return modelio.model_payload("ours-exact", model, data.stats)
+
+
+class TestCorruptFiles:
+    def test_truncation_at_every_offset_is_format_error(self):
+        scene = small_scene()
+        data = grid_to_dataset(scene.train)
+        model = exact_gp.fit_exact(
+            data, with_overrides(method_defaults("hayner"), epochs=2), seed=0
+        )
+        raw = modelio.payload_to_bytes(modelio.model_payload("hayner", model, data.stats))
+        for cut in range(len(raw)):
+            with pytest.raises(DataFormatError):
+                modelio.model_from_payload(modelio.bytes_to_payload(raw[:cut]))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("variational", True, "variational"),
+            ("terrain.model_kind", "gp", "terrain.model_kind"),
+            ("noise.model_kind", "svgp", "noise.inducing"),
+            ("terrain.model_kind", None, "terrain.model_kind"),
+            ("model_kind", None, "'model_kind'"),
+            ("stats.y_std", None, "stats.y_std"),
+        ],
+    )
+    def test_inconsistent_sections_are_format_errors(
+        self, two_stage_payload, key, value, message
+    ):
+        payload = dict(two_stage_payload)
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        with pytest.raises(DataFormatError, match=message):
+            modelio.model_from_payload(payload)
