@@ -14,22 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, modelio, pipeline
-from .errors import (
-    DataFormatError,
-    IllConditionedKernelError,
-    InvalidConfigError,
-    InvalidInputError,
-    TerraGpError,
-    TrainingDivergedError,
-)
+from .errors import InvalidConfigError, TerraGpError
 from .grids import DemGrid, hillshade, read_asc, to_pgm_bytes, write_asc
 from .methods import METHOD_IDS, method_defaults, with_overrides
 from .synth import SynthParams
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+EXIT_IO = 3  # OSError; every TerraGpError carries its own exit_code
 
 
 def _add_synth(sub):
@@ -317,18 +308,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidConfigError,) as exc:
+    except (TerraGpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataFormatError, InvalidInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (IllConditionedKernelError, TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except TerraGpError as exc:  # any future subclass
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return getattr(exc, "exit_code", EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -1,25 +1,33 @@
 """Exception hierarchy shared across the toolkit.
 
-Command-line entry points map these onto process exit codes:
-config/usage problems exit 2, data/parse problems exit 3, and
+Each class carries the process exit code the command line returns for
+it: config/usage problems exit 2, data/parse problems exit 3, and
 numerical failures exit 4.
 """
 
 
 class TerraGpError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; numerical failures keep its code."""
+
+    exit_code = 4
 
 
 class InvalidConfigError(TerraGpError):
     """A configuration value is out of range or inconsistent."""
 
+    exit_code = 2
+
 
 class InvalidInputError(TerraGpError):
     """Input data violates a precondition (non-finite, nonpositive, ...)."""
 
+    exit_code = 3
+
 
 class DataFormatError(TerraGpError):
     """A file could not be parsed or grids disagree on geometry."""
+
+    exit_code = 3
 
 
 class EmptyDatasetError(DataFormatError):

@@ -18,16 +18,15 @@ import numpy as np
 
 from . import kernels
 from .datasets import Dataset
-from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
+from .errors import TrainingDivergedError
 from .linalg import chol_solve, chol_with_jitter, tri_solve
-from .means import ConstantMean, GridInterpMean, ZeroMean
-from .methods import MethodConfig, init_kernel
-from .optim import AdamConfig, adam_init, adam_step
+from .means import default_mean
+from .methods import (
+    LOG_NOISE_VARIANCE, NOISE_FLOOR, MethodConfig, check_noise, init_kernel, noise_plan,
+)
+from .optim import minimize
 from .seeding import INIT, stream_rng
 
-NOISE_FLOOR = 1e-6  # normalized variance; prevents likelihood collapse
-
-LOG_NOISE_VARIANCE = "log_noise_variance"
 MEAN_CONSTANT = "mean_constant"
 
 _PREDICT_CHUNK = 4096
@@ -56,39 +55,23 @@ class ExactGpModel:
         return float(self.noise_var[0]) if self.homoscedastic else 0.0
 
 
-def _noise_vector(noise_var, n: int) -> np.ndarray:
-    vec = np.asarray(noise_var, dtype=float)
-    if vec.ndim == 0:
-        vec = np.full(n, float(vec))
-    if vec.shape != (n,):
-        raise InvalidInputError(f"noise vector length {vec.shape} != n ({n})")
-    bad = np.flatnonzero(~(np.isfinite(vec) & (vec >= 0)))
-    if bad.size:
-        raise InvalidInputError(
-            "noise variances must be finite and nonnegative; "
-            f"noise_vector[{int(bad[0])}] = {vec[bad[0]]}"
-        )
-    return vec
-
-
 def _factorize(X, Y, mean_fn, kernel, noise_vec):
+    """(L, a, lml, jitter): L L^T = K + diag(noise), a = (L L^T)^-1 (Y - m(X))."""
     K = kernels.gram(kernel, X, X)
     Ky = K + np.diag(noise_vec)
     L, jitter = chol_with_jitter(Ky)
     resid = np.asarray(Y, dtype=float) - mean_fn(X)
     a = chol_solve(L, resid)
-    return L, a, resid, jitter
+    n = a.size
+    lml = float(-0.5 * resid @ a - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi))
+    return L, a, lml, jitter
 
 
 def log_marginal_likelihood(X, Y, mean_fn, kernel, noise_var) -> float:
     """log N(Y | m(X), K + diag(noise)) via Cholesky."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    noise_vec = _noise_vector(noise_var, n)
-    L, a, resid, _ = _factorize(X, Y, mean_fn, kernel, noise_vec)
-    return float(
-        -0.5 * resid @ a - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi)
-    )
+    _, _, lml, _ = _factorize(X, Y, mean_fn, kernel, check_noise(noise_var, X.shape[0]))
+    return lml
 
 
 def lml_gradients(
@@ -99,11 +82,8 @@ def lml_gradients(
     log noise variance when they are free parameters."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
-    noise_vec = _noise_vector(noise_var, n)
-    L, a, resid, _ = _factorize(X, Y, mean_fn, kernel, noise_vec)
-    lml = float(
-        -0.5 * resid @ a - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi)
-    )
+    noise_vec = check_noise(noise_var, n)
+    L, a, lml, _ = _factorize(X, Y, mean_fn, kernel, noise_vec)
 
     Kinv = chol_solve(L, np.eye(n))
     M = np.outer(a, a) - Kinv
@@ -122,7 +102,7 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic, noise_learned) 
     """Assemble a model with its Cholesky and solve caches."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
-    noise_vec = _noise_vector(noise_var, X.shape[0])
+    noise_vec = check_noise(noise_var, X.shape[0])
     L, a, _, jitter = _factorize(X, Y, mean_fn, kernel, noise_vec)
     return ExactGpModel(
         kernel=kernel,
@@ -157,20 +137,6 @@ def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.maximum(var, 0.0)
 
 
-def default_mean(method: MethodConfig, stats=None, prior_grid=None):
-    if method.mean_kind == "zero":
-        return ZeroMean()
-    if method.mean_kind == "constant":
-        return ConstantMean(0.0, learnable=not method.variational)
-    if method.mean_kind == "prior":
-        if prior_grid is None or stats is None:
-            raise InvalidConfigError(
-                f"method {method.method_id!r} needs a low-resolution prior grid"
-            )
-        return GridInterpMean(prior_grid, stats)
-    raise InvalidConfigError(f"unknown mean kind {method.mean_kind!r}")
-
-
 def fit_exact(
     data: Dataset,
     method: MethodConfig,
@@ -180,79 +146,48 @@ def fit_exact(
 ) -> ExactGpModel:
     """Maximize the LML with Adam for the configured epoch budget.
 
-    Heteroscedastic methods must supply `noise_vector` (normalized
-    per-point variances); it stays fixed during training.  Otherwise a
-    single noise variance is learned, unless the method pins it via
-    `fixed_noise_var`.
+    The noise follows `methods.noise_plan`; a `noise_vector` holds
+    normalized per-point variances.
     """
-    rng = stream_rng(seed, INIT)
-    kernel = init_kernel(method, rng)
-    # a learnable constant is trained in place, so train the model's own copy
-    mean_fn = default_mean(method) if mean_fn is None else copy.copy(mean_fn)
-
     X, Y = data.X, data.Y
     n = data.n
-    if method.heteroscedastic:
-        if noise_vector is None:
-            raise InvalidConfigError(
-                f"method {method.method_id!r} requires a per-point noise vector"
-            )
-        noise_vec = _noise_vector(noise_vector, n)
-        learn_noise = False
-    elif method.fixed_noise_var is not None:
-        noise_vec = np.full(n, float(method.fixed_noise_var))
-        learn_noise = False
-    else:
-        noise_vec = np.full(n, float(method.init_noise_var))
-        learn_noise = True
+    noise_field, constant, learn_noise = noise_plan(method, n, noise_vector)
+    noise_vec = np.full(n, float(constant)) if noise_field is None else noise_field
+    # a learnable constant is trained in place, so train the model's own copy
+    mean_fn = default_mean(method) if mean_fn is None else copy.copy(mean_fn)
+    kernel = init_kernel(method, stream_rng(seed, INIT))
 
     names = list(kernels.param_names(kernel))
+    params = list(kernels.get_params(kernel))
     learn_mean = getattr(mean_fn, "learnable", False)
     if learn_mean:
         names.append(MEAN_CONSTANT)
+        params.append(mean_fn.constant)
     if learn_noise:
         names.append(LOG_NOISE_VARIANCE)
+        params.append(np.log(noise_vec[0]))
 
-    def pack() -> np.ndarray:
-        vals = list(kernels.get_params(kernel))
-        if learn_mean:
-            vals.append(mean_fn.constant)
-        if learn_noise:
-            vals.append(np.log(noise_vec[0]))
-        return np.array(vals)
+    def loss_grad(_batch):
+        lml, grads = lml_gradients(
+            X, Y, mean_fn, kernel, noise_vec, noise_learned=learn_noise
+        )
+        return -lml, -np.array([grads[name] for name in names])
 
     def unpack(vec: np.ndarray):
         nonlocal kernel, noise_vec
         nk = len(kernels.param_names(kernel))
         kernel = kernels.with_params(kernel, vec[:nk])
-        i = nk
         if learn_mean:
-            mean_fn.constant = float(vec[i])
-            i += 1
+            mean_fn.constant = float(vec[nk])
         if learn_noise:
-            noise_vec = np.full(n, float(np.exp(vec[i])))
+            noise_vec = np.full(n, float(np.exp(vec[-1])))
             if not np.isfinite(noise_vec[0]):
                 raise TrainingDivergedError("learned noise variance overflowed")
 
-    adam_cfg = AdamConfig(learning_rate=method.learning_rate)
-    params = pack()
-    state = adam_init(params.size)
-    history: list[float] = []
-    for _ in range(method.epochs):
-        lml, grads = lml_gradients(
-            X, Y, mean_fn, kernel, noise_vec, noise_learned=learn_noise
-        )
-        if not np.isfinite(lml):
-            raise TrainingDivergedError("log marginal likelihood became non-finite")
-        history.append(-lml)
-        grad_vec = -np.array([grads[name] for name in names])
-        params, state = adam_step(
-            state, params, grad_vec, adam_cfg, name_of=lambda i: names[i]
-        )
-        if learn_noise:
-            params[-1] = max(params[-1], np.log(NOISE_FLOOR))
-        unpack(params)
-
+    history = minimize(
+        loss_grad, unpack, np.array(params), method.learning_rate, method.epochs,
+        lambda: (None,), names.__getitem__, np.log(NOISE_FLOOR) if learn_noise else None,
+    )
     model = build_model(
         X,
         Y,

@@ -12,6 +12,7 @@ precision so read(write(g)) reproduces g exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,11 +125,14 @@ def read_asc(path) -> DemGrid:
     for lineno, line in enumerate(lines[6:], start=7):
         for tok in line.split():
             try:
-                flat.append(float(tok))
+                value = float(tok)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise DataFormatError(
-                    f"{path}: line {lineno}: non-numeric token {tok!r}"
-                ) from None
+                    f"{path}: line {lineno}: token {tok!r} is not a finite number"
+                )
+            flat.append(value)
     expected = ncols * nrows
     if len(flat) != expected:
         raise DataFormatError(

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import NormStats
+from .errors import InvalidConfigError
 from .grids import DemGrid, bilinear_sample
+from .methods import MethodConfig
 
 
 class ZeroMean:
@@ -51,3 +53,18 @@ class GridInterpMean:
         pts_m = self.stats.denormalize_points(np.atleast_2d(X))
         return self.stats.normalize_y(bilinear_sample(self.grid, pts_m))
 
+
+def default_mean(method: MethodConfig, stats=None, prior_grid=None):
+    """The mean a method asks for: a constant is learned only by exact
+    fits, and the prior mean needs the low-resolution grid."""
+    if method.mean_kind == "zero":
+        return ZeroMean()
+    if method.mean_kind == "constant":
+        return ConstantMean(0.0, learnable=not method.variational)
+    if method.mean_kind == "prior":
+        if prior_grid is None or stats is None:
+            raise InvalidConfigError(
+                f"method {method.method_id!r} needs a low-resolution prior grid"
+            )
+        return GridInterpMean(prior_grid, stats)
+    raise InvalidConfigError(f"unknown mean kind {method.mean_kind!r}")

@@ -3,7 +3,8 @@
 The five method ids carry the published training parameters: learning
 rate, epochs, kernel family, and (for the variational pair) batch size
 and inducing-point count.  Everything is overridable from the CLI; the
-defaults here are the reference values.
+defaults here are the reference values, and a config checks its own
+values when built.  `noise_plan` is the noise rule both trainers follow.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, InvalidInputError
 
 TOMITA = "tomita"
 HAYNER = "hayner"
@@ -22,6 +23,15 @@ OURS_EXACT = "ours-exact"
 OURS_VARIATIONAL = "ours-variational"
 
 METHOD_IDS = (TOMITA, HAYNER, TORROBA, OURS_EXACT, OURS_VARIATIONAL)
+
+NOISE_FLOOR = 1e-6  # normalized variance; prevents likelihood collapse
+LOG_NOISE_VARIANCE = "log_noise_variance"
+
+
+def _noise_ok(var, variational: bool):
+    """Every noise variance is finite, and > 0 where the variational
+    likelihood divides by it (>= 0 for exact fits)."""
+    return np.isfinite(var) & ((var > 0) if variational else (var >= 0))
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,26 @@ class MethodConfig:
     nu: float = 2.5
     fixed_noise_var: float | None = None  # pin the constant noise (not learned)
     init_noise_var: float = 0.1
+
+    def __post_init__(self):
+        def require(ok, what):
+            if not ok:
+                raise InvalidConfigError(f"method {self.method_id!r}: {what}")
+
+        lr = self.learning_rate
+        require(np.isfinite(lr) and lr > 0, f"learning rate must be finite and > 0, got {lr}")
+        require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
+        for name in ("batch_size", "num_inducing"):
+            value = getattr(self, name)
+            require(value is None or value >= 1, f"{name} must be >= 1, got {value}")
+            require(value is not None or not self.variational, f"variational fit needs {name}")
+        init = self.init_noise_var
+        require(np.isfinite(init) and init > 0, f"initial noise variance must be > 0, got {init}")
+        fixed = self.fixed_noise_var
+        require(
+            fixed is None or _noise_ok(fixed, self.variational),
+            f"fixed noise variance must be finite, >= 0, and > 0 if variational; got {fixed}",
+        )
 
 
 _DEFAULTS = {
@@ -119,6 +149,37 @@ def with_overrides(cfg: MethodConfig, **overrides) -> MethodConfig:
     """Apply CLI overrides; None values are ignored."""
     clean = {k: v for k, v in overrides.items() if v is not None}
     return replace(cfg, **clean)
+
+
+def check_noise(noise_var, n: int, variational: bool = False) -> np.ndarray:
+    """Per-point noise variances as an (n,) array; a scalar is broadcast."""
+    vec = np.asarray(noise_var, dtype=float)
+    if vec.ndim == 0:
+        vec = np.full(n, float(vec))
+    if vec.shape != (n,):
+        raise InvalidInputError(f"noise vector length {vec.shape} != n ({n})")
+    bad = np.flatnonzero(~_noise_ok(vec, variational))
+    if bad.size:
+        raise InvalidInputError(
+            f"noise variances must be finite and {'positive' if variational else 'nonnegative'}; "
+            f"noise_vector[{int(bad[0])}] = {vec[bad[0]]}"
+        )
+    return vec
+
+
+def noise_plan(method: MethodConfig, n: int, noise_vector=None):
+    """(field, constant, learned): a heteroscedastic method's fixed
+    per-point `noise_vector`, else one constant variance, pinned by
+    `fixed_noise_var` or learned from `init_noise_var`."""
+    if method.heteroscedastic:
+        if noise_vector is None:
+            raise InvalidConfigError(
+                f"method {method.method_id!r} requires a per-point noise vector"
+            )
+        return check_noise(noise_vector, n, method.variational), None, False
+    if method.fixed_noise_var is not None:
+        return None, method.fixed_noise_var, False
+    return None, method.init_noise_var, True
 
 
 def init_kernel(method: MethodConfig, rng: np.random.Generator) -> kernels.KernelConfig:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import exact_gp, kernels, svgp, two_stage
 from .datasets import NormStats
-from .errors import DataFormatError
+from .errors import DataFormatError, InvalidConfigError
 from .grids import DemGrid
 from .means import ConstantMean, GridInterpMean, ZeroMean
 
@@ -97,13 +97,36 @@ def payload_to_bytes(payload: dict) -> bytes:
     return b"".join(out)
 
 
+# section value types by key without its noise./terrain. prefix; others are numbers
+_SECTION_TYPES = {
+    **dict.fromkeys("method_id model_kind kernel.family mean.kind".split(), str),
+    **dict.fromkeys("variational mean.learnable has_noise homoscedastic noise_learned".split(), bool),
+    **dict.fromkeys(
+        "mean.grid_values stats.x_mean stats.x_std inducing variational_mean "
+        "variational_chol noise_var train_x train_y".split(),
+        np.ndarray,
+    ),
+}
+
+
 class _Sections(dict):
-    """Decoded sections; asking for a missing one is a format error."""
+    """Decoded sections; asking for a missing one, or one holding the
+    wrong type of value, is a format error."""
 
     prefix = ""
 
     def __missing__(self, key):
         raise DataFormatError(f"model file has no {self.prefix + key!r} section")
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        want = _SECTION_TYPES.get(key, (int, float))
+        # a bool is an int, so it must be asked for by name
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, want):
+            raise DataFormatError(
+                f"model file section {self.prefix + key!r} holds a {type(value).__name__}"
+            )
+        return value
 
 
 def bytes_to_payload(raw: bytes) -> dict:
@@ -113,7 +136,7 @@ def bytes_to_payload(raw: bytes) -> dict:
     version = r.unpack("<B", "version")
     if version != VERSION:
         raise DataFormatError(f"unsupported model file version {version}")
-    payload = _Sections()
+    payload: dict = {}
     try:
         while r.off < len(raw):
             key = r.take(r.unpack("<H", "key length"), "key").decode("utf-8")
@@ -141,13 +164,16 @@ def _kernel_payload(cfg: kernels.KernelConfig) -> dict:
 
 
 def _kernel_from(payload: dict) -> kernels.KernelConfig:
-    return kernels.KernelConfig(
-        family=payload["kernel.family"],
-        log_lengthscale=payload["kernel.log_lengthscale"],
-        log_outputscale=payload["kernel.log_outputscale"],
-        log_alpha=payload["kernel.log_alpha"],
-        nu=payload["kernel.nu"],
-    )
+    try:
+        return kernels.KernelConfig(
+            family=payload["kernel.family"],
+            log_lengthscale=payload["kernel.log_lengthscale"],
+            log_outputscale=payload["kernel.log_outputscale"],
+            log_alpha=payload["kernel.log_alpha"],
+            nu=payload["kernel.nu"],
+        )
+    except InvalidConfigError as exc:
+        raise DataFormatError(f"model file section {payload.prefix}kernel.*: {exc}") from None
 
 
 def _mean_payload(mean_fn) -> dict:

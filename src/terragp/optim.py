@@ -1,8 +1,8 @@
-"""Adam optimizer and a finite-difference gradient checker.
+"""Adam optimizer, the training loop, and a finite-difference checker.
 
-Both GP trainers (exact and variational) drive their packed parameter
-vectors through `adam_step`.  The update follows the standard
-bias-corrected form; with everything seeded, two runs over identical
+Both GP trainers run `minimize`: the exact fit on the negative LML, one
+full batch per epoch, the variational fit on the negative ELBO over
+shuffled minibatches.  With everything seeded, two runs over identical
 inputs produce bitwise-identical trajectories.
 """
 
@@ -63,6 +63,30 @@ def adam_step(
     v_hat = v / (1.0 - cfg.beta2**t)
     new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     return new_params, AdamState(step=t, m=m, v=v)
+
+
+def minimize(loss_grad, unpack, params, learning_rate, epochs, batches, label, floor=None):
+    """Adam descent over `epochs` passes of `batches()`; returns each
+    epoch's mean loss.  Each step evaluates `loss_grad(batch) -> (loss,
+    grad)` at the current state, steps `params`, clamps the last one (a
+    learned log noise) at `floor` if given, and passes them to `unpack`.
+    `label(i)` names parameter i in a non-finite-gradient error."""
+    cfg = AdamConfig(learning_rate=learning_rate)
+    state = adam_init(params.size)
+    history: list[float] = []
+    for _ in range(epochs):
+        losses = []
+        for batch in batches():
+            loss, grad = loss_grad(batch)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError("training loss became non-finite")
+            losses.append(loss)
+            params, state = adam_step(state, params, grad, cfg, name_of=label)
+            if floor is not None:
+                params[-1] = max(params[-1], floor)
+            unpack(params)
+        history.append(float(np.mean(losses)))
+    return history
 
 
 def check_gradient(f, x, analytic_grad, step: float = 1e-5) -> float:

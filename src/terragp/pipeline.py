@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import exact_gp, metrics, svgp, two_stage
+from . import metrics, two_stage
 from .datasets import Dataset, NormStats, from_arrays, grid_to_dataset
 from .errors import DataFormatError, InvalidConfigError
 from .grids import DemGrid, downsample, hillshade, inject_noise, shadow_uncertainty
-from .means import GridInterpMean
+from .means import GridInterpMean, default_mean
 from .methods import NOISE_GP, MethodConfig, OURS_VARIATIONAL, method_defaults, with_overrides
 from .seeding import SYNTH, stream_rng
 from .synth import SynthParams, split_variance_grid, synth_terrain
@@ -71,7 +71,7 @@ def fit_method(
     prior: DemGrid | None,
     seed: int,
 ):
-    """Dispatch to the right trainer; returns (model, stats, loss_history)."""
+    """Fit one method on grids; returns (model, stats, loss_history)."""
     if method.heteroscedastic and uncertainty is None:
         raise InvalidConfigError(
             f"method {method.method_id!r} needs an uncertainty grid"
@@ -79,14 +79,11 @@ def fit_method(
     if uncertainty is not None and not train.same_geometry(uncertainty):
         raise DataFormatError("train and uncertainty grids must share geometry")
     data = grid_to_dataset(train, uncertainty)
-    mean_fn = exact_gp.default_mean(method, stats=data.stats, prior_grid=prior)
-
+    mean_fn = default_mean(method, stats=data.stats, prior_grid=prior)
     if method.heteroscedastic:
         model = two_stage.fit_two_stage(data, method, seed, mean_fn=mean_fn)
-    elif method.variational:
-        model = svgp.fit_svgp(data, method, seed, mean_fn=mean_fn)
     else:
-        model = exact_gp.fit_exact(data, method, seed, mean_fn=mean_fn)
+        model = two_stage.fit_gp(data, method, seed, mean_fn=mean_fn)
     return model, data.stats, list(model.loss_history)
 
 

@@ -22,15 +22,14 @@ from scipy.linalg import solve_triangular
 
 from . import kernels
 from .datasets import Dataset
-from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
+from .errors import InvalidConfigError, InvalidInputError
 from .linalg import chol_solve, chol_with_jitter
-from .means import ConstantMean, ZeroMean
-from .methods import MethodConfig, init_kernel
-from .optim import AdamConfig, adam_init, adam_step, epoch_batches
+from .means import default_mean
+from .methods import (
+    LOG_NOISE_VARIANCE, NOISE_FLOOR, MethodConfig, check_noise, init_kernel, noise_plan,
+)
+from .optim import epoch_batches, minimize
 from .seeding import BATCH_SHUFFLE, INDUCING_INIT, INIT, stream_rng
-
-NOISE_FLOOR = 1e-6
-LOG_NOISE_VARIANCE = "log_noise_variance"
 
 
 @dataclass
@@ -206,8 +205,6 @@ def _whitened_pass(
     v = np.asarray(noise_var, dtype=float)
     if v.ndim == 0:
         v = np.full(b, float(v))
-    if np.any(v <= 0):
-        raise InvalidInputError("noise variance must be positive")
     w = n_total / b
 
     Z, mw, Lw, kernel = wstate.Z, wstate.mvec, wstate.L, wstate.kernel
@@ -223,10 +220,8 @@ def _whitened_pass(
     q2 = np.einsum("ij,ij->i", BL, BL)
     s2 = kxx - q1 + q2
 
+    data_term = w * float(np.sum(expected_loglik(mu, s2, yb, v)))
     resid = yb - mu
-    data_term = w * float(
-        np.sum(-0.5 * np.log(2.0 * np.pi * v) - (resid**2 + s2) / (2.0 * v))
-    )
     logdet_lw = float(np.log(np.diag(Lw)).sum())
     kl = 0.5 * (float(np.sum(Lw**2)) + float(mw @ mw) - m - 2.0 * logdet_lw)
     elbo = data_term - kl
@@ -396,9 +391,7 @@ def _optimal_whitened_q(
     Lz, _ = chol_with_jitter(Kzz)
     Kxz = kernels.gram(kernel, X, Z)
     B = solve_triangular(Lz, Kxz.T, lower=True).T
-    v = np.asarray(noise_var, dtype=float)
-    if v.ndim == 0:
-        v = np.full(X.shape[0], float(v))
+    v = check_noise(noise_var, X.shape[0], variational=True)
     M = np.eye(Z.shape[0]) + B.T @ (B / v[:, None])
     Lm, _ = chol_with_jitter(M)
     resid = np.asarray(Y, dtype=float) - mean_fn(X)
@@ -503,43 +496,17 @@ def fit_svgp(
     locations, variational mean and covariance factor, kernel
     hyperparameters, and the constant noise when it is learned.
 
-    Heteroscedastic training requires `noise_vector`, per-point
-    variances aligned with `data`; the vector is fixed throughout.
+    The noise follows `methods.noise_plan`; a `noise_vector` holds
+    per-point variances aligned with `data`.
     """
-    if method.num_inducing is None or method.batch_size is None:
-        raise InvalidConfigError(
-            f"method {method.method_id!r} lacks inducing/batch configuration"
-        )
-    if mean_fn is None:
-        mean_fn = (
-            ZeroMean() if method.mean_kind == "zero" else ConstantMean(0.0, learnable=False)
-        )
-
     n = data.n
-    if method.heteroscedastic:
-        if noise_vector is None:
-            raise InvalidConfigError(
-                f"method {method.method_id!r} requires a per-point noise vector"
-            )
-        noise_all = np.asarray(noise_vector, dtype=float)
-        if noise_all.shape != (n,):
-            raise InvalidInputError("noise vector length must match the dataset")
-        bad = np.flatnonzero(~(np.isfinite(noise_all) & (noise_all > 0)))
-        if bad.size:
-            raise InvalidInputError(
-                "noise variance must be finite and positive; "
-                f"noise_vector[{int(bad[0])}] = {noise_all[bad[0]]}"
-            )
-        log_noise = None
-    else:
-        noise_all = None
-        pinned = method.fixed_noise_var
-        log_noise = float(np.log(pinned if pinned is not None else method.init_noise_var))
+    noise_field, constant, learn_noise = noise_plan(method, n, noise_vector)
+    mean_fn = default_mean(method) if mean_fn is None else mean_fn
+    log_noise = None if noise_field is not None else float(np.log(constant))
 
     kernel = init_kernel(method, stream_rng(seed, INIT))
-    m_ind = method.num_inducing
-    Z0 = init_inducing(data.X, m_ind, seed)
-    v_init = noise_all if noise_all is not None else float(np.exp(log_noise))
+    Z0 = init_inducing(data.X, method.num_inducing, seed)
+    v_init = noise_field if noise_field is not None else float(np.exp(log_noise))
     mw0, lw0 = _optimal_whitened_q(Z0, kernel, mean_fn, data.X, data.Y, v_init)
     wstate = SvgpState(
         Z=Z0,
@@ -549,37 +516,25 @@ def fit_svgp(
         mean_fn=mean_fn,
         log_noise_var=log_noise,
     )
-    learn_noise = (not method.heteroscedastic) and method.fixed_noise_var is None
 
-    adam_cfg = AdamConfig(learning_rate=method.learning_rate)
-    params = pack_state(wstate)
-    opt = adam_init(params.size)
+    def loss_grad(idx):
+        batch_noise = np.exp(wstate.log_noise_var) if noise_field is None else noise_field[idx]
+        elbo, grads = _elbo_whitened(wstate, data.X[idx], data.Y[idx], n, batch_noise)
+        gvec = pack_gradients(wstate, grads)
+        if noise_field is None and not learn_noise:
+            gvec[-1] = 0.0  # a pinned noise rides along in the state unchanged
+        return -elbo, -gvec
+
+    def unpack(vec: np.ndarray):
+        nonlocal wstate
+        wstate = unpack_state(wstate, vec)
+
     rng_batches = stream_rng(seed, BATCH_SHUFFLE)
-    history: list[float] = []
-
-    noise_index = params.size - 1  # only meaningful when log_noise is tracked
-    for _ in range(method.epochs):
-        epoch_losses = []
-        for idx in epoch_batches(n, method.batch_size, rng_batches):
-            Xb, yb = data.X[idx], data.Y[idx]
-            if wstate.log_noise_var is not None:
-                batch_noise = np.exp(wstate.log_noise_var)
-            else:
-                batch_noise = noise_all[idx]
-            elbo, grads = _elbo_whitened(wstate, Xb, yb, n, batch_noise)
-            if not np.isfinite(elbo):
-                raise TrainingDivergedError("ELBO became non-finite")
-            epoch_losses.append(-elbo)
-            gvec = pack_gradients(wstate, grads)
-            if not learn_noise and wstate.log_noise_var is not None:
-                gvec[noise_index] = 0.0
-            params, opt = adam_step(
-                opt, params, -gvec, adam_cfg, name_of=lambda i: param_label(wstate, i)
-            )
-            if learn_noise:
-                params[noise_index] = max(params[noise_index], np.log(NOISE_FLOOR))
-            wstate = unpack_state(wstate, params)
-        history.append(float(np.mean(epoch_losses)))
+    history = minimize(
+        loss_grad, unpack, pack_state(wstate), method.learning_rate, method.epochs,
+        lambda: epoch_batches(n, method.batch_size, rng_batches),
+        lambda i: param_label(wstate, i), np.log(NOISE_FLOOR) if learn_noise else None,
+    )
 
     state = whitened_to_state(wstate)
     state.loss_history = history

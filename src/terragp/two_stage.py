@@ -31,13 +31,6 @@ LOG_VAR_CLAMP = 20.0
 # above this size stage 1 switches from the exact GP to a sparse one
 STAGE1_EXACT_MAX_N = 10_000
 
-_STAGE1_SVGP = replace(
-    NOISE_GP,
-    variational=True,
-    batch_size=256,
-    num_inducing=1024,
-)
-
 
 @dataclass
 class NoiseModel:
@@ -73,6 +66,13 @@ class TwoStageModel:
         return self.noise.noise_variances(Xn)
 
 
+def fit_gp(data: Dataset, method: MethodConfig, seed: int, mean_fn=None, noise_vector=None):
+    """One GP fit: the variational trainer for variational methods, the
+    exact one otherwise."""
+    fit = svgp.fit_svgp if method.variational else exact_gp.fit_exact
+    return fit(data, method, seed, mean_fn=mean_fn, noise_vector=noise_vector)
+
+
 def fit_noise_gp(
     Xn: np.ndarray, R: np.ndarray, config: MethodConfig | None = None, seed: int = 0
 ) -> NoiseModel:
@@ -99,20 +99,11 @@ def fit_noise_gp(
     )
     data = Dataset(X=np.atleast_2d(Xn), Y=targets, R=None, stats=stats)
     if n <= STAGE1_EXACT_MAX_N:
-        mean_fn = ConstantMean(float(targets.mean()), learnable=True)
-        gp = exact_gp.fit_exact(
-            data, replace(config, variational=False), seed, mean_fn=mean_fn
-        )
+        config = replace(config, variational=False)
     else:
-        cfg = replace(
-            _STAGE1_SVGP,
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            num_inducing=min(1024, n),
-        )
-        mean_fn = ConstantMean(float(targets.mean()), learnable=False)
-        gp = svgp.fit_svgp(data, cfg, seed, mean_fn=mean_fn)
-    return NoiseModel(gp=gp)
+        config = replace(config, variational=True, batch_size=256, num_inducing=min(1024, n))
+    mean_fn = ConstantMean(float(targets.mean()), learnable=not config.variational)
+    return NoiseModel(gp=fit_gp(data, config, seed, mean_fn=mean_fn))
 
 
 def fit_terrain(
@@ -124,10 +115,7 @@ def fit_terrain(
 ) -> TwoStageModel:
     """Stage 2: fit the terrain GP with the frozen noise field."""
     v = noise_model.noise_variances(data.X)
-    if method.variational:
-        terrain = svgp.fit_svgp(data, method, seed, mean_fn=mean_fn, noise_vector=v)
-    else:
-        terrain = exact_gp.fit_exact(data, method, seed, mean_fn=mean_fn, noise_vector=v)
+    terrain = fit_gp(data, method, seed, mean_fn=mean_fn, noise_vector=v)
     return TwoStageModel(
         noise=noise_model,
         terrain=terrain,

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from terragp import pipeline
-from terragp.methods import MethodConfig, method_defaults, with_overrides
+from terragp.methods import NOISE_GP, MethodConfig, method_defaults, with_overrides
 from terragp.synth import SynthParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -114,6 +114,59 @@ def test_workload_references_resolve():
     assert missing == []
 
 
+def _counted(calls: Counter, name: str):
+    """A `Patcher.wrap` wrapper factory that counts calls under `name`."""
+
+    def make_wrapper(fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    return make_wrapper
+
+
+def _small_fit(method_id: str, scene):
+    method = with_overrides(
+        method_defaults(method_id), epochs=2, num_inducing=8, batch_size=16
+    )
+    return pipeline.fit_method(method, scene.train, scene.uncertainty, scene.prior, seed=0)
+
+
+@pytest.mark.parametrize(
+    "method_id, expected",
+    [
+        ("hayner", {"lml_gradients": 2, "adam_step": 2}),
+        # 64 training points in batches of 16: 4 steps per epoch
+        ("torroba", {"elbo_step": 8, "adam_step": 8}),
+        # the stage-1 exact noise GP runs NOISE_GP's epochs first
+        (
+            "ours-variational",
+            {
+                "fit_noise_gp": 1,
+                "lml_gradients": NOISE_GP.epochs,
+                "elbo_step": 8,
+                "adam_step": NOISE_GP.epochs + 8,
+            },
+        ),
+    ],
+)
+def test_training_reaches_the_traced_layers(method_id, expected):
+    """The trainers must call the traced training layers by module-global
+    name; a loop that captured one as a function object at import time
+    would bypass the tracer and zero these per-layer counts."""
+    scene = pipeline.make_scene(SynthParams(size=16, seed=2), noise_mode="split")
+    calls = Counter()
+    with TRACING.Patcher() as patcher:
+        patcher.wrap("terragp.exact_gp", "lml_gradients", _counted(calls, "lml_gradients"))
+        patcher.wrap("terragp.svgp", "_elbo_whitened", _counted(calls, "elbo_step"))
+        patcher.wrap("terragp.optim", "adam_step", _counted(calls, "adam_step"))
+        patcher.wrap("terragp.two_stage", "fit_noise_gp", _counted(calls, "fit_noise_gp"))
+        _small_fit(method_id, scene)
+    assert dict(calls) == expected
+
+
 @pytest.mark.parametrize(
     "method_id, expected",
     [
@@ -128,29 +181,14 @@ def test_prediction_reaches_the_traced_layers(method_id, expected):
     its class); a model method bound to the original function object
     would bypass it and zero these per-layer counts."""
     scene = pipeline.make_scene(SynthParams(size=16, seed=2), noise_mode="split")
-    method = with_overrides(
-        method_defaults(method_id), epochs=2, num_inducing=8, batch_size=16
-    )
-    model, stats, _ = pipeline.fit_method(
-        method, scene.train, scene.uncertainty, scene.prior, seed=0
-    )
+    model, stats, _ = _small_fit(method_id, scene)
     calls = Counter()
-
-    def counted(name):
-        def make_wrapper(fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        return make_wrapper
-
     with TRACING.Patcher() as patcher:
-        patcher.wrap("terragp.exact_gp", "predict_exact", counted("predict_exact"))
-        patcher.wrap("terragp.svgp", "predictive_qf", counted("predictive_qf"))
+        patcher.wrap("terragp.exact_gp", "predict_exact", _counted(calls, "predict_exact"))
+        patcher.wrap("terragp.svgp", "predictive_qf", _counted(calls, "predictive_qf"))
         patcher.wrap(
-            "terragp.two_stage", "NoiseModel.noise_variances", counted("noise_variances")
+            "terragp.two_stage", "NoiseModel.noise_variances",
+            _counted(calls, "noise_variances"),
         )
         pipeline.predict_grid(model, stats, scene.truth)
     assert dict(calls) == expected

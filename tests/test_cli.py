@@ -118,6 +118,41 @@ class TestFitCommand:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "method, flags",
+        [
+            ("tomita", ["--lr", "-1"]),
+            ("tomita", ["--epochs", "-3"]),
+            ("tomita", ["--batch-size", "0"]),
+            ("tomita", ["--batch-size", "-5"]),
+            ("tomita", ["--fixed-noise", "-1"]),
+            # enough inducing points for the 64-cell grid, so only the noise is wrong
+            ("torroba", ["--fixed-noise", "0", "--inducing", "16"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_bad_training_setting_is_config_error(self, tmp_path, method, flags):
+        out = synth(tmp_path)
+        code = main([
+            "fit", "--method", method, "--train", str(out / "train.asc"),
+            "--out", str(tmp_path / "m.bin"), "--epochs", "1", *flags,
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_training_cell_is_data_error(self, tmp_path, bad):
+        out = synth(tmp_path)
+        lines = (out / "train.asc").read_text().splitlines()
+        cells = lines[7].split()
+        cells[2] = bad
+        lines[7] = " ".join(cells)
+        (out / "train.asc").write_text("\n".join(lines) + "\n")
+        code = main([
+            "fit", "--method", "tomita", "--train", str(out / "train.asc"),
+            "--out", str(tmp_path / "m.bin"), "--epochs", "1",
+        ])
+        assert code == 3
+
     def test_absurd_learning_rate_is_numerical_error(self, tmp_path):
         out = synth(tmp_path)
         with np.errstate(all="ignore"):

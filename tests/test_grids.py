@@ -53,13 +53,14 @@ class TestAscIO:
         with pytest.raises(DataFormatError, match="expected 4 values.*found 3"):
             read_asc(path)
 
-    def test_bad_token_names_line(self, tmp_path):
+    @pytest.mark.parametrize("token", ["oops", "nan", "inf"])
+    def test_bad_token_names_line(self, tmp_path, token):
         path = tmp_path / "bad.asc"
         path.write_text(
-            "NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
-            "NODATA_VALUE -9999\n1 oops\n"
+            "NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+            f"NODATA_VALUE -9999\n1 2\n3 {token}\n"
         )
-        with pytest.raises(DataFormatError, match="line 7"):
+        with pytest.raises(DataFormatError, match="line 8"):
             read_asc(path)
 
     def test_missing_header_key(self, tmp_path):

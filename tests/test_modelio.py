@@ -185,6 +185,12 @@ class TestCorruptFiles:
             ("terrain.model_kind", None, "terrain.model_kind"),
             ("model_kind", None, "'model_kind'"),
             ("stats.y_std", None, "stats.y_std"),
+            ("terrain.noise_var", "x", "terrain.noise_var"),
+            ("noise.mean.constant", "x", "noise.mean.constant"),
+            ("terrain.kernel.log_lengthscale", "x", "terrain.kernel.log_lengthscale"),
+            ("terrain.kernel.family", "bogus", r"terrain\.kernel.*'bogus'"),
+            ("noise.homoscedastic", "x", "noise.homoscedastic"),
+            ("stats.y_std", "x", "stats.y_std"),
         ],
     )
     def test_inconsistent_sections_are_format_errors(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -384,3 +386,16 @@ class TestFitSvgp:
         )
         with pytest.raises(InvalidConfigError):
             svgp.fit_svgp(data, method, seed=0)
+
+    def test_prior_mean_needs_mean_fn(self, rng):
+        data = from_arrays(rng.normal(size=(20, 2)), rng.normal(size=20))
+        method = with_overrides(
+            method_defaults("ours-variational"), epochs=2, num_inducing=4, batch_size=8
+        )
+        with pytest.raises(InvalidConfigError, match="prior grid"):
+            svgp.fit_svgp(data, method, seed=0, noise_vector=np.full(20, 0.1))
+
+    @pytest.mark.parametrize("unset", ["batch_size", "num_inducing"])
+    def test_variational_method_needs_batch_and_inducing(self, unset):
+        with pytest.raises(InvalidConfigError, match=unset):
+            replace(method_defaults("torroba"), **{unset: None})
