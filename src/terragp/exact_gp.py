@@ -22,7 +22,7 @@ from .errors import TrainingDivergedError
 from .linalg import chol_solve, chol_with_jitter, tri_solve
 from .means import default_mean
 from .methods import (
-    LOG_NOISE_VARIANCE, NOISE_FLOOR, MethodConfig, check_noise, init_kernel, noise_plan,
+    LOG_NOISE_VARIANCE, MethodConfig, check_noise, init_kernel, noise_plan,
 )
 from .optim import minimize
 from .seeding import INIT, stream_rng
@@ -157,36 +157,25 @@ def fit_exact(
     mean_fn = default_mean(method) if mean_fn is None else copy.copy(mean_fn)
     kernel = init_kernel(method, stream_rng(seed, INIT))
 
-    names = list(kernels.param_names(kernel))
-    params = list(kernels.get_params(kernel))
-    learn_mean = getattr(mean_fn, "learnable", False)
-    if learn_mean:
-        names.append(MEAN_CONSTANT)
-        params.append(mean_fn.constant)
+    blocks = dict(zip(kernels.param_names(kernel), kernels.get_params(kernel)))
+    if getattr(mean_fn, "learnable", False):
+        blocks[MEAN_CONSTANT] = mean_fn.constant
     if learn_noise:
-        names.append(LOG_NOISE_VARIANCE)
-        params.append(np.log(noise_vec[0]))
+        blocks[LOG_NOISE_VARIANCE] = np.log(noise_vec[0])
 
-    def loss_grad(_batch):
-        lml, grads = lml_gradients(
-            X, Y, mean_fn, kernel, noise_vec, noise_learned=learn_noise
-        )
-        return -lml, -np.array([grads[name] for name in names])
-
-    def unpack(vec: np.ndarray):
+    def unpack(new: dict):
         nonlocal kernel, noise_vec
-        nk = len(kernels.param_names(kernel))
-        kernel = kernels.with_params(kernel, vec[:nk])
-        if learn_mean:
-            mean_fn.constant = float(vec[nk])
+        kernel = kernels.with_params(kernel, [new[name] for name in kernels.param_names(kernel)])
+        if MEAN_CONSTANT in new:
+            mean_fn.constant = new[MEAN_CONSTANT]
         if learn_noise:
-            noise_vec = np.full(n, float(np.exp(vec[-1])))
+            noise_vec = np.full(n, float(np.exp(new[LOG_NOISE_VARIANCE])))
             if not np.isfinite(noise_vec[0]):
                 raise TrainingDivergedError("learned noise variance overflowed")
 
     history = minimize(
-        loss_grad, unpack, np.array(params), method.learning_rate, method.epochs,
-        lambda: (None,), names.__getitem__, np.log(NOISE_FLOOR) if learn_noise else None,
+        lambda _batch: lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned=learn_noise),
+        unpack, blocks, method.learning_rate, method.epochs, lambda: (None,),
     )
     model = build_model(
         X,

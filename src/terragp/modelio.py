@@ -128,6 +128,25 @@ class _Sections(dict):
             )
         return value
 
+    def valid(self, key, ok, what: str):
+        """The section's value, if `ok(value)`; else a format error naming it."""
+        value = self[key]
+        if not ok(value):
+            raise DataFormatError(f"model file section {self.prefix + key!r} must {what}")
+        return value
+
+
+def _positive(value) -> bool:
+    return bool(np.all(np.isfinite(value) & (np.asarray(value) > 0)))
+
+
+def _pair(value: np.ndarray) -> bool:
+    return value.shape == (2,)
+
+
+def _two_columns(value: np.ndarray) -> bool:
+    return value.ndim == 2 and value.shape[1] == 2
+
 
 def bytes_to_payload(raw: bytes) -> dict:
     r = _Reader(raw)
@@ -207,15 +226,18 @@ def _mean_from(payload: dict, stats: NormStats):
     if kind != "grid":
         raise DataFormatError(f"unknown mean kind {kind!r}")
     values = payload["mean.grid_values"]
-    grid = DemGrid(
-        ncols=values.shape[1],
-        nrows=values.shape[0],
-        xllcorner=payload["mean.grid_xll"],
-        yllcorner=payload["mean.grid_yll"],
-        cellsize=payload["mean.grid_cellsize"],
-        nodata=payload["mean.grid_nodata"],
-        values=values,
-    )
+    try:
+        grid = DemGrid(
+            ncols=values.shape[1],
+            nrows=values.shape[0],
+            xllcorner=payload["mean.grid_xll"],
+            yllcorner=payload["mean.grid_yll"],
+            cellsize=payload["mean.grid_cellsize"],
+            nodata=payload["mean.grid_nodata"],
+            values=values,
+        )
+    except InvalidConfigError as exc:
+        raise DataFormatError(f"model file section {payload.prefix}mean.grid_*: {exc}") from None
     return GridInterpMean(grid, stats)
 
 
@@ -230,10 +252,12 @@ def _stats_payload(stats: NormStats) -> dict:
 
 def _stats_from(payload: dict) -> NormStats:
     return NormStats(
-        x_mean=payload["stats.x_mean"],
-        x_std=payload["stats.x_std"],
+        x_mean=payload.valid("stats.x_mean", _pair, "hold 2 numbers"),
+        x_std=payload.valid(
+            "stats.x_std", lambda v: _pair(v) and _positive(v), "hold 2 numbers, finite and > 0"
+        ),
         y_mean=payload["stats.y_mean"],
-        y_std=payload["stats.y_std"],
+        y_std=payload.valid("stats.y_std", _positive, "be finite and > 0"),
     )
 
 
@@ -264,7 +288,7 @@ def _gp_from(payload: dict, stats: NormStats):
     kind = payload["model_kind"]
     if kind == "svgp":
         return svgp.SvgpState(
-            Z=payload["inducing"],
+            Z=payload.valid("inducing", _two_columns, "have 2 columns"),
             mvec=payload["variational_mean"],
             L=payload["variational_chol"],
             kernel=_kernel_from(payload),
@@ -273,7 +297,7 @@ def _gp_from(payload: dict, stats: NormStats):
         )
     if kind == "exact":
         return exact_gp.build_model(
-            payload["train_x"],
+            payload.valid("train_x", _two_columns, "have 2 columns"),
             payload["train_y"],
             _mean_from(payload, stats),
             _kernel_from(payload),

@@ -1,18 +1,21 @@
 """Adam optimizer, the training loop, and a finite-difference checker.
 
-Both GP trainers run `minimize`: the exact fit on the negative LML, one
-full batch per epoch, the variational fit on the negative ELBO over
-shuffled minibatches.  With everything seeded, two runs over identical
-inputs produce bitwise-identical trajectories.
+Each trainer names its free parameters once, as an ordered dict of
+blocks (name -> scalar or array), and runs `minimize` over it: the
+exact fit on the LML, one full batch per epoch, the variational fit on
+the ELBO over shuffled minibatches.  With everything seeded, two runs
+over identical inputs produce bitwise-identical trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import TrainingDivergedError
+from .methods import LOG_NOISE_VARIANCE, NOISE_FLOOR
 
 
 @dataclass
@@ -65,26 +68,63 @@ def adam_step(
     return new_params, AdamState(step=t, m=m, v=v)
 
 
-def minimize(loss_grad, unpack, params, learning_rate, epochs, batches, label, floor=None):
-    """Adam descent over `epochs` passes of `batches()`; returns each
-    epoch's mean loss.  Each step evaluates `loss_grad(batch) -> (loss,
-    grad)` at the current state, steps `params`, clamps the last one (a
-    learned log noise) at `floor` if given, and passes them to `unpack`.
-    `label(i)` names parameter i in a non-finite-gradient error."""
+def _layout(blocks) -> dict:
+    """name -> (shape, slice of the flattened vector) for each block."""
+    layout, i = {}, 0
+    for name, value in blocks.items():
+        layout[name] = np.shape(value), slice(i, i + np.size(value))
+        i += np.size(value)
+    return layout
+
+
+def flatten(blocks, order=None) -> np.ndarray:
+    """The blocks named in `order` (default: all), raveled and concatenated."""
+    names = blocks if order is None else order
+    return np.concatenate([np.ravel(blocks[name]) for name in names])
+
+
+def unflatten(vec: np.ndarray, like) -> dict:
+    """Cut `vec` back into blocks with the names, order and shapes of
+    `like`; scalar blocks come back as floats, array blocks as copies."""
+    return {
+        name: vec[sl].reshape(shape).copy() if shape else float(vec[sl.start])
+        for name, (shape, sl) in _layout(like).items()
+    }
+
+
+def label(blocks, index: int) -> str:
+    """Name of entry `index` of `flatten(blocks)`: the block name, plus
+    the index within the block for an array block."""
+    for name, (shape, sl) in _layout(blocks).items():
+        if index < sl.stop:
+            where = ",".join(map(str, np.unravel_index(index - sl.start, shape)))
+            return f"{name}[{where}]" if shape else name
+
+
+def minimize(objective_grad, unpack, blocks, learning_rate, epochs, batches):
+    """Adam ascent over `epochs` passes of `batches()`; returns each epoch's
+    mean loss, the negated objective.  Each step calls `objective_grad(batch)`
+    for the objective and its gradient blocks at the current state, steps
+    the parameter `blocks` (other gradient blocks are ignored), floors a
+    `LOG_NOISE_VARIANCE` block at log(NOISE_FLOOR) and hands the new blocks
+    to `unpack`."""
     cfg = AdamConfig(learning_rate=learning_rate)
+    params = flatten(blocks)
     state = adam_init(params.size)
+    noise = _layout(blocks).get(LOG_NOISE_VARIANCE, (None, None))[1]
+    name_of = partial(label, blocks)
     history: list[float] = []
     for _ in range(epochs):
         losses = []
         for batch in batches():
-            loss, grad = loss_grad(batch)
-            if not np.isfinite(loss):
+            objective, grads = objective_grad(batch)
+            if not np.isfinite(objective):
                 raise TrainingDivergedError("training loss became non-finite")
-            losses.append(loss)
-            params, state = adam_step(state, params, grad, cfg, name_of=label)
-            if floor is not None:
-                params[-1] = max(params[-1], floor)
-            unpack(params)
+            losses.append(-objective)
+            params, state = adam_step(state, params, -flatten(grads, blocks), cfg, name_of)
+            if noise is not None:
+                params[noise] = np.maximum(params[noise], np.log(NOISE_FLOOR))
+            unpack(unflatten(params, blocks))
         history.append(float(np.mean(losses)))
     return history
 

@@ -26,9 +26,9 @@ from .errors import InvalidConfigError, InvalidInputError
 from .linalg import chol_solve, chol_with_jitter
 from .means import default_mean
 from .methods import (
-    LOG_NOISE_VARIANCE, NOISE_FLOOR, MethodConfig, check_noise, init_kernel, noise_plan,
+    LOG_NOISE_VARIANCE, MethodConfig, check_noise, init_kernel, noise_plan,
 )
-from .optim import epoch_batches, minimize
+from .optim import epoch_batches, flatten, minimize, unflatten
 from .seeding import BATCH_SHUFFLE, INDUCING_INIT, INIT, stream_rng
 
 
@@ -88,11 +88,19 @@ def expected_loglik(qf_mean, qf_var, y, noise_var):
     ) / (2.0 * noise_var)
 
 
+def _kzz_factor(kernel: kernels.KernelConfig, Z: np.ndarray) -> np.ndarray:
+    """Lz = chol(Kzz), the one factor of the inducing prior covariance.
+
+    `kernels.gram` and `chol_with_jitter` are looked up at call time, so
+    a tracer that rebinds them sees every call."""
+    Lz, _ = chol_with_jitter(kernels.gram(kernel, Z, Z))
+    return Lz
+
+
 def kl_term(state: SvgpState) -> float:
     """KL[q(u) || p(u)] between N(m(Z) + mvec, S) and the prior N(m(Z), Kzz)."""
     m = state.num_inducing
-    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
-    Lz, _ = chol_with_jitter(Kzz)
+    Lz = _kzz_factor(state.kernel, state.Z)
     S = state.cov()
     trace = float(np.trace(chol_solve(Lz, S)))
     c = chol_solve(Lz, state.mvec)
@@ -109,8 +117,7 @@ def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
     """Marginal q(f*) at query points: the sparse-GP mean and variance
     k** - A (Kzz - S) A^T with A = K*z Kzz^-1, clamped at zero."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
-    Lz, _ = chol_with_jitter(Kzz)
+    Lz = _kzz_factor(state.kernel, state.Z)
     S = state.cov()
     q = Xstar.shape[0]
     mean = np.empty(q)
@@ -158,15 +165,6 @@ def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
 # The log|Lw| = log|L| - log|Lz| term is differentiated in each entry
 # point's own coordinates, directly on the diagonals; going through an
 # inverse instead explodes when a factor is badly conditioned.
-
-
-@dataclass
-class ElboGradients:
-    Z: np.ndarray  # (m, 2)
-    mvec: np.ndarray  # (m,)
-    L: np.ndarray  # (m, m); diagonal entries already in log-diagonal space
-    kernel: dict[str, float]
-    log_noise_var: float | None
 
 
 @dataclass
@@ -282,9 +280,10 @@ def _gradients(
     Lz_bar: np.ndarray,
     mvec_bar: np.ndarray,
     L_bar: np.ndarray,
-) -> ElboGradients:
+) -> dict:
     """Push Lz_bar through the Cholesky, then Kzz_bar and Kxz_bar into the
-    kernel hyperparameters and the inducing locations."""
+    kernel hyperparameters and the inducing locations; returns the
+    gradient blocks.  `L_bar`'s diagonal is already in log-diagonal space."""
     Z, Xb, kernel, Kxz_bar = state.Z, adj.Xb, state.kernel, adj.Kxz
     Kzz_bar = _chol_backward(Lz, Lz_bar)
 
@@ -305,13 +304,7 @@ def _gradients(
     Wx = Kxz_bar * Gx
     Z_bar += 2.0 * (Wx.sum(axis=0)[:, None] * Z - Wx.T @ Xb)
 
-    return ElboGradients(
-        Z=Z_bar,
-        mvec=mvec_bar,
-        L=L_bar,
-        kernel=kern_grads,
-        log_noise_var=adj.log_noise_var,
-    )
+    return _blocks(Z_bar, mvec_bar, L_bar, np.diag(L_bar), kern_grads, adj.log_noise_var)
 
 
 def _elbo_whitened(
@@ -320,15 +313,14 @@ def _elbo_whitened(
     yb: np.ndarray,
     n_total: int,
     noise_var,
-) -> tuple[float, ElboGradients]:
-    """Minibatch ELBO and gradients in the whitened coordinates the
-    trainer optimizes.
+) -> tuple[float, dict]:
+    """Minibatch ELBO and its gradient blocks in the whitened coordinates
+    the trainer optimizes.
 
     `state` fields are reinterpreted: mvec holds mw and L holds Lw.  The
-    gradient container layout matches `pack_gradients`.
+    gradient blocks have the names and layout of the state's own blocks.
     """
-    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
-    Lz, _ = chol_with_jitter(Kzz)
+    Lz = _kzz_factor(state.kernel, state.Z)
     elbo, adj = _whitened_pass(state, Lz, Xb, yb, n_total, noise_var)
     return elbo, _gradients(state, Lz, adj, adj.Lz, adj.mw, _log_diag(adj.Lw, state.L))
 
@@ -339,17 +331,16 @@ def elbo_minibatch(
     yb: np.ndarray,
     n_total: int,
     noise_var,
-) -> tuple[float, ElboGradients]:
+) -> tuple[float, dict]:
     """Minibatch ELBO (n/b) sum_i E[log p(y_i | f_i)] - KL and its
-    gradients with respect to every free parameter of the unwhitened
+    gradient blocks with respect to every free parameter of the unwhitened
     state: the trainer's whitened pass, pulled back through
     mw = Lz^-1 mvec and Lw = Lz^-1 L.
 
     `noise_var` is a scalar (constant noise) or an array aligned with
     the batch (fixed spatial noise).
     """
-    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
-    Lz, _ = chol_with_jitter(Kzz)
+    Lz = _kzz_factor(state.kernel, state.Z)
     mw = solve_triangular(Lz, state.mvec, lower=True)
     Lw = solve_triangular(Lz, state.L, lower=True)
     wstate = replace(state, mvec=mw, L=Lw)
@@ -365,8 +356,7 @@ def elbo_minibatch(
 
 def whitened_to_state(wstate: SvgpState) -> SvgpState:
     """Materialize the unwhitened q(u) from whitened training parameters."""
-    Kzz = kernels.gram(wstate.kernel, wstate.Z, wstate.Z)
-    Lz, _ = chol_with_jitter(Kzz)
+    Lz = _kzz_factor(wstate.kernel, wstate.Z)
     return replace(wstate, mvec=Lz @ wstate.mvec, L=Lz @ wstate.L)
 
 
@@ -387,8 +377,7 @@ def _optimal_whitened_q(
     prior's small eigendirections and bounded per-coordinate steps take
     thousands of iterations to reach it.
     """
-    Kzz = kernels.gram(kernel, Z, Z)
-    Lz, _ = chol_with_jitter(Kzz)
+    Lz = _kzz_factor(kernel, Z)
     Kxz = kernels.gram(kernel, X, Z)
     B = solve_triangular(Lz, Kxz.T, lower=True).T
     v = check_noise(noise_var, X.shape[0], variational=True)
@@ -402,82 +391,59 @@ def _optimal_whitened_q(
 
 
 # ---------------------------------------------------------------------------
-# Parameter packing (shared by the trainer and the gradient checker)
+# Parameter blocks (shared by the trainer and the gradient checker)
 # ---------------------------------------------------------------------------
 
 
-def pack_state(state: SvgpState) -> np.ndarray:
-    m = state.num_inducing
-    li, lj = np.tril_indices(m, -1)
-    parts = [
-        state.Z.ravel(),
-        state.mvec,
-        state.L[li, lj],
-        np.log(np.diag(state.L)),
-        kernels.get_params(state.kernel),
-    ]
-    if state.log_noise_var is not None:
-        parts.append(np.array([state.log_noise_var]))
-    return np.concatenate(parts)
+def _blocks(Z, mvec, chol, chol_logdiag, kernel_params: dict, log_noise_var) -> dict:
+    """The one parameter layout, of the state and of its gradients alike:
+    inducing locations, variational mean, the strict lower triangle of
+    the variational factor and its log diagonal, the kernel's log
+    hyperparameters, and the log noise variance when the state has one."""
+    li, lj = np.tril_indices(mvec.size, -1)
+    blocks = {
+        "inducing": Z,
+        "variational_mean": mvec,
+        "variational_chol": chol[li, lj],
+        "variational_chol_logdiag": chol_logdiag,
+        **kernel_params,
+    }
+    if log_noise_var is not None:
+        blocks[LOG_NOISE_VARIANCE] = log_noise_var
+    return blocks
 
 
-def unpack_state(state: SvgpState, vec: np.ndarray) -> SvgpState:
+def _state_blocks(state: SvgpState) -> dict:
+    kernel = dict(zip(kernels.param_names(state.kernel), kernels.get_params(state.kernel)))
+    logdiag = np.log(np.diag(state.L))
+    return _blocks(state.Z, state.mvec, state.L, logdiag, kernel, state.log_noise_var)
+
+
+def _from_blocks(state: SvgpState, blocks: dict) -> SvgpState:
+    """`state` with its parameters read from `blocks`; without a noise
+    block the state keeps its own noise."""
     m = state.num_inducing
-    li, lj = np.tril_indices(m, -1)
-    i = 0
-    Z = vec[i : i + 2 * m].reshape(m, 2).copy()
-    i += 2 * m
-    mvec = vec[i : i + m].copy()
-    i += m
     L = np.zeros((m, m))
-    L[li, lj] = vec[i : i + li.size]
-    i += li.size
-    L[np.diag_indices(m)] = np.exp(vec[i : i + m])
-    i += m
-    nk = len(kernels.param_names(state.kernel))
-    kernel = kernels.with_params(state.kernel, vec[i : i + nk])
-    i += nk
-    log_noise = float(vec[i]) if state.log_noise_var is not None else None
+    L[np.tril_indices(m, -1)] = blocks["variational_chol"]
+    L[np.diag_indices(m)] = np.exp(blocks["variational_chol_logdiag"])
+    names = kernels.param_names(state.kernel)
     return replace(
-        state, Z=Z, mvec=mvec, L=L, kernel=kernel, log_noise_var=log_noise
+        state, Z=blocks["inducing"], mvec=blocks["variational_mean"], L=L,
+        kernel=kernels.with_params(state.kernel, [blocks[name] for name in names]),
+        log_noise_var=blocks.get(LOG_NOISE_VARIANCE, state.log_noise_var),
     )
 
 
-def pack_gradients(state: SvgpState, grads: ElboGradients) -> np.ndarray:
-    m = state.num_inducing
-    li, lj = np.tril_indices(m, -1)
-    parts = [
-        grads.Z.ravel(),
-        grads.mvec,
-        grads.L[li, lj],
-        np.diag(grads.L),
-        np.array([grads.kernel[n] for n in kernels.param_names(state.kernel)]),
-    ]
-    if state.log_noise_var is not None:
-        parts.append(np.array([grads.log_noise_var]))
-    return np.concatenate(parts)
+def pack_state(state: SvgpState) -> np.ndarray:
+    return flatten(_state_blocks(state))
 
 
-def param_label(state: SvgpState, index: int) -> str:
-    """Human-readable name of a packed parameter, for error messages."""
-    m = state.num_inducing
-    n_strict = m * (m - 1) // 2
-    bounds = [
-        (2 * m, lambda k: f"inducing[{k // 2},{k % 2}]"),
-        (m, lambda k: f"variational_mean[{k}]"),
-        (n_strict, lambda k: f"variational_chol[{k}]"),
-        (m, lambda k: f"variational_chol_logdiag[{k}]"),
-        (
-            len(kernels.param_names(state.kernel)),
-            lambda k: kernels.param_names(state.kernel)[k],
-        ),
-        (1, lambda k: LOG_NOISE_VARIANCE),
-    ]
-    for size, fmt in bounds:
-        if index < size:
-            return fmt(index)
-        index -= size
-    return f"index {index}"
+def unpack_state(state: SvgpState, vec: np.ndarray) -> SvgpState:
+    return _from_blocks(state, unflatten(vec, _state_blocks(state)))
+
+
+def pack_gradients(state: SvgpState, grads: dict) -> np.ndarray:
+    return flatten(grads, _state_blocks(state))
 
 
 # ---------------------------------------------------------------------------
@@ -517,23 +483,21 @@ def fit_svgp(
         log_noise_var=log_noise,
     )
 
-    def loss_grad(idx):
-        batch_noise = np.exp(wstate.log_noise_var) if noise_field is None else noise_field[idx]
-        elbo, grads = _elbo_whitened(wstate, data.X[idx], data.Y[idx], n, batch_noise)
-        gvec = pack_gradients(wstate, grads)
-        if noise_field is None and not learn_noise:
-            gvec[-1] = 0.0  # a pinned noise rides along in the state unchanged
-        return -elbo, -gvec
+    # a pinned noise stays in the state but out of the trained blocks
+    blocks = _state_blocks(wstate if learn_noise else replace(wstate, log_noise_var=None))
 
-    def unpack(vec: np.ndarray):
+    def objective_grad(idx):
+        batch_noise = np.exp(wstate.log_noise_var) if noise_field is None else noise_field[idx]
+        return _elbo_whitened(wstate, data.X[idx], data.Y[idx], n, batch_noise)
+
+    def unpack(new: dict):
         nonlocal wstate
-        wstate = unpack_state(wstate, vec)
+        wstate = _from_blocks(wstate, new)
 
     rng_batches = stream_rng(seed, BATCH_SHUFFLE)
     history = minimize(
-        loss_grad, unpack, pack_state(wstate), method.learning_rate, method.epochs,
+        objective_grad, unpack, blocks, method.learning_rate, method.epochs,
         lambda: epoch_batches(n, method.batch_size, rng_batches),
-        lambda i: param_label(wstate, i), np.log(NOISE_FLOOR) if learn_noise else None,
     )
 
     state = whitened_to_state(wstate)

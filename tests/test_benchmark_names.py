@@ -6,6 +6,7 @@ fails here instead of in a benchmark run."""
 import ast
 import importlib
 import importlib.util
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -192,3 +193,13 @@ def test_prediction_reaches_the_traced_layers(method_id, expected):
         )
         pipeline.predict_grid(model, stats, scene.truth)
     assert dict(calls) == expected
+
+
+def test_benchmark_selftest_passes():
+    """perfbench's own self-test: every workload runs at toy size, traced
+    and untraced, and reports every declared metric."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        capture_output=True, text=True, cwd=PERFBENCH.parent, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

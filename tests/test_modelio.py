@@ -191,6 +191,17 @@ class TestCorruptFiles:
             ("terrain.kernel.family", "bogus", r"terrain\.kernel.*'bogus'"),
             ("noise.homoscedastic", "x", "noise.homoscedastic"),
             ("stats.y_std", "x", "stats.y_std"),
+            # values of the right type but out of range or of the wrong shape;
+            # a callable maps the stored value to the corrupt one
+            ("stats.y_std", 0.0, "stats.y_std"),
+            ("stats.y_std", float("nan"), "stats.y_std"),
+            ("stats.x_std", np.array([1.0, 0.0]), "stats.x_std"),
+            ("stats.x_std", np.array([1.0, np.inf]), "stats.x_std"),
+            ("stats.x_mean", np.zeros(3), "stats.x_mean"),
+            ("stats.x_std", np.ones(3), "stats.x_std"),
+            ("terrain.mean.grid_cellsize", -1.0, r"terrain\.mean\.grid_.*cellsize"),
+            ("noise.train_x", lambda x: np.hstack([x, x[:, :1]]), "noise.train_x"),
+            ("terrain.train_x", lambda x: x[:, 0], "terrain.train_x"),
         ],
     )
     def test_inconsistent_sections_are_format_errors(
@@ -199,7 +210,29 @@ class TestCorruptFiles:
         payload = dict(two_stage_payload)
         if value is None:
             del payload[key]
+        elif callable(value):
+            payload[key] = value(payload[key])
         else:
             payload[key] = value
         with pytest.raises(DataFormatError, match=message):
+            modelio.model_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "key, corrupt",
+        [
+            ("inducing", lambda z: np.hstack([z, z[:, :1]])),
+            ("stats.y_std", lambda _: 0.0),
+        ],
+    )
+    def test_variational_sections_are_checked(self, key, corrupt):
+        # a bad scale or inducing set used to load and predict nonsense
+        scene = small_scene()
+        data = grid_to_dataset(scene.train)
+        method = with_overrides(
+            method_defaults("torroba"), epochs=1, num_inducing=8, batch_size=16
+        )
+        state = svgp.fit_svgp(data, method, seed=1)
+        payload = modelio.model_payload("torroba", state, data.stats)
+        payload[key] = corrupt(payload[key])
+        with pytest.raises(DataFormatError, match=key):
             modelio.model_from_payload(payload)

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
+from terragp import kernels, two_stage
+from terragp.datasets import from_arrays
 from terragp.errors import TrainingDivergedError
+from terragp.methods import LOG_NOISE_VARIANCE, NOISE_FLOOR, method_defaults, with_overrides
 from terragp.optim import (
     AdamConfig,
     adam_init,
     adam_step,
     check_gradient,
     epoch_batches,
+    flatten,
+    label,
+    minimize,
+    unflatten,
 )
 
 
@@ -62,6 +69,72 @@ class TestAdam:
             )
         with pytest.raises(TrainingDivergedError, match="index 1"):
             adam_step(adam_init(2), np.zeros(2), np.array([0.0, np.inf]), cfg)
+
+
+class TestBlocks:
+    BLOCKS = {
+        "log_lengthscale": 0.5,
+        "inducing": np.arange(6.0).reshape(3, 2),
+        "variational_mean": np.array([6.0, 7.0]),
+    }
+
+    def test_flatten_then_unflatten_round_trips(self):
+        vec = flatten(self.BLOCKS)
+        np.testing.assert_array_equal(vec, [0.5, 0, 1, 2, 3, 4, 5, 6, 7])
+        back = unflatten(vec, self.BLOCKS)
+        assert list(back) == list(self.BLOCKS)
+        assert isinstance(back["log_lengthscale"], float)
+        np.testing.assert_array_equal(back["inducing"], self.BLOCKS["inducing"])
+        back["inducing"][0, 0] = -1.0  # a copy, not a view of the vector
+        assert vec[1] == 0.0
+
+    def test_flatten_follows_order_and_skips_other_blocks(self):
+        grads = {"extra": 9.0, "variational_mean": np.array([1.0, 2.0]), "log_lengthscale": 3.0}
+        order = {"log_lengthscale": 0.0, "variational_mean": np.zeros(2)}
+        np.testing.assert_array_equal(flatten(grads, order), [3.0, 1.0, 2.0])
+
+    def test_label_names_block_and_index(self):
+        assert label(self.BLOCKS, 0) == "log_lengthscale"
+        # entry 3 of the (3, 2) inducing block, in row-major order
+        assert label(self.BLOCKS, 4) == "inducing[1,1]"
+        assert label(self.BLOCKS, 8) == "variational_mean[1]"
+
+    def test_minimize_floors_noise_and_ignores_extra_gradients(self):
+        seen = []
+        blocks = {"x": np.array([1.0, 2.0]), LOG_NOISE_VARIANCE: np.log(NOISE_FLOOR)}
+        history = minimize(
+            # ascent pushes x up and the noise below its floor
+            lambda _: (1.0, {"x": np.ones(2), LOG_NOISE_VARIANCE: -1.0, "pinned": np.nan}),
+            seen.append, blocks, 0.1, 2, lambda: (None,),
+        )
+        assert history == [-1.0, -1.0]
+        assert seen[-1][LOG_NOISE_VARIANCE] == np.log(NOISE_FLOOR)
+        assert np.all(seen[-1]["x"] > blocks["x"])
+
+
+def _poison_log_alpha(monkeypatch):
+    """Make every log_alpha kernel gradient NaN."""
+    original = kernels.gram_gradients
+
+    def poisoned(cfg, a, b):
+        grads = original(cfg, a, b)
+        grads[kernels.LOG_ALPHA] = np.full_like(grads[kernels.LOG_ALPHA], np.nan)
+        return grads
+
+    monkeypatch.setattr(kernels, "gram_gradients", poisoned)
+
+
+@pytest.mark.parametrize("method_id", ["hayner", "torroba"])
+def test_trainer_names_the_non_finite_parameter(monkeypatch, rng, method_id):
+    data = from_arrays(rng.normal(size=(24, 2)), rng.normal(size=24))
+    # the exact trainer ignores the inducing and batch settings
+    method = with_overrides(
+        method_defaults(method_id), kernel_family=kernels.RATIONAL_QUADRATIC,
+        epochs=2, num_inducing=6, batch_size=8,
+    )
+    _poison_log_alpha(monkeypatch)
+    with pytest.raises(TrainingDivergedError, match="parameter log_alpha$"):
+        two_stage.fit_gp(data, method, seed=0)
 
 
 class TestCheckGradient:

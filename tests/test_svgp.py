@@ -201,7 +201,8 @@ class TestKlTerm:
 
 
 # the public unwhitened ELBO and the whitened one the trainer follows; both
-# take a state and return gradients laid out as `pack_gradients` expects
+# take a state and return gradient blocks named and laid out as the state's
+# own, which `pack_gradients` flattens in `pack_state` order
 ELBO_ENTRY_POINTS = pytest.mark.parametrize(
     "elbo_fn", [svgp.elbo_minibatch, svgp._elbo_whitened], ids=lambda f: f.__name__
 )
@@ -399,3 +400,12 @@ class TestFitSvgp:
     def test_variational_method_needs_batch_and_inducing(self, unset):
         with pytest.raises(InvalidConfigError, match=unset):
             replace(method_defaults("torroba"), **{unset: None})
+
+    def test_fixed_noise_not_learned(self, rng):
+        data = from_arrays(rng.normal(size=(30, 2)), rng.normal(size=30))
+        method = with_overrides(
+            method_defaults("torroba"), epochs=3, num_inducing=6, batch_size=10,
+            fixed_noise_var=0.123,
+        )
+        state = svgp.fit_svgp(data, method, seed=0)
+        assert state.log_noise_var == np.log(0.123)
