@@ -2,11 +2,14 @@
 
 Everything is computed through a Cholesky factor of K + diag(noise):
 the log marginal likelihood, its analytic gradients in log-parameter
-space, and the posterior predictive.  The noise term is either a single
-learned variance (constant across space) or a fixed per-point variance
-vector supplied by a noise model; both flow through the same vector
-code path so the constant case is a strict special case of the general
-one.
+space, and the posterior predictive.  The gradients take their trace
+terms from one triangle of the inverse (LAPACK dpotri on the factor)
+and K with every dK/dtheta from one kernel pass, so a training epoch
+forms neither the full inverse nor a a^T.  The noise term is either a
+single learned variance (constant across space) or a fixed per-point
+variance vector supplied by a noise model; both flow through the same
+vector code path so the constant case is a strict special case of the
+general one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from . import kernels
 from .datasets import Dataset
 from .errors import TrainingDivergedError
-from .linalg import chol_solve, chol_with_jitter, tri_solve
+from .linalg import chol_inverse, chol_solve, chol_with_jitter, tri_solve
 from .means import default_mean
 from .methods import (
     LOG_NOISE_VARIANCE, MethodConfig, check_noise, init_kernel, noise_plan,
@@ -55,11 +58,12 @@ class ExactGpModel:
         return float(self.noise_var[0]) if self.homoscedastic else 0.0
 
 
-def _factorize(X, Y, mean_fn, kernel, noise_vec):
-    """(L, a, lml, jitter): L L^T = K + diag(noise), a = (L L^T)^-1 (Y - m(X))."""
-    K = kernels.gram(kernel, X, X)
-    Ky = K + np.diag(noise_vec)
-    L, jitter = chol_with_jitter(Ky)
+def _factorize(K, X, Y, mean_fn, noise_vec):
+    """(L, a, lml, jitter): L L^T = K + diag(noise), the noise added to K
+    in place, and a = (L L^T)^-1 (Y - m(X))."""
+    K.flat[:: K.shape[0] + 1] += noise_vec
+    # K is symmetric; its transpose spares LAPACK a C-to-Fortran copy
+    L, jitter = chol_with_jitter(K.T)
     resid = np.asarray(Y, dtype=float) - mean_fn(X)
     a = chol_solve(L, resid)
     n = a.size
@@ -70,29 +74,36 @@ def _factorize(X, Y, mean_fn, kernel, noise_vec):
 def log_marginal_likelihood(X, Y, mean_fn, kernel, noise_var) -> float:
     """log N(Y | m(X), K + diag(noise)) via Cholesky."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _, _, lml, _ = _factorize(X, Y, mean_fn, kernel, check_noise(noise_var, X.shape[0]))
-    return lml
+    noise_vec = check_noise(noise_var, X.shape[0])
+    return _factorize(kernels.gram(kernel, X, X), X, Y, mean_fn, noise_vec)[2]
 
 
 def lml_gradients(
     X, Y, mean_fn, kernel, noise_var, noise_learned: bool = False
 ) -> tuple[float, dict[str, float]]:
-    """LML and its gradients: 0.5 tr((a a^T - Ky^-1) dKy/dtheta) per
-    log-space hyperparameter, plus the learned-constant mean and the
-    log noise variance when they are free parameters."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    noise_vec = check_noise(noise_var, n)
-    L, a, lml, _ = _factorize(X, Y, mean_fn, kernel, noise_vec)
+    """LML and its gradients in log-parameter space.
 
-    Kinv = chol_solve(L, np.eye(n))
-    M = np.outer(a, a) - Kinv
+    Each kernel hyperparameter gets 0.5 (a^T dK a - <Ky^-1, dK>), where
+    a = Ky^-1 (Y - m(X)).  dpotri gives only the lower triangle of Ky^-1,
+    and both matrices are symmetric, so the Frobenius product is twice
+    the sum over one triangle minus the diagonal's.  A learned noise
+    variance s2 gets 0.5 s2 (a^T a - tr Ky^-1), the learned-constant mean
+    sum(a).  K and every dK come from one kernel pass.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    noise_vec = check_noise(noise_var, X.shape[0])
+    K, dKs = kernels.gram_and_gradients(kernel, kernels.sq_dists(X, X))
+    L, a, lml, _ = _factorize(K.copy(), X, Y, mean_fn, noise_vec)
+
+    Kinv = chol_inverse(L)  # Fortran-ordered lower triangle: Kinv.T is C-contiguous
+    Kinv_diag = Kinv.diagonal()
     grads: dict[str, float] = {}
-    for name, dK in kernels.gram_gradients(kernel, X, X).items():
-        grads[name] = 0.5 * float(np.sum(M * dK))
+    for name, dK in dKs.items():
+        frobenius = 2.0 * np.vdot(Kinv.T, dK) - Kinv_diag @ dK.diagonal()
+        grads[name] = 0.5 * float(a @ (dK @ a) - frobenius)
     if noise_learned:
         # homoscedastic: dKy/d(log s2) = s2 * I
-        grads[LOG_NOISE_VARIANCE] = 0.5 * float(noise_vec[0] * np.trace(M))
+        grads[LOG_NOISE_VARIANCE] = 0.5 * float(noise_vec[0] * (a @ a - Kinv_diag.sum()))
     if getattr(mean_fn, "learnable", False):
         grads[MEAN_CONSTANT] = float(np.sum(a))
     return lml, grads
@@ -103,7 +114,7 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic, noise_learned) 
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
     noise_vec = check_noise(noise_var, X.shape[0])
-    L, a, _, jitter = _factorize(X, Y, mean_fn, kernel, noise_vec)
+    L, a, _, jitter = _factorize(kernels.gram(kernel, X, X), X, Y, mean_fn, noise_vec)
     return ExactGpModel(
         kernel=kernel,
         mean_fn=mean_fn,
@@ -133,7 +144,8 @@ def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
         Ks = kernels.gram(model.kernel, model.X, Xstar[sl])  # n x chunk
         mean[sl] = model.mean_fn(Xstar[sl]) + Ks.T @ model.alpha
         V = tri_solve(model.chol, Ks)
-        var[sl] = kernels.gram_diag(model.kernel, Xstar[sl]) - np.sum(V**2, axis=0)
+        V *= V
+        var[sl] = kernels.gram_diag(model.kernel, Xstar[sl]) - np.sum(V, axis=0)
     return mean, np.maximum(var, 0.0)
 
 

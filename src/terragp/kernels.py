@@ -8,7 +8,7 @@ and differentiable).
 
 Each family is written once, in `_profile`, as k_base(r2) and its slope
 dk_base/d(r2); location and lengthscale derivatives follow from the
-slope by the chain rule (see `gram_gradients`).
+slope by the chain rule (see `gram_and_gradients`).
 
 Every family is wrapped by an output scale, k(x, x') = s2 * k_base, and
 all positive hyperparameters are stored as logarithms so unconstrained
@@ -102,10 +102,13 @@ def _as_points(pts) -> np.ndarray:
     return arr
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sq_dists(a, b) -> np.ndarray:
+    """Squared Euclidean distances between the rows of two point sets."""
+    a, b = _as_points(a), _as_points(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    return np.maximum(cdist(a, b, metric="sqeuclidean"), 0.0)
+    r2 = cdist(a, b, metric="sqeuclidean")
+    return np.maximum(r2, 0.0, out=r2)
 
 
 def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
@@ -155,7 +158,7 @@ def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
 
 def gram(cfg: KernelConfig, a, b) -> np.ndarray:
     """Covariance matrix with entries s2 * k_base(a_i, b_j)."""
-    k, _ = _profile(cfg, _sq_dists(_as_points(a), _as_points(b)))
+    k, _ = _profile(cfg, sq_dists(a, b))
     k *= cfg.outputscale
     return k
 
@@ -171,15 +174,12 @@ def gram_diag(cfg: KernelConfig, a) -> np.ndarray:
     return np.full(a.shape[0], cfg.outputscale)
 
 
-def gram_gradients(cfg: KernelConfig, a, b) -> dict[str, np.ndarray]:
-    """dK/dtheta for each log-space hyperparameter in `param_names` order.
+def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray) -> tuple[np.ndarray, dict]:
+    """K and dK/dtheta, as `gram` and `gram_gradients`, from one `_profile` pass.
 
     Every family depends on r2 only through r2 / ell^2, so by the chain
-    rule dK/dlog(ell) = -2 r2 dK/d(r2); dK/dlog(s2) = K.
+    rule dK/dlog(ell) = -2 r2 dK/d(r2); dK/dlog(s2) = K, the same array.
     """
-    a = _as_points(a)
-    b = _as_points(b)
-    r2 = _sq_dists(a, b)
     s2 = cfg.outputscale
     K, slope = _profile(cfg, r2, with_slope=True)
     K *= s2
@@ -188,14 +188,22 @@ def gram_gradients(cfg: KernelConfig, a, b) -> dict[str, np.ndarray]:
     grads = {LOG_LENGTHSCALE: slope, LOG_OUTPUTSCALE: K}
     if cfg.family == RATIONAL_QUADRATIC:
         u = r2 / (2.0 * cfg.alpha * cfg.lengthscale**2)
-        grads[LOG_ALPHA] = K * cfg.alpha * (u / (1.0 + u) - np.log1p(u))
-    return grads
+        dalpha = u / (1.0 + u)
+        dalpha -= np.log1p(u)
+        dalpha *= K * cfg.alpha
+        grads[LOG_ALPHA] = dalpha
+    return K, grads
+
+
+def gram_gradients(cfg: KernelConfig, a, b) -> dict[str, np.ndarray]:
+    """dK/dtheta for each log-space hyperparameter in `param_names` order."""
+    return gram_and_gradients(cfg, sq_dists(a, b))[1]
 
 
 def gram_dr2(cfg: KernelConfig, a, b) -> np.ndarray:
     """dK/d(r2) entrywise, used for gradients with respect to locations;
     the subgradient 0 at coincident points for the non-differentiable
     absolute-exponential and Matern-1/2 families."""
-    _, slope = _profile(cfg, _sq_dists(_as_points(a), _as_points(b)), with_slope=True)
+    _, slope = _profile(cfg, sq_dists(a, b), with_slope=True)
     slope *= cfg.outputscale
     return slope

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cholesky, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from .errors import IllConditionedKernelError
 
@@ -15,7 +16,9 @@ def chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of `mat`, adding the smallest jitter that works.
 
     Tries jitter 0 first, then 1e-8 escalating by 10x up to 1e-3; past
-    the ceiling an IllConditionedKernelError is raised.
+    the ceiling an IllConditionedKernelError is raised.  The finite scan
+    is done once here, and a jittered copy of a finite matrix stays
+    finite, so scipy's own scan is skipped.
     """
     if not np.all(np.isfinite(mat)):
         raise IllConditionedKernelError("matrix contains non-finite values")
@@ -23,7 +26,7 @@ def chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
     while True:
         try:
             shifted = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
-            return cholesky(shifted, lower=True), jitter
+            return cholesky(shifted, lower=True, check_finite=False), jitter
         except np.linalg.LinAlgError:
             jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
             if jitter > JITTER_CEILING * (1.0 + 1e-12):
@@ -35,6 +38,14 @@ def chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b given the lower factor."""
     return cho_solve((L, True), b)
+
+
+def chol_inverse(L: np.ndarray) -> np.ndarray:
+    """Lower triangle of (L L^T)^-1 by LAPACK dpotri, in place of `L` (upper left as is)."""
+    inv, info = dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise IllConditionedKernelError(f"inverting the Cholesky factor failed (info {info})")
+    return inv
 
 
 def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -225,7 +225,7 @@ def _mean_from(payload: dict, stats: NormStats):
         return ConstantMean(payload["mean.constant"], payload["mean.learnable"])
     if kind != "grid":
         raise DataFormatError(f"unknown mean kind {kind!r}")
-    values = payload["mean.grid_values"]
+    values = payload.valid("mean.grid_values", lambda v: v.ndim == 2, "be a 2-D array")
     try:
         grid = DemGrid(
             ncols=values.shape[1],
@@ -296,9 +296,13 @@ def _gp_from(payload: dict, stats: NormStats):
             log_noise_var=payload["log_noise_var"] if payload["has_noise"] else None,
         )
     if kind == "exact":
+        X = payload.valid("train_x", _two_columns, "have 2 columns")
+        Y = payload.valid(
+            "train_y", lambda y: y.shape == X.shape[:1], "hold one value per train_x row"
+        )
         return exact_gp.build_model(
-            payload.valid("train_x", _two_columns, "have 2 columns"),
-            payload["train_y"],
+            X,
+            Y,
             _mean_from(payload, stats),
             _kernel_from(payload),
             payload["noise_var"],

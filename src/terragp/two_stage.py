@@ -28,7 +28,12 @@ from .methods import NOISE_GP, MethodConfig
 # clamp before exponentiation
 LOG_VAR_CLAMP = 20.0
 
-# above this size stage 1 switches from the exact GP to a sparse one
+# above this size stage 1 switches from the exact GP to a sparse one.
+# Stage 1 is an RBF GP with a learned noise and mean.  Measured at
+# n = 4096 (one BLAS thread, 2-core VM): 2.6 s CPU per LML epoch and a
+# 4.1 n^2-double (0.55 GB) allocation peak.  Projected to n = 10 000
+# (n^3 time, n^2 memory): about 38 s per epoch, 25 min for 40 epochs,
+# and 3.3 GB.
 STAGE1_EXACT_MAX_N = 10_000
 
 

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from terragp import exact_gp, kernels
 from terragp.datasets import from_arrays
 from terragp.errors import InvalidConfigError, InvalidInputError
+from terragp.linalg import chol_with_jitter
 from terragp.means import ConstantMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
 from terragp.optim import check_gradient
@@ -107,6 +111,78 @@ class TestLmlGradients:
         )
         assert np.isfinite(lml)
         assert all(np.isfinite(v) for v in grads.values())
+
+
+def dense_reference_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
+    """0.5 tr((a a^T - Ky^-1) dKy/dtheta) from the explicit inverse
+    cho_solve(L, I) of the same jittered factor; and that jitter."""
+    n = X.shape[0]
+    L, jitter = chol_with_jitter(kernels.gram(kernel, X, X) + np.diag(noise_vec))
+    Kinv = cho_solve((L, True), np.eye(n))
+    a = cho_solve((L, True), Y - mean_fn(X))
+    M = np.outer(a, a) - Kinv
+    dKs = kernels.gram_gradients(kernel, X, X)
+    if noise_learned:
+        dKs[exact_gp.LOG_NOISE_VARIANCE] = noise_vec[0] * np.eye(n)
+    grads = {name: 0.5 * np.sum(M * dK) for name, dK in dKs.items()}
+    # the size of the summands, which bounds the roundoff of either sum
+    scales = {name: 0.5 * np.sum(np.abs(M * dK)) for name, dK in dKs.items()}
+    if mean_fn.learnable:
+        grads[exact_gp.MEAN_CONSTANT] = np.sum(a)
+        scales[exact_gp.MEAN_CONSTANT] = np.sum(np.abs(a))
+    return grads, scales, jitter
+
+
+@pytest.mark.parametrize("family", range(6))
+def test_lml_gradients_match_explicit_inverse(rng, family):
+    n = 200
+    kernel = all_family_configs(rng, jitter_params=True)[family]
+    # (noise, learned, duplicate points): a learned constant, a pinned
+    # constant, a heteroscedastic vector, and duplicates with zero noise,
+    # whose factor needs jitter
+    cases = [
+        (np.full(n, 0.05), True, False),
+        (np.full(n, 0.2), False, False),
+        (np.exp(rng.normal(size=n) * 0.5 - 3.0), False, False),
+        (np.zeros(n), False, True),
+    ]
+    for noise_vec, learned, duplicates in cases:
+        X = rng.uniform(-2.0, 2.0, size=(n, 2))
+        if duplicates:
+            X[n // 2 :] = X[: n // 2]
+        Y = np.sin(2.0 * X[:, 0]) + 0.3 * rng.normal(size=n)
+        mean = ConstantMean(0.2, learnable=True)
+        _, got = exact_gp.lml_gradients(X, Y, mean, kernel, noise_vec, learned)
+        want, scales, jitter = dense_reference_gradients(X, Y, mean, kernel, noise_vec, learned)
+        assert (jitter > 0.0) == duplicates
+        assert got.keys() == want.keys()
+        for name in want:
+            # at jitter 1e-8 the summands are ~1e8 times the gradient, and
+            # neither sum is accurate beyond their roundoff
+            scale = scales[name] if duplicates else abs(want[name])
+            assert abs(got[name] - want[name]) <= 1e-10 * scale, (name, learned)
+
+
+@pytest.mark.parametrize(
+    "family, doubles", [(kernels.RBF, 5.5), (kernels.RATIONAL_QUADRATIC, 7.5)]
+)
+def test_lml_gradients_peak_memory(rng, family, doubles):
+    """One epoch allocates at most `doubles` n x n float64 arrays at once;
+    the explicit inverse and a x a^T of the dense form took 6 (RBF) and
+    10 (RQ)."""
+    n = 512
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    Y = rng.normal(size=n)
+    kernel = kernels.KernelConfig(family, log_lengthscale=-1.0)
+    args = (X, Y, ConstantMean(0.0, learnable=True), kernel, np.full(n, 0.05), True)
+    exact_gp.lml_gradients(*args)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        exact_gp.lml_gradients(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= doubles * n * n * 8
 
 
 class TestPredict:

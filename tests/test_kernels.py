@@ -141,6 +141,18 @@ class TestGradients:
             )
 
     @pytest.mark.parametrize("cfg", FAMILY_CONFIGS, ids=family_id)
+    def test_fused_pass_matches_gram_bitwise(self, cfg, rng):
+        cfg = replace(cfg, log_lengthscale=0.4, log_outputscale=0.3, log_alpha=0.2)
+        A = rng.normal(size=(7, 2))
+        B = rng.normal(size=(5, 2))
+        K, grads = kernels.gram_and_gradients(cfg, kernels.sq_dists(A, B))
+        np.testing.assert_array_equal(K, kernels.gram(cfg, A, B))
+        want = kernels.gram_gradients(cfg, A, B)
+        assert list(grads) == list(want) == kernels.param_names(cfg)
+        for name in want:
+            np.testing.assert_array_equal(grads[name], want[name])
+
+    @pytest.mark.parametrize("cfg", FAMILY_CONFIGS, ids=family_id)
     def test_lengthscale_gradient_zero_on_diagonal(self, cfg, rng):
         A = rng.normal(size=(6, 2))
         grads = kernels.gram_gradients(cfg, A, A)

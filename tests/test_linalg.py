@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from terragp.errors import IllConditionedKernelError
-from terragp.linalg import chol_solve, chol_with_jitter, tri_solve
+from terragp.linalg import chol_inverse, chol_solve, chol_with_jitter, tri_solve
 
 
 class TestCholWithJitter:
@@ -38,3 +38,18 @@ class TestCholWithJitter:
         L, _ = chol_with_jitter(M)
         np.testing.assert_allclose(chol_solve(L, b), np.linalg.solve(M, b), atol=1e-10)
         np.testing.assert_allclose(tri_solve(L, b), np.linalg.solve(L, b), atol=1e-10)
+
+
+class TestCholInverse:
+    def test_lower_triangle_of_the_inverse(self, rng):
+        A = rng.normal(size=(6, 6))
+        M = A @ A.T + 6 * np.eye(6)
+        L, _ = chol_with_jitter(M)
+        inv = chol_inverse(L)
+        np.testing.assert_allclose(np.tril(inv), np.tril(np.linalg.inv(M)), atol=1e-12)
+        assert np.all(np.triu(inv, 1) == 0.0)
+
+    def test_singular_factor_rejected(self):
+        L = np.asfortranarray([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(IllConditionedKernelError, match="inverting"):
+            chol_inverse(L)

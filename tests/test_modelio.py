@@ -202,6 +202,8 @@ class TestCorruptFiles:
             ("terrain.mean.grid_cellsize", -1.0, r"terrain\.mean\.grid_.*cellsize"),
             ("noise.train_x", lambda x: np.hstack([x, x[:, :1]]), "noise.train_x"),
             ("terrain.train_x", lambda x: x[:, 0], "terrain.train_x"),
+            ("terrain.mean.grid_values", np.ravel, "terrain.mean.grid_values"),
+            ("terrain.train_y", lambda y: y[:-1], "terrain.train_y"),
         ],
     )
     def test_inconsistent_sections_are_format_errors(

@@ -113,15 +113,16 @@ class TestBlocks:
 
 
 def _poison_log_alpha(monkeypatch):
-    """Make every log_alpha kernel gradient NaN."""
-    original = kernels.gram_gradients
+    """Make every log_alpha kernel gradient NaN; both trainers take their
+    kernel gradients from the fused pass."""
+    original = kernels.gram_and_gradients
 
-    def poisoned(cfg, a, b):
-        grads = original(cfg, a, b)
+    def poisoned(cfg, r2):
+        K, grads = original(cfg, r2)
         grads[kernels.LOG_ALPHA] = np.full_like(grads[kernels.LOG_ALPHA], np.nan)
-        return grads
+        return K, grads
 
-    monkeypatch.setattr(kernels, "gram_gradients", poisoned)
+    monkeypatch.setattr(kernels, "gram_and_gradients", poisoned)
 
 
 @pytest.mark.parametrize("method_id", ["hayner", "torroba"])
