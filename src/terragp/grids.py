@@ -39,6 +39,8 @@ class DemGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.ncols < 1 or self.nrows < 1:
             raise InvalidConfigError("grid dimensions must be positive")
+        if not all(map(math.isfinite, (self.xllcorner, self.yllcorner, self.cellsize))):
+            raise InvalidConfigError("grid corners and cellsize must be finite")
         if self.cellsize <= 0:
             raise InvalidConfigError("cellsize must be positive")
         if self.values.shape != (self.nrows, self.ncols):
@@ -112,9 +114,15 @@ def read_asc(path) -> DemGrid:
         try:
             header[key] = float(parts[1])
         except ValueError:
+            header[key] = math.nan
+        if not math.isfinite(header[key]):
             raise DataFormatError(
-                f"{path}: line {lineno}: non-numeric header value {parts[1]!r}"
-            ) from None
+                f"{path}: line {lineno}: header value {parts[1]!r} is not a finite number"
+            )
+        if key in ("ncols", "nrows") and (header[key] < 1 or not header[key].is_integer()):
+            raise DataFormatError(
+                f"{path}: line {lineno}: {parts[0]} must be a positive integer, got {parts[1]!r}"
+            )
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise DataFormatError(f"{path}: missing header keys {missing}")
@@ -139,15 +147,18 @@ def read_asc(path) -> DemGrid:
             f"{path}: expected {expected} values ({nrows}x{ncols}), found {len(flat)}"
         )
     values = np.array(flat, dtype=float).reshape(nrows, ncols)
-    return DemGrid(
-        ncols=ncols,
-        nrows=nrows,
-        xllcorner=header["xllcorner"],
-        yllcorner=header["yllcorner"],
-        cellsize=header["cellsize"],
-        nodata=header["nodata_value"],
-        values=values,
-    )
+    try:
+        return DemGrid(
+            ncols=ncols,
+            nrows=nrows,
+            xllcorner=header["xllcorner"],
+            yllcorner=header["yllcorner"],
+            cellsize=header["cellsize"],
+            nodata=header["nodata_value"],
+            values=values,
+        )
+    except InvalidConfigError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def write_asc(dem: DemGrid, path) -> None:

@@ -25,6 +25,7 @@ OURS_VARIATIONAL = "ours-variational"
 METHOD_IDS = (TOMITA, HAYNER, TORROBA, OURS_EXACT, OURS_VARIATIONAL)
 
 NOISE_FLOOR = 1e-6  # normalized variance; prevents likelihood collapse
+INIT_NOISE_VAR = 0.1  # normalized variance a learned constant noise starts from
 LOG_NOISE_VARIANCE = "log_noise_variance"
 
 
@@ -47,7 +48,6 @@ class MethodConfig:
     num_inducing: int | None = None
     nu: float = 2.5
     fixed_noise_var: float | None = None  # pin the constant noise (not learned)
-    init_noise_var: float = 0.1
 
     def __post_init__(self):
         def require(ok, what):
@@ -61,8 +61,6 @@ class MethodConfig:
             value = getattr(self, name)
             require(value is None or value >= 1, f"{name} must be >= 1, got {value}")
             require(value is not None or not self.variational, f"variational fit needs {name}")
-        init = self.init_noise_var
-        require(np.isfinite(init) and init > 0, f"initial noise variance must be > 0, got {init}")
         fixed = self.fixed_noise_var
         require(
             fixed is None or _noise_ok(fixed, self.variational),
@@ -170,7 +168,7 @@ def check_noise(noise_var, n: int, variational: bool = False) -> np.ndarray:
 def noise_plan(method: MethodConfig, n: int, noise_vector=None):
     """(field, constant, learned): a heteroscedastic method's fixed
     per-point `noise_vector`, else one constant variance, pinned by
-    `fixed_noise_var` or learned from `init_noise_var`."""
+    `fixed_noise_var` or learned from `INIT_NOISE_VAR`."""
     if method.heteroscedastic:
         if noise_vector is None:
             raise InvalidConfigError(
@@ -179,7 +177,7 @@ def noise_plan(method: MethodConfig, n: int, noise_vector=None):
         return check_noise(noise_vector, n, method.variational), None, False
     if method.fixed_noise_var is not None:
         return None, method.fixed_noise_var, False
-    return None, method.init_noise_var, True
+    return None, INIT_NOISE_VAR, True
 
 
 def init_kernel(method: MethodConfig, rng: np.random.Generator) -> kernels.KernelConfig:

@@ -1,11 +1,13 @@
 """Sparse stochastic variational GP regression.
 
-The variational posterior over inducing values u = f(Z) is an
-unwhitened Gaussian q(u) = N(m(Z) + mvec, S) with S = L L^T; `mvec` is
+The public state holds the variational posterior over inducing values
+u = f(Z) unwhitened, q(u) = N(m(Z) + mvec, S) with S = L L^T; `mvec` is
 stored as the offset from the prior mean so a zero vector means "start
-at the prior".  The likelihood is Gaussian with either a learned
-constant variance or fixed per-point variances, which keeps the
-expected log-likelihood in closed form; no sampling anywhere.
+at the prior".  Every formula is whitened and written once: the q(f)
+marginals, the KL, the initial q(u) and the ELBO.  The likelihood is
+Gaussian with either a learned constant variance or fixed per-point
+variances, which keeps the expected log-likelihood in closed form; no
+sampling anywhere.
 
 All ELBO gradients are analytic and come from one reverse-mode pass in
 the whitened coordinates the trainer optimizes; the public unwhitened
@@ -23,7 +25,7 @@ from scipy.linalg import solve_triangular
 from . import kernels
 from .datasets import Dataset
 from .errors import InvalidConfigError, InvalidInputError
-from .linalg import chol_solve, chol_with_jitter
+from .linalg import chol_solve, chol_with_jitter, tri_solve
 from .means import default_mean
 from .methods import (
     LOG_NOISE_VARIANCE, MethodConfig, check_noise, init_kernel, noise_plan,
@@ -53,9 +55,6 @@ class SvgpState:
 
     def obs_noise(self, Xn: np.ndarray) -> float:
         return 0.0 if self.log_noise_var is None else np.exp(self.log_noise_var)
-
-    def cov(self) -> np.ndarray:
-        return self.L @ self.L.T
 
 
 def init_inducing(X: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -97,49 +96,6 @@ def _kzz_factor(kernel: kernels.KernelConfig, Z: np.ndarray) -> np.ndarray:
     return Lz
 
 
-def kl_term(state: SvgpState) -> float:
-    """KL[q(u) || p(u)] between N(m(Z) + mvec, S) and the prior N(m(Z), Kzz)."""
-    m = state.num_inducing
-    Lz = _kzz_factor(state.kernel, state.Z)
-    S = state.cov()
-    trace = float(np.trace(chol_solve(Lz, S)))
-    c = chol_solve(Lz, state.mvec)
-    quad = float(state.mvec @ c)
-    logdet_kzz = 2.0 * float(np.log(np.diag(Lz)).sum())
-    logdet_s = 2.0 * float(np.log(np.diag(state.L)).sum())
-    return 0.5 * (trace + quad - m + logdet_kzz - logdet_s)
-
-
-_PREDICT_CHUNK = 4096
-
-
-def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal q(f*) at query points: the sparse-GP mean and variance
-    k** - A (Kzz - S) A^T with A = K*z Kzz^-1, clamped at zero."""
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    Lz = _kzz_factor(state.kernel, state.Z)
-    S = state.cov()
-    q = Xstar.shape[0]
-    mean = np.empty(q)
-    var = np.empty(q)
-    for start in range(0, q, _PREDICT_CHUNK):
-        sl = slice(start, min(start + _PREDICT_CHUNK, q))
-        Ksz = kernels.gram(state.kernel, Xstar[sl], state.Z)
-        A = chol_solve(Lz, Ksz.T).T
-        mean[sl] = state.mean_fn(Xstar[sl]) + A @ state.mvec
-        AS = A @ S
-        var[sl] = (
-            kernels.gram_diag(state.kernel, Xstar[sl])
-            - np.einsum("ij,ij->i", A, Ksz)
-            + np.einsum("ij,ij->i", AS, A)
-        )
-    return mean, np.maximum(var, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# ELBO and analytic gradients
-# ---------------------------------------------------------------------------
-#
 # The public state stores q(u) = N(m(Z) + mvec, L L^T) directly, but the
 # loss surface in those coordinates is catastrophically ill-conditioned
 # for smooth kernels: A = Kxz Kzz^-1 has huge rows whenever Kzz is close
@@ -149,15 +105,70 @@ def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
 #
 #     mvec = Lz mw,    L = Lz Lw,    Lz = chol(Kzz),
 #
-# under which the data fit sees B = Kxz Lz^-T (rows bounded by sqrt(kxx))
-# and the KL collapses to 0.5 (||Lw||_F^2 + ||mw||^2 - m - 2 sum log Lw_kk)
-# with no Kzz dependence.  Both lower-triangular factors have positive
-# diagonals, so the unwhitened state is recovered exactly as a product
-# of triangles; the two parameterizations describe the same q(u).
+# in which every formula below is written: the data fit sees B = Kxz Lz^-T
+# (rows bounded by sqrt(kxx)) and the KL collapses to 0.5 (||Lw||_F^2 +
+# ||mw||^2 - m - 2 sum log Lw_kk) with no Kzz dependence.  Both
+# lower-triangular factors have positive diagonals, so the unwhitened
+# state is recovered exactly as a product of triangles; the two
+# parameterizations describe the same q(u).
+
+
+def _whiten(state: SvgpState, Lz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mw, Lw) = (Lz^-1 mvec, Lz^-1 L); `whitened_to_state` inverts it."""
+    return tri_solve(Lz, state.mvec), tri_solve(Lz, state.L)
+
+
+def _project(kernel: kernels.KernelConfig, Lz: np.ndarray, X: np.ndarray, Z: np.ndarray):
+    """B = K(X, Z) Lz^-T, the cross-covariance in whitened coordinates."""
+    return tri_solve(Lz, kernels.gram(kernel, X, Z).T).T
+
+
+def _marginals(B: np.ndarray, mw: np.ndarray, Lw: np.ndarray, kxx: np.ndarray):
+    """q(f) at the rows of B: the mean offset B mw from the prior mean,
+    the variance kxx - |B_i|^2 + |(B Lw)_i|^2, and B Lw."""
+    BL = B @ Lw
+    var = kxx - np.einsum("ij,ij->i", B, B) + np.einsum("ij,ij->i", BL, BL)
+    return B @ mw, var, BL
+
+
+def _kl(mw: np.ndarray, Lw: np.ndarray) -> float:
+    """KL[N(mw, Lw Lw^T) || N(0, I)]."""
+    logdet_lw = float(np.log(np.diag(Lw)).sum())
+    return 0.5 * (float(np.sum(Lw**2)) + float(mw @ mw) - mw.size - 2.0 * logdet_lw)
+
+
+def kl_term(state: SvgpState) -> float:
+    """KL[q(u) || p(u)] between N(m(Z) + mvec, S) and the prior N(m(Z), Kzz)."""
+    return _kl(*_whiten(state, _kzz_factor(state.kernel, state.Z)))
+
+
+_PREDICT_CHUNK = 4096
+
+
+def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal q(f*) at query points: the sparse-GP mean m(x*) + B mw and
+    variance k** - |B_i|^2 + |(B Lw)_i|^2 with B = K*z Lz^-T, clamped at zero."""
+    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    Lz = _kzz_factor(state.kernel, state.Z)
+    mw, Lw = _whiten(state, Lz)
+    q = Xstar.shape[0]
+    mean = np.empty(q)
+    var = np.empty(q)
+    for start in range(0, q, _PREDICT_CHUNK):
+        sl = slice(start, min(start + _PREDICT_CHUNK, q))
+        B = _project(state.kernel, Lz, Xstar[sl], state.Z)
+        offset, var[sl], _ = _marginals(B, mw, Lw, kernels.gram_diag(state.kernel, Xstar[sl]))
+        mean[sl] = state.mean_fn(Xstar[sl]) + offset
+    return mean, np.maximum(var, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# ELBO and analytic gradients
+# ---------------------------------------------------------------------------
 #
 # The ELBO is written once, as `_whitened_pass`.  The trainer's
 # `_elbo_whitened` calls it directly; the public `elbo_minibatch` whitens
-# first (mw = Lz^-1 mvec, Lw = Lz^-1 L) and pulls the adjoints back:
+# first and pulls the adjoints back:
 #
 #     mvec_bar = Lz^-T mw_bar,   G = Lz^-T Lw_bar,   L_bar = tril(G),
 #     Lz_bar  += -mvec_bar mw^T - G Lw^T.
@@ -205,24 +216,15 @@ def _whitened_pass(
         v = np.full(b, float(v))
     w = n_total / b
 
-    Z, mw, Lw, kernel = wstate.Z, wstate.mvec, wstate.L, wstate.kernel
-    m = wstate.num_inducing
-
-    Kxz = kernels.gram(kernel, Xb, Z)
+    mw, Lw, kernel = wstate.mvec, wstate.L, wstate.kernel
+    B = _project(kernel, Lz, Xb, wstate.Z)
     kxx = kernels.gram_diag(kernel, Xb)
-    B = solve_triangular(Lz, Kxz.T, lower=True).T  # Kxz Lz^-T
-
-    mu = wstate.mean_fn(Xb) + B @ mw
-    BL = B @ Lw
-    q1 = np.einsum("ij,ij->i", B, B)
-    q2 = np.einsum("ij,ij->i", BL, BL)
-    s2 = kxx - q1 + q2
+    offset, s2, BL = _marginals(B, mw, Lw, kxx)
+    mu = wstate.mean_fn(Xb) + offset
 
     data_term = w * float(np.sum(expected_loglik(mu, s2, yb, v)))
     resid = yb - mu
-    logdet_lw = float(np.log(np.diag(Lw)).sum())
-    kl = 0.5 * (float(np.sum(Lw**2)) + float(mw @ mw) - m - 2.0 * logdet_lw)
-    elbo = data_term - kl
+    elbo = data_term - _kl(mw, Lw)
 
     # reverse pass
     ebar = w * resid / v  # d elbo / d mu
@@ -341,8 +343,7 @@ def elbo_minibatch(
     the batch (fixed spatial noise).
     """
     Lz = _kzz_factor(state.kernel, state.Z)
-    mw = solve_triangular(Lz, state.mvec, lower=True)
-    Lw = solve_triangular(Lz, state.L, lower=True)
+    mw, Lw = _whiten(state, Lz)
     wstate = replace(state, mvec=mw, L=Lw)
     elbo, adj = _whitened_pass(wstate, Lz, Xb, yb, n_total, noise_var)
 
@@ -377,9 +378,7 @@ def _optimal_whitened_q(
     prior's small eigendirections and bounded per-coordinate steps take
     thousands of iterations to reach it.
     """
-    Lz = _kzz_factor(kernel, Z)
-    Kxz = kernels.gram(kernel, X, Z)
-    B = solve_triangular(Lz, Kxz.T, lower=True).T
+    B = _project(kernel, _kzz_factor(kernel, Z), X, Z)
     v = check_noise(noise_var, X.shape[0], variational=True)
     M = np.eye(Z.shape[0]) + B.T @ (B / v[:, None])
     Lm, _ = chol_with_jitter(M)

@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread per process, as perfbench pins it.  On a 2-core machine
+# OpenBLAS's default threads slow the exact-GP epochs to about half speed
+# next to the numpy work; this has to run before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from terragp import kernels
 from terragp.means import ConstantMean
@@ -31,6 +39,10 @@ def all_family_configs(rng=None, jitter_params=False):
         else:
             out.append(kernels.KernelConfig(fam, nu=nu))
     return out
+
+
+def family_id(cfg):
+    return f"matern{cfg.nu}" if cfg.family == kernels.MATERN else cfg.family
 
 
 def brute_force_posterior(X, Y, mean_fn, kernel, noise_vec, Xstar):

@@ -262,6 +262,22 @@ class TestPredictCommand:
         assert code == 3
 
 
+    @pytest.mark.parametrize("cellsize", ["nan", "inf"])
+    def test_bad_explicit_cellsize_is_config_error(self, tmp_path, cellsize):
+        out = synth(tmp_path)
+        model = tmp_path / "m.bin"
+        main([
+            "fit", "--method", "tomita", "--train", str(out / "train.asc"),
+            "--out", str(model), "--epochs", "1",
+        ])
+        code = main([
+            "predict", "--model", str(model), "--out-dir", str(tmp_path / "pred"),
+            "--ncols", "4", "--nrows", "3", "--xll", "0", "--yll", "0",
+            "--cellsize", cellsize,
+        ])
+        assert code == 2
+
+
 class TestEvalCommand:
     def test_perfect_prediction(self, tmp_path):
         out = synth(tmp_path)
@@ -341,6 +357,22 @@ class TestHeatmapAndHillshade:
         raw = pgm.read_bytes()
         assert raw.startswith(b"P5\n16 16\n255\n")
         assert len(raw.rsplit(b"\n", 1)[1]) == 256
+
+    @pytest.mark.parametrize("key, value, cells", [
+        ("CELLSIZE", "-1", 256), ("CELLSIZE", "nan", 256), ("NCOLS", "0", 0),
+        ("NCOLS", "2.7", 32),
+    ])
+    def test_bad_asc_header_is_data_error(self, tmp_path, capsys, key, value, cells):
+        out = synth(tmp_path)
+        lines = (out / "truth.asc").read_text().split()
+        header = dict(zip(lines[0:12:2], lines[1:12:2]), **{key: value})
+        bad = tmp_path / "bad.asc"
+        bad.write_text(
+            "".join(f"{k} {v}\n" for k, v in header.items()) + " ".join(lines[12:12 + cells])
+        )
+        code = main(["heatmap", "--in", str(bad), "--out", str(tmp_path / "map.pgm")])
+        assert code == 3
+        assert "bad.asc" in capsys.readouterr().err
 
     def test_hillshade_output_range(self, tmp_path):
         out = synth(tmp_path)

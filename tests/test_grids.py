@@ -63,6 +63,22 @@ class TestAscIO:
         with pytest.raises(DataFormatError, match="line 8"):
             read_asc(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("CELLSIZE", "-1"), ("CELLSIZE", "0"), ("CELLSIZE", "nan"), ("CELLSIZE", "inf"),
+        ("XLLCORNER", "nan"), ("YLLCORNER", "-inf"), ("NODATA_VALUE", "nan"),
+        ("NCOLS", "0"), ("NROWS", "0"), ("NCOLS", "2.7"), ("NROWS", "nan"), ("NCOLS", "inf"),
+    ])
+    def test_bad_header_value_is_format_error(self, tmp_path, key, value):
+        # the cell count matches what int() makes of the dimensions, so only
+        # the header value itself is wrong
+        header = {"NCOLS": "2", "NROWS": "2", "XLLCORNER": "0", "YLLCORNER": "0",
+                  "CELLSIZE": "1", "NODATA_VALUE": "-9999", key: value}
+        path = tmp_path / "bad.asc"
+        cells = "" if value == "0" and key in ("NCOLS", "NROWS") else "1 2\n3 4\n"
+        path.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + cells)
+        with pytest.raises(DataFormatError, match="bad.asc"):
+            read_asc(path)
+
     def test_missing_header_key(self, tmp_path):
         path = tmp_path / "bad.asc"
         path.write_text("NCOLS 1\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1\n")
@@ -90,6 +106,13 @@ class TestGeometry:
         g = make_grid(rng.normal(size=(4, 6)), xllcorner=123.456, yllcorner=-7.89, cellsize=2.5)
         g2 = roundtrip(g, tmp_path)
         np.testing.assert_allclose(g.cell_centers(), g2.cell_centers(), atol=1e-9)
+
+
+    @pytest.mark.parametrize("field", ["xllcorner", "yllcorner", "cellsize"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_geometry_rejected(self, field, bad):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            make_grid([[1.0]], **{field: bad})
 
 
 class TestDownsample:

@@ -7,13 +7,9 @@ from terragp import kernels
 from terragp.errors import InvalidConfigError, InvalidInputError
 from terragp.linalg import chol_with_jitter
 
-from conftest import all_family_configs
+from conftest import all_family_configs, family_id
 
 FAMILY_CONFIGS = all_family_configs()
-
-
-def family_id(cfg):
-    return f"matern{cfg.nu}" if cfg.family == kernels.MATERN else cfg.family
 
 
 class TestKernelValues:

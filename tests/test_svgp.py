@@ -10,7 +10,7 @@ from terragp.linalg import chol_with_jitter
 from terragp.means import ConstantMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
 
-from conftest import random_gp_problem
+from conftest import all_family_configs, family_id, random_gp_problem
 
 
 def random_state(rng, m=5, family=kernels.RATIONAL_QUADRATIC, homosc=True, mean_const=0.3):
@@ -32,6 +32,35 @@ def random_state(rng, m=5, family=kernels.RATIONAL_QUADRATIC, homosc=True, mean_
         kernel=kernel,
         mean_fn=ConstantMean(mean_const, False),
         log_noise_var=np.log(0.05) if homosc else None,
+    )
+
+
+def dense_unwhitened_qf(state, X):
+    """q(f) mean and unclamped variance from the unwhitened forms, with
+    A = Kxz Kzz^-1 by a dense solve and S = L L^T."""
+    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
+    Kxz = kernels.gram(state.kernel, X, state.Z)
+    A = np.linalg.solve(Kzz, Kxz.T).T
+    S = state.L @ state.L.T
+    var = (
+        kernels.gram_diag(state.kernel, X)
+        - np.einsum("ij,ij->i", A, Kxz)
+        + np.einsum("ij,ij->i", A @ S, A)
+    )
+    return state.mean_fn(X) + A @ state.mvec, var
+
+
+def dense_unwhitened_kl(state):
+    """KL[N(mvec, S) || N(0, Kzz)] with dense solves and slogdet."""
+    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
+    S = state.L @ state.L.T
+    m = state.num_inducing
+    return 0.5 * (
+        np.trace(np.linalg.solve(Kzz, S))
+        + state.mvec @ np.linalg.solve(Kzz, state.mvec)
+        - m
+        + np.linalg.slogdet(Kzz)[1]
+        - np.linalg.slogdet(S)[1]
     )
 
 
@@ -103,6 +132,17 @@ class TestPredictive:
         mean, var = svgp.predictive_qf(state, np.array([[300.0, 300.0]]))
         assert var[0] == pytest.approx(state.kernel.outputscale, abs=1e-8)
 
+    @pytest.mark.parametrize("kernel", all_family_configs(), ids=family_id)
+    def test_matches_dense_unwhitened_reference(self, rng, kernel):
+        # more query points than one prediction chunk, so a chunk boundary
+        # is crossed
+        state = replace(random_state(rng, m=8), Z=rng.normal(size=(8, 2)) * 2, kernel=kernel)
+        Xs = rng.normal(size=(svgp._PREDICT_CHUNK + 37, 2)) * 2
+        mean, var = svgp.predictive_qf(state, Xs)
+        ref_mean, ref_var = dense_unwhitened_qf(state, Xs)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-10)
+        np.testing.assert_allclose(var, ref_var, rtol=1e-10)
+
     def test_variance_nonnegative(self, rng):
         state = random_state(rng, m=8)
         _, var = svgp.predictive_qf(state, rng.normal(size=(100, 2)) * 2)
@@ -126,7 +166,7 @@ class TestPredictive:
         raw = (
             kernels.gram_diag(kernel, Xs)
             - np.einsum("ij,ij->i", A, Ksz)
-            + np.einsum("ij,ij->i", A @ state.cov(), A)
+            + np.einsum("ij,ij->i", A @ (state.L @ state.L.T), A)
         )
         assert raw.min() > -1e-8
 
@@ -191,7 +231,7 @@ class TestKlTerm:
         state = random_state(rng, m=6)
         base = svgp.kl_term(state)
         perm = rng.permutation(6)
-        S = state.cov()[np.ix_(perm, perm)]
+        S = (state.L @ state.L.T)[np.ix_(perm, perm)]
         L2, _ = chol_with_jitter(S)
         state2 = svgp.SvgpState(
             Z=state.Z[perm], mvec=state.mvec[perm], L=L2,
@@ -216,8 +256,8 @@ class TestElbo:
         y = rng.normal(size=n)
         v = np.exp(state.log_noise_var)
         elbo, _ = svgp.elbo_minibatch(state, X, y, n, v)
-        mean, s2 = svgp.predictive_qf(state, X)
-        manual = float(np.sum(svgp.expected_loglik(mean, s2, y, v))) - svgp.kl_term(state)
+        mean, s2 = dense_unwhitened_qf(state, X)
+        manual = float(np.sum(svgp.expected_loglik(mean, s2, y, v))) - dense_unwhitened_kl(state)
         assert elbo == pytest.approx(manual, abs=1e-8)
 
     @ELBO_ENTRY_POINTS
