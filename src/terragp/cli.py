@@ -156,6 +156,9 @@ def _target_geometry(args) -> DemGrid:
         raise InvalidConfigError(
             "predict needs --target or all of --ncols/--nrows/--xll/--yll/--cellsize"
         )
+    for flag, count in (("--ncols", args.ncols), ("--nrows", args.nrows)):
+        if count < 1:
+            raise InvalidConfigError(f"{flag} must be a positive integer, got {count}")
     return DemGrid(
         ncols=args.ncols,
         nrows=args.nrows,
@@ -227,9 +230,12 @@ def _add_sweep(sub):
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise InvalidConfigError(f"{flag} expects comma-separated integers") from None
+    if any(v < 1 for v in values):
+        raise InvalidConfigError(f"{flag} expects positive integers, got {text!r}")
+    return values
 
 
 def _cmd_sweep(args) -> int:

@@ -54,6 +54,9 @@ class ExactGpModel:
     def predict(self, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return predict_exact(self, Xn)
 
+    def predict_mean(self, Xn: np.ndarray) -> np.ndarray:
+        return predict_mean(self, Xn)
+
     def obs_noise(self, Xn: np.ndarray) -> float:
         return float(self.noise_var[0]) if self.homoscedastic else 0.0
 
@@ -129,6 +132,21 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic, noise_learned) 
     )
 
 
+def _chunks(model: ExactGpModel, Xstar: np.ndarray):
+    """(slice, K(X, chunk), posterior mean m + K*^T a) per query chunk."""
+    for start in range(0, Xstar.shape[0], _PREDICT_CHUNK):
+        sl = slice(start, min(start + _PREDICT_CHUNK, Xstar.shape[0]))
+        Ks = kernels.gram(model.kernel, model.X, Xstar[sl])  # n x chunk
+        yield sl, Ks, model.mean_fn(Xstar[sl]) + Ks.T @ model.alpha
+
+
+def predict_mean(model: ExactGpModel, Xstar) -> np.ndarray:
+    """`predict_exact`'s posterior mean without its triangular solve."""
+    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    means = [mean for _, _, mean in _chunks(model, Xstar)]
+    return np.concatenate(means) if means else np.empty(0)
+
+
 def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and latent variance (observation noise excluded).
 
@@ -139,10 +157,8 @@ def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
     q = Xstar.shape[0]
     mean = np.empty(q)
     var = np.empty(q)
-    for start in range(0, q, _PREDICT_CHUNK):
-        sl = slice(start, min(start + _PREDICT_CHUNK, q))
-        Ks = kernels.gram(model.kernel, model.X, Xstar[sl])  # n x chunk
-        mean[sl] = model.mean_fn(Xstar[sl]) + Ks.T @ model.alpha
+    for sl, Ks, mean_sl in _chunks(model, Xstar):
+        mean[sl] = mean_sl
         V = tri_solve(model.chol, Ks)
         V *= V
         var[sl] = kernels.gram_diag(model.kernel, Xstar[sl]) - np.sum(V, axis=0)

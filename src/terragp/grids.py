@@ -22,7 +22,12 @@ from .seeding import NOISE_INJECT, stream_rng
 
 DEFAULT_NODATA = -9999.0
 
-_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+# NODATA_VALUE is optional; each lower-left coordinate is given either as
+# the cell corner or as the cell center (corner = center - cellsize / 2)
+_HEADER_KEYS = (
+    "ncols", "nrows", "xllcorner", "yllcorner", "xllcenter", "yllcenter", "cellsize",
+    "nodata_value",
+)
 
 
 @dataclass
@@ -97,20 +102,46 @@ def make_grid(values, xllcorner=0.0, yllcorner=0.0, cellsize=1.0, nodata=DEFAULT
 # ---------------------------------------------------------------------------
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _lower_left(header: dict[str, float], axis: str, path) -> float:
+    corner, center = header.get(f"{axis}llcorner"), header.get(f"{axis}llcenter")
+    if corner is not None and center is not None:
+        raise DataFormatError(
+            f"{path}: header gives both {axis.upper()}LLCORNER and {axis.upper()}LLCENTER"
+        )
+    return corner if center is None else center - 0.5 * header["cellsize"]
+
+
 def read_asc(path) -> DemGrid:
-    """Parse an ESRI ASCII grid; raises DataFormatError with a line number."""
+    """Parse an ESRI ASCII grid; raises DataFormatError with a line number.
+
+    The header is the run of leading lines that do not start with a
+    number; the cell values follow it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
 
     header: dict[str, float] = {}
-    lineno = 0
-    for lineno, line in enumerate(lines[:6], start=1):
+    body = len(lines)
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
+        if not parts or _is_number(parts[0]):
+            body = lineno - 1
+            break
         if len(parts) != 2:
             raise DataFormatError(f"{path}: line {lineno}: expected 'KEY value' header")
         key = parts[0].lower()
         if key not in _HEADER_KEYS:
             raise DataFormatError(f"{path}: line {lineno}: unknown header key {parts[0]!r}")
+        if key in header:
+            raise DataFormatError(f"{path}: line {lineno}: repeated header key {parts[0]!r}")
         try:
             header[key] = float(parts[1])
         except ValueError:
@@ -123,14 +154,18 @@ def read_asc(path) -> DemGrid:
             raise DataFormatError(
                 f"{path}: line {lineno}: {parts[0]} must be a positive integer, got {parts[1]!r}"
             )
-    missing = [k for k in _HEADER_KEYS if k not in header]
+    missing = [k for k in ("ncols", "nrows", "cellsize") if k not in header] + [
+        f"{axis}llcorner" for axis in "xy"
+        if f"{axis}llcorner" not in header and f"{axis}llcenter" not in header
+    ]
     if missing:
         raise DataFormatError(f"{path}: missing header keys {missing}")
+    xllcorner, yllcorner = (_lower_left(header, axis, path) for axis in "xy")
 
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
     flat: list[float] = []
-    for lineno, line in enumerate(lines[6:], start=7):
+    for lineno, line in enumerate(lines[body:], start=body + 1):
         for tok in line.split():
             try:
                 value = float(tok)
@@ -151,10 +186,10 @@ def read_asc(path) -> DemGrid:
         return DemGrid(
             ncols=ncols,
             nrows=nrows,
-            xllcorner=header["xllcorner"],
-            yllcorner=header["yllcorner"],
+            xllcorner=xllcorner,
+            yllcorner=yllcorner,
             cellsize=header["cellsize"],
-            nodata=header["nodata_value"],
+            nodata=header.get("nodata_value", DEFAULT_NODATA),
             values=values,
         )
     except InvalidConfigError as exc:
@@ -218,6 +253,10 @@ def hillshade(dem: DemGrid, azimuth_deg: float, elevation_deg: float) -> DemGrid
     """
     if dem.nrows < 2 or dem.ncols < 2:
         raise InvalidConfigError("hillshade needs at least a 2x2 grid")
+    if not (math.isfinite(azimuth_deg) and math.isfinite(elevation_deg)):
+        raise InvalidConfigError(
+            f"sun azimuth and elevation must be finite, got {azimuth_deg} and {elevation_deg}"
+        )
     ddrow, ddcol = np.gradient(dem.values, dem.cellsize)
     dzdx = ddcol
     dzdy = -ddrow  # row index increases southward

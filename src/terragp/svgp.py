@@ -53,6 +53,9 @@ class SvgpState:
     def predict(self, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return predictive_qf(self, Xn)
 
+    def predict_mean(self, Xn: np.ndarray) -> np.ndarray:
+        return predictive_qf(self, Xn)[0]
+
     def obs_noise(self, Xn: np.ndarray) -> float:
         return 0.0 if self.log_noise_var is None else np.exp(self.log_noise_var)
 

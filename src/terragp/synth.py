@@ -8,6 +8,7 @@ for a given seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ from .seeding import SYNTH, stream_rng
 
 RIM_WIDTH_FRACTION = 0.4  # rim half-width as a fraction of the crater radius
 DEPTH_RATIO = 0.3  # crater depth as a fraction of its radius
+# the SynthParams fields that must hold finite numbers
+_REAL_FIELDS = (
+    "amplitude", "roughness", "radius_min", "radius_max", "rim_fraction", "sun_azimuth",
+    "sun_elevation", "var_dark", "var_lit", "cellsize",
+)
 
 
 @dataclass
@@ -38,6 +44,9 @@ class SynthParams:
     craters: tuple | None = None  # explicit (col, row, radius) triples
 
     def __post_init__(self):
+        for name in _REAL_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.size < 2:
             raise InvalidConfigError("grid size must be at least 2")
         if not (0.0 < self.sun_elevation <= 90.0):
@@ -114,8 +123,10 @@ def split_variance_grid(like: DemGrid, var_quiet: float, var_noisy: float) -> De
     Used to build scenes where the spatial noise structure is known
     exactly, e.g. for calibration comparisons.
     """
-    if var_quiet < 0 or var_noisy < 0:
-        raise InvalidConfigError("variances must be nonnegative")
+    if not (0 <= var_quiet < math.inf and 0 <= var_noisy < math.inf):
+        raise InvalidConfigError(
+            f"variances must be finite and nonnegative, got {var_quiet} and {var_noisy}"
+        )
     var = np.full_like(like.values, var_quiet)
     var[:, like.ncols // 2 :] = var_noisy
     return like.with_values(var)

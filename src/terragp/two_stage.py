@@ -6,10 +6,12 @@ variational) whose likelihood uses the frozen stage-1 posterior mean as
 a fixed log-variance field.  The noise is therefore never re-estimated
 from the elevations; it comes entirely from the confidence data.
 
-Every fitted model (`ExactGpModel`, `SvgpState`, `TwoStageModel`) offers
-`predict(Xn)`, the mean and latent variance at normalized points, and
-`obs_noise(Xn)`, the observation noise it owns; `predict_points` serves
-any of them.
+Every fitted model offers `predict(Xn)`, the mean and latent variance
+at normalized points, and `obs_noise(Xn)`, the observation noise it
+owns; `predict_points` serves any of them.  Both GP kinds (`ExactGpModel`,
+`SvgpState`) also offer `predict_mean(Xn)`, the mean alone: the noise
+field reads nothing else of stage 1, so an exact stage 1 skips the n^2 q
+variance solve.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ class NoiseModel:
 
     def log_var_mean(self, Xn: np.ndarray) -> np.ndarray:
         """Posterior mean of the log variance, clamped to +-20."""
-        mu, _ = self.gp.predict(Xn)
-        return np.clip(mu, -LOG_VAR_CLAMP, LOG_VAR_CLAMP)
+        return np.clip(self.gp.predict_mean(Xn), -LOG_VAR_CLAMP, LOG_VAR_CLAMP)
 
     def noise_variances(self, Xn: np.ndarray) -> np.ndarray:
         return np.exp(self.log_var_mean(Xn))

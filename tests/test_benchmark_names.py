@@ -173,8 +173,10 @@ def test_training_reaches_the_traced_layers(method_id, expected):
     [
         ("hayner", {"predict_exact": 1}),
         ("torroba", {"predictive_qf": 1}),
-        # the terrain is sparse, the stage-1 noise GP exact
-        ("ours-variational", {"predictive_qf": 1, "predict_exact": 1, "noise_variances": 1}),
+        # the terrain is sparse, the stage-1 noise GP exact; the noise
+        # field reads only the stage-1 mean, so it skips predict_exact
+        ("ours-variational", {"predictive_qf": 1, "noise_variances": 1}),
+        ("ours-exact", {"predict_exact": 1, "noise_variances": 1}),
     ],
 )
 def test_prediction_reaches_the_traced_layers(method_id, expected):

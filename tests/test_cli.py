@@ -48,12 +48,34 @@ class TestSynthCommand:
         assert not np.array_equal(ta.values, tb.values)
         assert ta.same_geometry(tb)
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_split_ratio_is_config_error(self, tmp_path, ratio):
+        out = tmp_path / "scene"
+        code = main([
+            "synth", "--out-dir", str(out), "--size", "16",
+            "--noise-mode", "split", "--split-ratio", ratio,
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_split_mode(self, tmp_path):
         out = synth(tmp_path, extra=("--noise-mode", "split", "--split-ratio", "4"))
         unc = read_asc(out / "uncertainty.asc")
         left = unc.values[:, : unc.ncols // 2]
         right = unc.values[:, unc.ncols // 2 :]
         assert right.mean() / left.mean() == pytest.approx(4.0)
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sun-azimuth", "nan"), ("--sun-azimuth", "inf"), ("--sun-azimuth", "-inf"),
+        ("--sun-elevation", "nan"), ("--amplitude", "nan"), ("--var-dark", "nan"),
+    ])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "scene"
+        code = main(["synth", "--out-dir", str(out), "--size", "16", f"{flag}={value}"])
+        assert code == 2
+        assert flag[2:].replace("-", "_") + " must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFitCommand:
@@ -278,6 +300,24 @@ class TestPredictCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("flag, value", [("--nrows", "-1"), ("--ncols", "0")])
+    def test_non_positive_explicit_size_is_config_error(self, tmp_path, capsys, flag, value):
+        out = synth(tmp_path)
+        model = tmp_path / "m.bin"
+        main([
+            "fit", "--method", "tomita", "--train", str(out / "train.asc"),
+            "--out", str(model), "--epochs", "1",
+        ])
+        sizes = {"--ncols": "4", "--nrows": "3", flag: value}
+        code = main(
+            ["predict", "--model", str(model), "--out-dir", str(tmp_path / "pred"),
+             "--xll", "0", "--yll", "0", "--cellsize", "1"]
+            + [tok for item in sizes.items() for tok in item]
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def test_perfect_prediction(self, tmp_path):
         out = synth(tmp_path)
@@ -386,6 +426,18 @@ class TestHeatmapAndHillshade:
         assert s.values.min() >= 0.0 and s.values.max() <= 1.0
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--azimuth", "inf"), ("--azimuth", "nan"), ("--elevation", "nan"),
+    ])
+    def test_non_finite_sun_angle_is_config_error(self, tmp_path, capsys, flag, value):
+        out = synth(tmp_path)
+        shade = tmp_path / "shade.asc"
+        code = main(["hillshade", "--in", str(out / "truth.asc"), "--out", str(shade), flag, value])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not shade.exists()
+
+
 class TestComposedPipeline:
     def test_files_match_in_process(self, tmp_path):
         out = synth(tmp_path, size=16, seed=3)
@@ -453,3 +505,13 @@ class TestSweepCommand:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--sizes", "-5"), ("--inducing", "0")])
+    def test_non_positive_list_entry_is_config_error(self, tmp_path, capsys, flag, value):
+        lists = {"--sizes": "40", "--inducing": "4", flag: value}
+        code = main(
+            ["sweep", "--out", str(tmp_path / "s.csv"), "--epochs", "1", "--noise-epochs", "1"]
+            + [tok for item in lists.items() for tok in item]
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err

@@ -264,6 +264,22 @@ class TestPredict:
         np.testing.assert_allclose(m1, m2, atol=1e-12)
         np.testing.assert_allclose(v1, v2, atol=1e-12)
 
+    @pytest.mark.parametrize("family", range(6))
+    def test_predict_mean_is_predict_exact_mean(self, rng, family):
+        """Bitwise, across a chunk boundary: the noise field reads this
+        mean where it once read `predict_exact`'s."""
+        kernel = all_family_configs(rng, jitter_params=True)[family]
+        X = rng.normal(size=(20, 2))
+        noise = np.exp(rng.normal(size=20) * 0.3 - 2)
+        model = exact_gp.build_model(
+            X, rng.normal(size=20), ConstantMean(0.4, learnable=True), kernel, noise,
+            homoscedastic=False, noise_learned=False,
+        )
+        Xstar = rng.normal(size=(exact_gp._PREDICT_CHUNK + 37, 2))
+        mean = exact_gp.predict_mean(model, Xstar)
+        assert mean.tobytes() == exact_gp.predict_exact(model, Xstar)[0].tobytes()
+        assert model.predict_mean(Xstar).tobytes() == mean.tobytes()
+
 
 class TestFitExact:
     def test_table_configs(self):

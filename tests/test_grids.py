@@ -3,6 +3,7 @@ import pytest
 
 from terragp.errors import DataFormatError, InvalidConfigError, InvalidInputError
 from terragp.grids import (
+    DEFAULT_NODATA,
     DemGrid,
     bilinear_sample,
     downsample,
@@ -81,8 +82,42 @@ class TestAscIO:
 
     def test_missing_header_key(self, tmp_path):
         path = tmp_path / "bad.asc"
-        path.write_text("NCOLS 1\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1\n")
-        with pytest.raises(DataFormatError):
+        path.write_text("NCOLS 1\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nNODATA_VALUE -1\n1\n")
+        with pytest.raises(DataFormatError, match="cellsize"):
+            read_asc(path)
+
+    def test_nodata_value_is_optional(self, tmp_path):
+        path = tmp_path / "g.asc"
+        path.write_text("NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n5 -9999\n")
+        g = read_asc(path)
+        assert g.nodata == DEFAULT_NODATA
+        np.testing.assert_array_equal(g.data_mask(), [[True, False]])
+
+    def test_center_header_matches_corner_twin(self, tmp_path, rng):
+        g = make_grid(rng.normal(size=(3, 4)), xllcorner=10.0, yllcorner=-4.0, cellsize=2.5)
+        corner = tmp_path / "corner.asc"
+        write_asc(g, corner)
+        lines = corner.read_text().splitlines()
+        lines[2:4] = ["XLLCENTER 11.25", "YLLCENTER -2.75"]
+        center = tmp_path / "center.asc"
+        center.write_text("\n".join(lines) + "\n")
+        g2 = read_asc(center)
+        np.testing.assert_array_equal(g2.cell_centers(), read_asc(corner).cell_centers())
+        np.testing.assert_array_equal(g2.values, g.values)
+
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_corner_and_center_for_one_axis_is_format_error(self, tmp_path, axis):
+        path = tmp_path / "bad.asc"
+        path.write_text(
+            f"NCOLS 1\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\n{axis}LLCENTER 0.5\nCELLSIZE 1\n1\n"
+        )
+        with pytest.raises(DataFormatError, match=f"{axis}LLCORNER and {axis}LLCENTER"):
+            read_asc(path)
+
+    def test_repeated_header_key_is_format_error(self, tmp_path):
+        path = tmp_path / "bad.asc"
+        path.write_text("NCOLS 1\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\nNCOLS 1\n1\n")
+        with pytest.raises(DataFormatError, match="line 6"):
             read_asc(path)
 
     def test_case_insensitive_header(self, tmp_path):
@@ -169,6 +204,13 @@ class TestHillshade:
     def test_needs_2x2(self):
         with pytest.raises(InvalidConfigError):
             hillshade(make_grid(np.zeros((1, 3))), 0, 45)
+
+    @pytest.mark.parametrize("azimuth, elevation", [
+        (np.nan, 45.0), (np.inf, 45.0), (315.0, np.nan), (315.0, -np.inf),
+    ])
+    def test_non_finite_angle_rejected(self, azimuth, elevation):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            hillshade(make_grid(np.zeros((3, 3))), azimuth, elevation)
 
 
 class TestShadowUncertainty:

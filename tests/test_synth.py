@@ -61,6 +61,15 @@ class TestSynthTerrain:
         with pytest.raises(InvalidConfigError):
             SynthParams(var_lit=0.5, var_dark=0.1)
 
+    @pytest.mark.parametrize("field", [
+        "amplitude", "roughness", "radius_min", "radius_max", "rim_fraction",
+        "sun_azimuth", "sun_elevation", "var_dark", "var_lit", "cellsize",
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, field, bad):
+        with pytest.raises(InvalidConfigError, match=f"{field} must be finite"):
+            SynthParams(**{field: bad})
+
 
 class TestSplitVariance:
     def test_halves(self):
@@ -73,3 +82,9 @@ class TestSplitVariance:
         like = make_grid(np.zeros((2, 2)))
         with pytest.raises(InvalidConfigError):
             split_variance_grid(like, -0.1, 1.0)
+
+    @pytest.mark.parametrize("quiet, noisy", [(0.1, np.nan), (np.inf, 1.0)])
+    def test_non_finite_rejected(self, quiet, noisy):
+        like = make_grid(np.zeros((2, 2)))
+        with pytest.raises(InvalidConfigError, match="finite"):
+            split_variance_grid(like, quiet, noisy)

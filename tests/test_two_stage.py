@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from terragp import exact_gp, modelio, pipeline, two_stage
+from terragp import exact_gp, linalg, modelio, pipeline, svgp, two_stage
 from terragp.datasets import grid_to_dataset
 from terragp.errors import InvalidInputError
 from terragp.grids import make_grid
@@ -62,6 +62,34 @@ class TestFitNoiseGp:
         assert not isinstance(nm.gp, exact_gp.ExactGpModel)
         mu = nm.log_var_mean(X)
         assert np.corrcoef(mu, true_log_var)[0, 1] > 0.8
+
+    def test_sparse_stage_one_field_is_clipped_qf_mean(self, monkeypatch):
+        monkeypatch.setattr(two_stage, "STAGE1_EXACT_MAX_N", 50)
+        X = grid_points(10)
+        nm = two_stage.fit_noise_gp(X, np.exp(0.8 * np.sin(X[:, 0]) - 3.0), seed=0)
+        far = np.vstack([X, [[1e6, -1e6]]])
+        clamp = two_stage.LOG_VAR_CLAMP
+        expected = np.clip(svgp.predictive_qf(nm.gp, far)[0], -clamp, clamp)
+        assert nm.log_var_mean(far).tobytes() == expected.tobytes()
+
+    def test_exact_noise_field_makes_no_triangular_solve(self, monkeypatch):
+        """Stage 2 reads only the stage-1 mean, so the exact field must
+        not pay for the n^2 q variance solve."""
+        X = grid_points(8)
+        nm = two_stage.fit_noise_gp(X, np.exp(0.5 * np.cos(X[:, 1]) - 2.0), seed=0)
+        assert isinstance(nm.gp, exact_gp.ExactGpModel)
+        calls = []
+        original = linalg.tri_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (linalg, exact_gp, svgp):
+            monkeypatch.setattr(module, "tri_solve", counted)
+        v = nm.noise_variances(grid_points(13))
+        assert v.shape == (169,) and np.all(v > 0)
+        assert calls == []
 
 
 class TestTwoStage:
