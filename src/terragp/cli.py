@@ -1,8 +1,9 @@
 """Command-line harness.
 
 Verbs: synth, fit, predict, eval, sweep, heatmap, hillshade.  Exit
-codes: 0 success, 2 usage/config error, 3 data/parse error, 4 numerical
-failure.  Every seeded command is bitwise reproducible.
+codes: 0 success, 2 usage/config error (running out of memory counts as
+one: the problem is too big for the chosen method), 3 data/parse error,
+4 numerical failure.  Every seeded command is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -317,6 +318,13 @@ def main(argv=None) -> int:
     except (TerraGpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_IO)
+    except MemoryError:
+        print(
+            "error: out of memory; an exact GP needs n^2 memory for n training cells, "
+            "so use a variational method (torroba, ours-variational) or a smaller grid",
+            file=sys.stderr,
+        )
+        return InvalidConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -102,16 +102,16 @@ _SECTION_TYPES = {
     **dict.fromkeys("method_id model_kind kernel.family mean.kind".split(), str),
     **dict.fromkeys("variational mean.learnable has_noise homoscedastic noise_learned".split(), bool),
     **dict.fromkeys(
-        "mean.grid_values stats.x_mean stats.x_std inducing variational_mean "
-        "variational_chol noise_var train_x train_y".split(),
+        "mean.grid_values stats.x_mean stats.x_std inducing whitened_mean "
+        "whitened_chol noise_var train_x train_y".split(),
         np.ndarray,
     ),
 }
 
 
 class _Sections(dict):
-    """Decoded sections; asking for a missing one, or one holding the
-    wrong type of value, is a format error."""
+    """Decoded sections; asking for a missing one, one holding the wrong
+    type of value or a numeric one that is not finite is a format error."""
 
     prefix = ""
 
@@ -126,6 +126,8 @@ class _Sections(dict):
             raise DataFormatError(
                 f"model file section {self.prefix + key!r} holds a {type(value).__name__}"
             )
+        if want not in (str, bool) and not np.all(np.isfinite(value)):
+            raise DataFormatError(f"model file section {self.prefix + key!r} must be finite")
         return value
 
     def valid(self, key, ok, what: str):
@@ -145,7 +147,12 @@ def _pair(value: np.ndarray) -> bool:
 
 
 def _two_columns(value: np.ndarray) -> bool:
-    return value.ndim == 2 and value.shape[1] == 2
+    return value.ndim == 2 and value.shape[0] > 0 and value.shape[1] == 2
+
+
+def _lower_factor(value: np.ndarray, m: int) -> bool:
+    """(m, m), lower triangular, with a positive diagonal."""
+    return value.shape == (m, m) and not np.triu(value, 1).any() and bool(np.all(np.diag(value) > 0))
 
 
 def bytes_to_payload(raw: bytes) -> dict:
@@ -265,8 +272,8 @@ def _gp_payload(gp) -> dict:
     if isinstance(gp, svgp.SvgpState):
         kind, fields = "svgp", {
             "inducing": gp.Z,
-            "variational_mean": gp.mvec,
-            "variational_chol": gp.L,
+            "whitened_mean": gp.mvec,
+            "whitened_chol": gp.L,
             "has_noise": gp.log_noise_var is not None,
             "log_noise_var": gp.log_noise_var if gp.log_noise_var is not None else 0.0,
         }
@@ -287,16 +294,21 @@ def _gp_payload(gp) -> dict:
 def _gp_from(payload: dict, stats: NormStats):
     kind = payload["model_kind"]
     if kind == "svgp":
+        Z = payload.valid("inducing", _two_columns, "have 2 columns and a row")
+        m = Z.shape[0]
         return svgp.SvgpState(
-            Z=payload.valid("inducing", _two_columns, "have 2 columns"),
-            mvec=payload["variational_mean"],
-            L=payload["variational_chol"],
+            Z=Z,
+            mvec=payload.valid("whitened_mean", lambda v: v.shape == (m,), f"have shape ({m},)"),
+            L=payload.valid(
+                "whitened_chol", lambda c: _lower_factor(c, m),
+                f"be an ({m}, {m}) lower-triangular factor with a positive diagonal",
+            ),
             kernel=_kernel_from(payload),
             mean_fn=_mean_from(payload, stats),
             log_noise_var=payload["log_noise_var"] if payload["has_noise"] else None,
         )
     if kind == "exact":
-        X = payload.valid("train_x", _two_columns, "have 2 columns")
+        X = payload.valid("train_x", _two_columns, "have 2 columns and a row")
         Y = payload.valid(
             "train_y", lambda y: y.shape == X.shape[:1], "hold one value per train_x row"
         )

@@ -1,18 +1,20 @@
 """Sparse stochastic variational GP regression.
 
-The public state holds the variational posterior over inducing values
-u = f(Z) unwhitened, q(u) = N(m(Z) + mvec, S) with S = L L^T; `mvec` is
-stored as the offset from the prior mean so a zero vector means "start
-at the prior".  Every formula is whitened and written once: the q(f)
-marginals, the KL, the initial q(u) and the ELBO.  The likelihood is
-Gaussian with either a learned constant variance or fixed per-point
-variances, which keeps the expected log-likelihood in closed form; no
-sampling anywhere.
+The state holds the variational posterior over inducing values u = f(Z)
+whitened (Hensman et al., UAI 2013): with Lz = chol(Kzz),
 
-All ELBO gradients are analytic and come from one reverse-mode pass in
-the whitened coordinates the trainer optimizes; the public unwhitened
-`elbo_minibatch` pulls them back through the whitening map.  Kernel-matrix
-adjoints reach the hyperparameters and inducing locations via dK/d(r^2).
+    q(u) = N(m(Z) + Lz mvec, Lz L L^T Lz^T),
+
+so a zero `mvec` with an identity `L` is the prior.  These are the
+coordinates the trainer steps, and every formula is written once in
+them: the q(f) marginals, the KL, the initial q(u) and the ELBO.  The
+likelihood is Gaussian with either a learned constant variance or fixed
+per-point variances, which keeps the expected log-likelihood in closed
+form; no sampling anywhere.
+
+All ELBO gradients are analytic and come from one reverse-mode pass,
+`elbo_minibatch`, the trainer's own step.  Kernel-matrix adjoints reach
+the hyperparameters and inducing locations via dK/d(r^2).
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .seeding import BATCH_SHUFFLE, INDUCING_INIT, INIT, stream_rng
 @dataclass
 class SvgpState:
     Z: np.ndarray  # (m, 2) inducing locations
-    mvec: np.ndarray  # (m,) offset of q(u) mean from the prior mean m(Z)
-    L: np.ndarray  # (m, m) lower-triangular factor of S, positive diagonal
+    mvec: np.ndarray  # (m,) whitened mean: q(u) has mean m(Z) + Lz mvec
+    L: np.ndarray  # (m, m) whitened factor, lower triangular with positive diagonal
     kernel: kernels.KernelConfig
     mean_fn: object
     log_noise_var: float | None  # None when the noise is an external field
@@ -99,26 +101,14 @@ def _kzz_factor(kernel: kernels.KernelConfig, Z: np.ndarray) -> np.ndarray:
     return Lz
 
 
-# The public state stores q(u) = N(m(Z) + mvec, L L^T) directly, but the
-# loss surface in those coordinates is catastrophically ill-conditioned
-# for smooth kernels: A = Kxz Kzz^-1 has huge rows whenever Kzz is close
-# to singular, so a fixed-size Adam step on L can inflate the marginal
-# variances A S A^T by orders of magnitude.  The trainer therefore
-# optimizes the change of variables
-#
-#     mvec = Lz mw,    L = Lz Lw,    Lz = chol(Kzz),
-#
-# in which every formula below is written: the data fit sees B = Kxz Lz^-T
-# (rows bounded by sqrt(kxx)) and the KL collapses to 0.5 (||Lw||_F^2 +
-# ||mw||^2 - m - 2 sum log Lw_kk) with no Kzz dependence.  Both
-# lower-triangular factors have positive diagonals, so the unwhitened
-# state is recovered exactly as a product of triangles; the two
-# parameterizations describe the same q(u).
-
-
-def _whiten(state: SvgpState, Lz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mw, Lw) = (Lz^-1 mvec, Lz^-1 L); `whitened_to_state` inverts it."""
-    return tri_solve(Lz, state.mvec), tri_solve(Lz, state.L)
+# Why whitened: over the mean and a factor of S = Cov q(u) themselves the
+# loss surface is catastrophically ill-conditioned for smooth kernels:
+# A = Kxz Kzz^-1 has huge rows whenever Kzz is close to singular, so a
+# fixed-size Adam step on chol(S) can inflate the marginal variances
+# A S A^T by orders of magnitude.  In the whitened coordinates the data
+# fit sees B = Kxz Lz^-T (rows bounded by sqrt(kxx)) and the KL has no
+# Kzz dependence.  Converting the state to S and back would multiply
+# rounding error by cond(Lz), so nothing does.
 
 
 def _project(kernel: kernels.KernelConfig, Lz: np.ndarray, X: np.ndarray, Z: np.ndarray):
@@ -134,15 +124,12 @@ def _marginals(B: np.ndarray, mw: np.ndarray, Lw: np.ndarray, kxx: np.ndarray):
     return B @ mw, var, BL
 
 
-def _kl(mw: np.ndarray, Lw: np.ndarray) -> float:
-    """KL[N(mw, Lw Lw^T) || N(0, I)]."""
+def kl_term(state: SvgpState) -> float:
+    """KL[q(u) || p(u)] = KL[N(mw, Lw Lw^T) || N(0, I)] for the whitened
+    mean mw = `mvec` and factor Lw = `L`."""
+    mw, Lw = state.mvec, state.L
     logdet_lw = float(np.log(np.diag(Lw)).sum())
     return 0.5 * (float(np.sum(Lw**2)) + float(mw @ mw) - mw.size - 2.0 * logdet_lw)
-
-
-def kl_term(state: SvgpState) -> float:
-    """KL[q(u) || p(u)] between N(m(Z) + mvec, S) and the prior N(m(Z), Kzz)."""
-    return _kl(*_whiten(state, _kzz_factor(state.kernel, state.Z)))
 
 
 _PREDICT_CHUNK = 4096
@@ -153,14 +140,14 @@ def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
     variance k** - |B_i|^2 + |(B Lw)_i|^2 with B = K*z Lz^-T, clamped at zero."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     Lz = _kzz_factor(state.kernel, state.Z)
-    mw, Lw = _whiten(state, Lz)
     q = Xstar.shape[0]
     mean = np.empty(q)
     var = np.empty(q)
     for start in range(0, q, _PREDICT_CHUNK):
         sl = slice(start, min(start + _PREDICT_CHUNK, q))
         B = _project(state.kernel, Lz, Xstar[sl], state.Z)
-        offset, var[sl], _ = _marginals(B, mw, Lw, kernels.gram_diag(state.kernel, Xstar[sl]))
+        kxx = kernels.gram_diag(state.kernel, Xstar[sl])
+        offset, var[sl], _ = _marginals(B, state.mvec, state.L, kxx)
         mean[sl] = state.mean_fn(Xstar[sl]) + offset
     return mean, np.maximum(var, 0.0)
 
@@ -168,96 +155,15 @@ def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # ELBO and analytic gradients
 # ---------------------------------------------------------------------------
-#
-# The ELBO is written once, as `_whitened_pass`.  The trainer's
-# `_elbo_whitened` calls it directly; the public `elbo_minibatch` whitens
-# first and pulls the adjoints back:
-#
-#     mvec_bar = Lz^-T mw_bar,   G = Lz^-T Lw_bar,   L_bar = tril(G),
-#     Lz_bar  += -mvec_bar mw^T - G Lw^T.
-#
-# The log|Lw| = log|L| - log|Lz| term is differentiated in each entry
-# point's own coordinates, directly on the diagonals; going through an
-# inverse instead explodes when a factor is badly conditioned.
-
-
-@dataclass
-class _WhitenedAdjoints:
-    """ELBO adjoints that `_whitened_pass` leaves for its entry point."""
-
-    Xb: np.ndarray  # (b, 2) batch inputs
-    mw: np.ndarray  # d elbo / d mw
-    Lw: np.ndarray  # d elbo / d Lw, lower triangle, without the log|Lw| term
-    Lz: np.ndarray  # d elbo / d Lz through B = Kxz Lz^-T only
-    Kxz: np.ndarray  # d elbo / d Kxz
-    kxx: float  # sum_i (d elbo / d kxx_i) kxx_i, the log-outputscale share
-    log_noise_var: float | None
-
-
-def _whitened_pass(
-    wstate: SvgpState,
-    Lz: np.ndarray,
-    Xb: np.ndarray,
-    yb: np.ndarray,
-    n_total: int,
-    noise_var,
-) -> tuple[float, _WhitenedAdjoints]:
-    """Minibatch ELBO (n/b) sum_i E[log p(y_i | f_i)] - KL in whitened
-    coordinates, and its reverse pass down to the kernel matrices.
-
-    `wstate.mvec` holds mw, `wstate.L` holds Lw, and `Lz` = chol(Kzz).
-    `noise_var` is a scalar (constant noise) or an array aligned with
-    the batch (fixed spatial noise).
-    """
-    Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
-    yb = np.asarray(yb, dtype=float)
-    b = Xb.shape[0]
-    if b == 0:
-        raise InvalidInputError("batch must be nonempty")
-    v = np.asarray(noise_var, dtype=float)
-    if v.ndim == 0:
-        v = np.full(b, float(v))
-    w = n_total / b
-
-    mw, Lw, kernel = wstate.mvec, wstate.L, wstate.kernel
-    B = _project(kernel, Lz, Xb, wstate.Z)
-    kxx = kernels.gram_diag(kernel, Xb)
-    offset, s2, BL = _marginals(B, mw, Lw, kxx)
-    mu = wstate.mean_fn(Xb) + offset
-
-    data_term = w * float(np.sum(expected_loglik(mu, s2, yb, v)))
-    resid = yb - mu
-    elbo = data_term - _kl(mw, Lw)
-
-    # reverse pass
-    ebar = w * resid / v  # d elbo / d mu
-    ubar = -w / (2.0 * v)  # d elbo / d s2
-    B_bar = (
-        np.outer(ebar, mw)
-        - 2.0 * ubar[:, None] * B
-        + 2.0 * ubar[:, None] * (BL @ Lw.T)
-    )
-    # B = Kxz Lz^-T:  Kxz_bar = B_bar Lz^-1,  Lz_bar = -Kxz_bar^T B
-    Kxz_bar = solve_triangular(Lz, B_bar.T, lower=True, trans="T").T
-
-    noise_grad = None
-    if wstate.log_noise_var is not None:
-        noise_grad = float(w * np.sum(-0.5 + (resid**2 + s2) / (2.0 * v)))
-
-    return elbo, _WhitenedAdjoints(
-        Xb=Xb,
-        mw=B.T @ ebar - mw,
-        Lw=np.tril(2.0 * (B.T @ (ubar[:, None] * BL)) - Lw),
-        Lz=-(Kxz_bar.T @ B),
-        Kxz=Kxz_bar,
-        kxx=float(np.sum(ubar * kxx)),
-        log_noise_var=noise_grad,
-    )
 
 
 def _log_diag(chol_bar: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Move the diagonal of a factor's adjoint into log-diagonal space and
-    add the +1 per entry of the ELBO's +log|chol| term, in place."""
+    add the +1 per entry of the ELBO's +log|chol| term, in place.
+
+    The log-determinant is differentiated directly on the diagonal; going
+    through an inverse instead explodes when the factor is badly
+    conditioned."""
     diag = np.diag_indices_from(chol_bar)
     chol_bar[diag] = chol_bar[diag] * np.diag(chol) + 1.0
     return chol_bar
@@ -278,29 +184,63 @@ def _chol_backward(Lz: np.ndarray, Lz_bar: np.ndarray) -> np.ndarray:
     return 0.5 * (T + T.T)
 
 
-def _gradients(
+def _elbo_whitened(
     state: SvgpState,
-    Lz: np.ndarray,
-    adj: _WhitenedAdjoints,
-    Lz_bar: np.ndarray,
-    mvec_bar: np.ndarray,
-    L_bar: np.ndarray,
-) -> dict:
-    """Push Lz_bar through the Cholesky, then Kzz_bar and Kxz_bar into the
-    kernel hyperparameters and the inducing locations; returns the
-    gradient blocks.  `L_bar`'s diagonal is already in log-diagonal space."""
-    Z, Xb, kernel, Kxz_bar = state.Z, adj.Xb, state.kernel, adj.Kxz
-    Kzz_bar = _chol_backward(Lz, Lz_bar)
+    Xb: np.ndarray,
+    yb: np.ndarray,
+    n_total: int,
+    noise_var,
+) -> tuple[float, dict]:
+    """Minibatch ELBO (n/b) sum_i E[log p(y_i | f_i)] - KL and its
+    gradient blocks, named and laid out as the state's own blocks.
 
+    `noise_var` is a scalar (constant noise) or an array aligned with
+    the batch (fixed spatial noise).
+    """
+    Z, mw, Lw, kernel = state.Z, state.mvec, state.L, state.kernel
+    Lz = _kzz_factor(kernel, Z)
+    Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
+    yb = np.asarray(yb, dtype=float)
+    b = Xb.shape[0]
+    if b == 0:
+        raise InvalidInputError("batch must be nonempty")
+    v = np.asarray(noise_var, dtype=float)
+    if v.ndim == 0:
+        v = np.full(b, float(v))
+    w = n_total / b
+
+    B = _project(kernel, Lz, Xb, Z)
+    kxx = kernels.gram_diag(kernel, Xb)
+    offset, s2, BL = _marginals(B, mw, Lw, kxx)
+    mu = state.mean_fn(Xb) + offset
+    resid = yb - mu
+    elbo = w * float(np.sum(expected_loglik(mu, s2, yb, v))) - kl_term(state)
+
+    # reverse pass down to the kernel matrices
+    ebar = w * resid / v  # d elbo / d mu
+    ubar = -w / (2.0 * v)  # d elbo / d s2
+    B_bar = (
+        np.outer(ebar, mw)
+        - 2.0 * ubar[:, None] * B
+        + 2.0 * ubar[:, None] * (BL @ Lw.T)
+    )
+    # B = Kxz Lz^-T:  Kxz_bar = B_bar Lz^-1,  Lz_bar = -Kxz_bar^T B
+    Kxz_bar = solve_triangular(Lz, B_bar.T, lower=True, trans="T").T
+    Kzz_bar = _chol_backward(Lz, -(Kxz_bar.T @ B))
+    mw_bar = B.T @ ebar - mw
+    Lw_bar = _log_diag(np.tril(2.0 * (B.T @ (ubar[:, None] * BL)) - Lw), Lw)
+
+    # Kzz_bar and Kxz_bar into the kernel hyperparameters ...
     kern_grads: dict[str, float] = {}
     dKzz = kernels.gram_gradients(kernel, Z, Z)
     dKxz = kernels.gram_gradients(kernel, Xb, Z)
     for name in kernels.param_names(kernel):
         g = float(np.sum(Kzz_bar * dKzz[name])) + float(np.sum(Kxz_bar * dKxz[name]))
         if name == kernels.LOG_OUTPUTSCALE:
-            g += adj.kxx
+            g += float(np.sum(ubar * kxx))
         kern_grads[name] = g
 
+    # ... and the inducing locations
     Gz = kernels.gram_dr2(kernel, Z, Z)
     Wz = (Kzz_bar + Kzz_bar.T) * Gz
     np.fill_diagonal(Wz, 0.0)
@@ -309,59 +249,14 @@ def _gradients(
     Wx = Kxz_bar * Gx
     Z_bar += 2.0 * (Wx.sum(axis=0)[:, None] * Z - Wx.T @ Xb)
 
-    return _blocks(Z_bar, mvec_bar, L_bar, np.diag(L_bar), kern_grads, adj.log_noise_var)
+    noise_grad = None
+    if state.log_noise_var is not None:
+        noise_grad = float(w * np.sum(-0.5 + (resid**2 + s2) / (2.0 * v)))
+    return elbo, _blocks(Z_bar, mw_bar, Lw_bar, np.diag(Lw_bar), kern_grads, noise_grad)
 
 
-def _elbo_whitened(
-    state: SvgpState,
-    Xb: np.ndarray,
-    yb: np.ndarray,
-    n_total: int,
-    noise_var,
-) -> tuple[float, dict]:
-    """Minibatch ELBO and its gradient blocks in the whitened coordinates
-    the trainer optimizes.
-
-    `state` fields are reinterpreted: mvec holds mw and L holds Lw.  The
-    gradient blocks have the names and layout of the state's own blocks.
-    """
-    Lz = _kzz_factor(state.kernel, state.Z)
-    elbo, adj = _whitened_pass(state, Lz, Xb, yb, n_total, noise_var)
-    return elbo, _gradients(state, Lz, adj, adj.Lz, adj.mw, _log_diag(adj.Lw, state.L))
-
-
-def elbo_minibatch(
-    state: SvgpState,
-    Xb: np.ndarray,
-    yb: np.ndarray,
-    n_total: int,
-    noise_var,
-) -> tuple[float, dict]:
-    """Minibatch ELBO (n/b) sum_i E[log p(y_i | f_i)] - KL and its
-    gradient blocks with respect to every free parameter of the unwhitened
-    state: the trainer's whitened pass, pulled back through
-    mw = Lz^-1 mvec and Lw = Lz^-1 L.
-
-    `noise_var` is a scalar (constant noise) or an array aligned with
-    the batch (fixed spatial noise).
-    """
-    Lz = _kzz_factor(state.kernel, state.Z)
-    mw, Lw = _whiten(state, Lz)
-    wstate = replace(state, mvec=mw, L=Lw)
-    elbo, adj = _whitened_pass(wstate, Lz, Xb, yb, n_total, noise_var)
-
-    mvec_bar = solve_triangular(Lz, adj.mw, lower=True, trans="T")
-    G = solve_triangular(Lz, adj.Lw, lower=True, trans="T")
-    L_bar = _log_diag(np.tril(G), state.L)
-    Lz_bar = adj.Lz - np.outer(mvec_bar, mw) - G @ Lw.T
-    Lz_bar[np.diag_indices_from(Lz_bar)] -= 1.0 / np.diag(Lz)  # -log|Lz| term
-    return elbo, _gradients(state, Lz, adj, Lz_bar, mvec_bar, L_bar)
-
-
-def whitened_to_state(wstate: SvgpState) -> SvgpState:
-    """Materialize the unwhitened q(u) from whitened training parameters."""
-    Lz = _kzz_factor(wstate.kernel, wstate.Z)
-    return replace(wstate, mvec=Lz @ wstate.mvec, L=Lz @ wstate.L)
+# the public name of the trainer's step: one function object under two names
+elbo_minibatch = _elbo_whitened
 
 
 def _optimal_whitened_q(
@@ -476,7 +371,7 @@ def fit_svgp(
     Z0 = init_inducing(data.X, method.num_inducing, seed)
     v_init = noise_field if noise_field is not None else float(np.exp(log_noise))
     mw0, lw0 = _optimal_whitened_q(Z0, kernel, mean_fn, data.X, data.Y, v_init)
-    wstate = SvgpState(
+    state = SvgpState(
         Z=Z0,
         mvec=mw0,
         L=lw0,
@@ -486,15 +381,15 @@ def fit_svgp(
     )
 
     # a pinned noise stays in the state but out of the trained blocks
-    blocks = _state_blocks(wstate if learn_noise else replace(wstate, log_noise_var=None))
+    blocks = _state_blocks(state if learn_noise else replace(state, log_noise_var=None))
 
     def objective_grad(idx):
-        batch_noise = np.exp(wstate.log_noise_var) if noise_field is None else noise_field[idx]
-        return _elbo_whitened(wstate, data.X[idx], data.Y[idx], n, batch_noise)
+        batch_noise = np.exp(state.log_noise_var) if noise_field is None else noise_field[idx]
+        return _elbo_whitened(state, data.X[idx], data.Y[idx], n, batch_noise)
 
     def unpack(new: dict):
-        nonlocal wstate
-        wstate = _from_blocks(wstate, new)
+        nonlocal state
+        state = _from_blocks(state, new)
 
     rng_batches = stream_rng(seed, BATCH_SHUFFLE)
     history = minimize(
@@ -502,6 +397,5 @@ def fit_svgp(
         lambda: epoch_batches(n, method.batch_size, rng_batches),
     )
 
-    state = whitened_to_state(wstate)
     state.loss_history = history
     return state

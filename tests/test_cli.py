@@ -184,6 +184,22 @@ class TestFitCommand:
             ])
         assert code == 4
 
+    def test_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # stands in for an exact fit whose n x n kernel matrix does not fit
+        def fit_method(*args):
+            raise MemoryError("Unable to allocate 20.8 GiB")
+
+        monkeypatch.setattr(pipeline, "fit_method", fit_method)
+        out = synth(tmp_path)
+        code = main([
+            "fit", "--method", "hayner", "--train", str(out / "train.asc"),
+            "--out", str(tmp_path / "m.bin"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "out of memory" in err and "variational method" in err
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestPredictCommand:
     def test_noise_free_fit_interpolates_train(self, tmp_path):

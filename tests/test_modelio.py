@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from terragp import exact_gp, kernels, modelio, svgp, two_stage
+from terragp import exact_gp, kernels, modelio, pipeline, svgp, two_stage
 from terragp.datasets import grid_to_dataset
-from terragp.errors import DataFormatError
+from terragp.errors import DataFormatError, TerraGpError
 
 from terragp.means import ConstantMean, GridInterpMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
@@ -154,6 +156,36 @@ class TestModelRoundtrips:
             )
 
 
+# one exact and one variational method of each model kind: a single GP
+# and the two-stage model
+PAYLOAD_METHODS = {
+    "hayner": {},
+    "torroba": {"num_inducing": 8, "batch_size": 16},
+    "ours-exact": {},
+    "ours-variational": {"num_inducing": 8, "batch_size": 16},
+}
+
+
+@pytest.fixture(scope="module")
+def method_payloads():
+    """method id -> the payload of a model fit for one epoch."""
+    scene = small_scene()
+    payloads = {}
+    for method_id, overrides in PAYLOAD_METHODS.items():
+        method = with_overrides(method_defaults(method_id), epochs=1, **overrides)
+        model, stats, _ = pipeline.fit_method(
+            method, scene.train, scene.uncertainty, scene.prior, seed=1
+        )
+        payloads[method_id] = modelio.model_payload(method_id, model, stats)
+    return payloads
+
+
+def _poison(value, where=0, bad=np.nan):
+    out = np.array(value, dtype=float)
+    out.flat[where] = bad
+    return out
+
+
 @pytest.fixture(scope="module")
 def two_stage_payload():
     scene = small_scene()
@@ -202,6 +234,7 @@ class TestCorruptFiles:
             ("terrain.mean.grid_cellsize", -1.0, r"terrain\.mean\.grid_.*cellsize"),
             ("noise.train_x", lambda x: np.hstack([x, x[:, :1]]), "noise.train_x"),
             ("terrain.train_x", lambda x: x[:, 0], "terrain.train_x"),
+            ("terrain.train_x", lambda x: x[:0], "terrain.train_x' must have 2 columns and a row"),
             ("terrain.mean.grid_values", np.ravel, "terrain.mean.grid_values"),
             ("terrain.train_y", lambda y: y[:-1], "terrain.train_y"),
         ],
@@ -224,17 +257,89 @@ class TestCorruptFiles:
         [
             ("inducing", lambda z: np.hstack([z, z[:, :1]])),
             ("stats.y_std", lambda _: 0.0),
+            ("whitened_mean", lambda v: v[:-1]),
+            ("whitened_chol", np.ravel),
+            ("whitened_chol", lambda c: _poison(c, where=0)),
+            ("whitened_chol", lambda c: c[:, :-1]),
+            ("whitened_chol", np.zeros_like),
+            ("whitened_chol", lambda c: c + np.triu(np.ones_like(c), 1)),
+            ("whitened_chol", lambda c: c - 2.0 * np.diag(np.diag(c))),
         ],
     )
-    def test_variational_sections_are_checked(self, key, corrupt):
-        # a bad scale or inducing set used to load and predict nonsense
-        scene = small_scene()
-        data = grid_to_dataset(scene.train)
-        method = with_overrides(
-            method_defaults("torroba"), epochs=1, num_inducing=8, batch_size=16
-        )
-        state = svgp.fit_svgp(data, method, seed=1)
-        payload = modelio.model_payload("torroba", state, data.stats)
+    def test_variational_sections_are_checked(self, method_payloads, key, corrupt):
+        # a bad scale, inducing set or q(u) used to load and predict nonsense
+        # or fail with a raw error
+        payload = dict(method_payloads["torroba"])
         payload[key] = corrupt(payload[key])
         with pytest.raises(DataFormatError, match=key):
             modelio.model_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "method_id, key, corrupt",
+        [
+            ("hayner", "mean.constant", lambda _: np.nan),
+            ("hayner", "stats.y_mean", lambda _: np.nan),
+            ("hayner", "stats.x_mean", _poison),
+            ("hayner", "train_y", _poison),
+            ("hayner", "noise_var", lambda v: _poison(v, bad=np.inf)),
+            ("torroba", "log_noise_var", lambda _: np.nan),
+            ("torroba", "kernel.log_lengthscale", lambda _: -np.inf),
+            ("ours-exact", "terrain.mean.grid_values", _poison),
+            ("ours-variational", "noise.train_x", lambda x: _poison(x, where=3)),
+        ],
+    )
+    def test_non_finite_sections_are_format_errors(
+        self, method_payloads, method_id, key, corrupt
+    ):
+        payload = dict(method_payloads[method_id])
+        payload[key] = corrupt(payload[key])
+        with pytest.raises(DataFormatError, match=f"{key}' must be finite"):
+            modelio.model_from_payload(payload)
+
+    def test_unwhitened_svgp_sections_are_rejected(self, method_payloads):
+        # SVGP files once held q(u) unwhitened, under other names; such a
+        # file must fail, never load with the whitened meaning
+        payload = dict(method_payloads["torroba"])
+        payload["variational_mean"] = payload.pop("whitened_mean")
+        payload["variational_chol"] = payload.pop("whitened_chol")
+        with pytest.raises(DataFormatError, match="whitened_mean"):
+            modelio.model_from_payload(payload)
+
+
+# a section edit: drop a row or a column, ravel, add an axis, or poison one entry
+SECTION_EDITS = ("drop_row", "drop_column", "ravel", "add_axis", "poison")
+POISONS = (np.nan, np.inf, 0.0, -1.0)
+
+
+def _numeric(value) -> bool:
+    return isinstance(value, (int, float, np.ndarray)) and not isinstance(value, bool)
+
+
+def _edit(value, edit: str, where: int, bad: float):
+    if edit == "poison":
+        return float(bad) if np.ndim(value) == 0 else _poison(value, where % value.size, bad)
+    if edit == "ravel":
+        return np.ravel(value)
+    if edit == "add_axis":
+        return np.asarray(value)[None]
+    arr = np.atleast_1d(value)
+    axis = 1 if edit == "drop_column" and arr.ndim > 1 else 0
+    return np.delete(arr, where % arr.shape[axis], axis=axis)
+
+
+class TestPayloadFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_edited_section_raises_only_toolkit_errors(self, method_payloads, data):
+        method_id = data.draw(st.sampled_from(sorted(method_payloads)))
+        payload = dict(method_payloads[method_id])
+        key = data.draw(st.sampled_from(sorted(k for k, v in payload.items() if _numeric(v))))
+        edit = data.draw(st.sampled_from(SECTION_EDITS))
+        where = data.draw(st.integers(0, 10**6))
+        payload[key] = _edit(payload[key], edit, where, data.draw(st.sampled_from(POISONS)))
+        points = small_scene().truth.cell_centers()[::9]
+        try:
+            _, model, stats = modelio.model_from_payload(payload)
+            two_stage.predict_points(model, stats, points)
+        except TerraGpError:
+            pass

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from terragp import exact_gp, kernels, svgp
 from terragp.datasets import from_arrays
@@ -35,29 +36,52 @@ def random_state(rng, m=5, family=kernels.RATIONAL_QUADRATIC, homosc=True, mean_
     )
 
 
+def unwhitened(state):
+    """(mean offset, factor of S) of the state's q(u) = N(m(Z) + Lz mw,
+    Lz Lw Lw^T Lz^T), with Lz from numpy's own Cholesky of Kzz."""
+    Lz = np.linalg.cholesky(kernels.gram(state.kernel, state.Z, state.Z))
+    return Lz @ state.mvec, Lz @ state.L
+
+
+def from_unwhitened(Z, mvec, L, kernel, mean_fn, log_noise_var=None):
+    """The state whose q(u) is N(m(Z) + mvec, L L^T), for a lower-triangular
+    L with a positive diagonal."""
+    Lz = np.linalg.cholesky(kernels.gram(kernel, Z, Z))
+    return svgp.SvgpState(
+        Z=Z,
+        mvec=solve_triangular(Lz, mvec, lower=True),
+        L=np.tril(solve_triangular(Lz, L, lower=True)),
+        kernel=kernel,
+        mean_fn=mean_fn,
+        log_noise_var=log_noise_var,
+    )
+
+
 def dense_unwhitened_qf(state, X):
     """q(f) mean and unclamped variance from the unwhitened forms, with
     A = Kxz Kzz^-1 by a dense solve and S = L L^T."""
+    mvec, L = unwhitened(state)
     Kzz = kernels.gram(state.kernel, state.Z, state.Z)
     Kxz = kernels.gram(state.kernel, X, state.Z)
     A = np.linalg.solve(Kzz, Kxz.T).T
-    S = state.L @ state.L.T
+    S = L @ L.T
     var = (
         kernels.gram_diag(state.kernel, X)
         - np.einsum("ij,ij->i", A, Kxz)
         + np.einsum("ij,ij->i", A @ S, A)
     )
-    return state.mean_fn(X) + A @ state.mvec, var
+    return state.mean_fn(X) + A @ mvec, var
 
 
 def dense_unwhitened_kl(state):
     """KL[N(mvec, S) || N(0, Kzz)] with dense solves and slogdet."""
+    mvec, L = unwhitened(state)
     Kzz = kernels.gram(state.kernel, state.Z, state.Z)
-    S = state.L @ state.L.T
+    S = L @ L.T
     m = state.num_inducing
     return 0.5 * (
         np.trace(np.linalg.solve(Kzz, S))
-        + state.mvec @ np.linalg.solve(Kzz, state.mvec)
+        + mvec @ np.linalg.solve(Kzz, mvec)
         - m
         + np.linalg.slogdet(Kzz)[1]
         - np.linalg.slogdet(S)[1]
@@ -100,10 +124,7 @@ class TestPredictive:
         mean_fn = ConstantMean(0.7, False)
         Z = X[:5]
         Lz, _ = chol_with_jitter(kernels.gram(kernel, Z, Z))
-        state = svgp.SvgpState(
-            Z=Z, mvec=np.zeros(5), L=Lz, kernel=kernel, mean_fn=mean_fn,
-            log_noise_var=None,
-        )
+        state = from_unwhitened(Z, np.zeros(5), Lz, kernel, mean_fn)
         Xs = rng.normal(size=(6, 2))
         mean, var = svgp.predictive_qf(state, Xs)
         np.testing.assert_allclose(mean, mean_fn(Xs), atol=1e-9)
@@ -116,14 +137,7 @@ class TestPredictive:
         Y = rng.normal(size=n)
         kernel = kernels.KernelConfig(kernels.RBF, log_lengthscale=0.4)
         mean_fn = ConstantMean(0.1, False)
-        state = svgp.SvgpState(
-            Z=X.copy(),
-            mvec=Y - mean_fn(X),
-            L=1e-8 * np.eye(n),
-            kernel=kernel,
-            mean_fn=mean_fn,
-            log_noise_var=None,
-        )
+        state = from_unwhitened(X.copy(), Y - mean_fn(X), 1e-8 * np.eye(n), kernel, mean_fn)
         mean, _ = svgp.predictive_qf(state, X)
         np.testing.assert_allclose(mean, Y, atol=1e-6)
 
@@ -156,17 +170,15 @@ class TestPredictive:
         Z = svgp.init_inducing(X, 10, seed=0)
         Kzz = kernels.gram(kernel, Z, Z)
         Lz, _ = chol_with_jitter(Kzz)
-        state = svgp.SvgpState(
-            Z=Z, mvec=np.zeros(10), L=0.1 * Lz, kernel=kernel, mean_fn=ZeroMean(),
-            log_noise_var=None,
-        )
+        state = from_unwhitened(Z, np.zeros(10), 0.1 * Lz, kernel, ZeroMean())
+        _, L = unwhitened(state)
         Xs = np.vstack([X, Z])
         Ksz = kernels.gram(kernel, Xs, state.Z)
         A = np.linalg.solve(Kzz + 1e-12 * np.eye(10), Ksz.T).T
         raw = (
             kernels.gram_diag(kernel, Xs)
             - np.einsum("ij,ij->i", A, Ksz)
-            + np.einsum("ij,ij->i", A @ (state.L @ state.L.T), A)
+            + np.einsum("ij,ij->i", A @ (L @ L.T), A)
         )
         assert raw.min() > -1e-8
 
@@ -203,10 +215,7 @@ class TestKlTerm:
         X = rng.normal(size=(6, 2))
         kernel = kernels.KernelConfig(kernels.RBF)
         Lz, _ = chol_with_jitter(kernels.gram(kernel, X, X))
-        state = svgp.SvgpState(
-            Z=X, mvec=np.zeros(6), L=Lz, kernel=kernel,
-            mean_fn=ZeroMean(), log_noise_var=None,
-        )
+        state = from_unwhitened(X, np.zeros(6), Lz, kernel, ZeroMean())
         assert svgp.kl_term(state) == pytest.approx(0.0, abs=1e-9)
 
     def test_mean_shift_quadratic_form(self, rng):
@@ -215,10 +224,7 @@ class TestKlTerm:
         Kzz = kernels.gram(kernel, X, X)
         Lz, _ = chol_with_jitter(Kzz)
         delta = rng.normal(size=5) * 0.4
-        state = svgp.SvgpState(
-            Z=X, mvec=delta, L=Lz, kernel=kernel,
-            mean_fn=ZeroMean(), log_noise_var=None,
-        )
+        state = from_unwhitened(X, delta, Lz, kernel, ZeroMean())
         expected = 0.5 * delta @ np.linalg.solve(Kzz, delta)
         assert svgp.kl_term(state) == pytest.approx(expected, abs=1e-9)
 
@@ -231,24 +237,25 @@ class TestKlTerm:
         state = random_state(rng, m=6)
         base = svgp.kl_term(state)
         perm = rng.permutation(6)
-        S = (state.L @ state.L.T)[np.ix_(perm, perm)]
+        mvec, L = unwhitened(state)
+        S = (L @ L.T)[np.ix_(perm, perm)]
         L2, _ = chol_with_jitter(S)
-        state2 = svgp.SvgpState(
-            Z=state.Z[perm], mvec=state.mvec[perm], L=L2,
-            kernel=state.kernel, mean_fn=state.mean_fn, log_noise_var=None,
-        )
+        state2 = from_unwhitened(state.Z[perm], mvec[perm], L2, state.kernel, state.mean_fn)
         assert svgp.kl_term(state2) == pytest.approx(base, abs=1e-9)
 
 
-# the public unwhitened ELBO and the whitened one the trainer follows; both
-# take a state and return gradient blocks named and laid out as the state's
-# own, which `pack_gradients` flattens in `pack_state` order
+# the ELBO the trainer follows; it takes a state and returns gradient
+# blocks named and laid out as the state's own, which `pack_gradients`
+# flattens in `pack_state` order
 ELBO_ENTRY_POINTS = pytest.mark.parametrize(
-    "elbo_fn", [svgp.elbo_minibatch, svgp._elbo_whitened], ids=lambda f: f.__name__
+    "elbo_fn", [svgp.elbo_minibatch], ids=lambda f: f.__name__
 )
 
 
 class TestElbo:
+    def test_public_name_is_the_training_step(self):
+        assert svgp.elbo_minibatch is svgp._elbo_whitened
+
     def test_full_batch_scale_factor_one(self, rng):
         state = random_state(rng, m=4)
         n = 11
@@ -291,18 +298,6 @@ class TestElbo:
                 pm[i] -= h
                 numeric = (f(pp) - f(pm)) / (2 * h)
                 assert abs(gvec[i] - numeric) / max(1.0, abs(numeric)) < 1e-4
-
-    def test_whitened_path_matches_unwhitened(self, rng):
-        for _ in range(5):
-            m, b = 6, 10
-            wstate = random_state(rng, m=m)
-            ustate = svgp.whitened_to_state(wstate)
-            Xb = rng.normal(size=(b, 2))
-            yb = rng.normal(size=b)
-            v = np.exp(wstate.log_noise_var)
-            e1, _ = svgp._elbo_whitened(wstate, Xb, yb, 30, v)
-            e2, _ = svgp.elbo_minibatch(ustate, Xb, yb, 30, v)
-            assert e1 == pytest.approx(e2, abs=1e-9)
 
     def test_elbo_bounded_by_exact_lml(self, rng):
         violations = 0
