@@ -136,7 +136,8 @@ def _chunks(model: ExactGpModel, Xstar: np.ndarray):
     """(slice, K(X, chunk), posterior mean m + K*^T a) per query chunk."""
     for start in range(0, Xstar.shape[0], _PREDICT_CHUNK):
         sl = slice(start, min(start + _PREDICT_CHUNK, Xstar.shape[0]))
-        Ks = kernels.gram(model.kernel, model.X, Xstar[sl])  # n x chunk
+        # K(chunk, X)^T is K(X, chunk), Fortran-ordered, so solves read it in place
+        Ks = kernels.gram(model.kernel, Xstar[sl], model.X).T
         yield sl, Ks, model.mean_fn(Xstar[sl]) + Ks.T @ model.alpha
 
 
@@ -159,7 +160,7 @@ def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
     var = np.empty(q)
     for sl, Ks, mean_sl in _chunks(model, Xstar):
         mean[sl] = mean_sl
-        V = tri_solve(model.chol, Ks)
+        V = tri_solve(model.chol, Ks, overwrite_b=True)  # Ks is not read again
         V *= V
         var[sl] = kernels.gram_diag(model.kernel, Xstar[sl]) - np.sum(V, axis=0)
     return mean, np.maximum(var, 0.0)

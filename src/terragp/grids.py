@@ -125,8 +125,11 @@ def read_asc(path) -> DemGrid:
     The header is the run of leading lines that do not start with a
     number; the cell values follow it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
 
     header: dict[str, float] = {}
     body = len(lines)

@@ -174,8 +174,9 @@ def gram_diag(cfg: KernelConfig, a) -> np.ndarray:
     return np.full(a.shape[0], cfg.outputscale)
 
 
-def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray) -> tuple[np.ndarray, dict]:
-    """K and dK/dtheta, as `gram` and `gram_gradients`, from one `_profile` pass.
+def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray, with_dr2: bool = False):
+    """K and dK/dtheta, as `gram` and `gram_gradients`, from one `_profile` pass;
+    with `with_dr2` also dK/d(r2) as `gram_dr2`, as a third item.
 
     Every family depends on r2 only through r2 / ell^2, so by the chain
     rule dK/dlog(ell) = -2 r2 dK/d(r2); dK/dlog(s2) = K, the same array.
@@ -183,6 +184,7 @@ def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray) -> tuple[np.ndarray, d
     s2 = cfg.outputscale
     K, slope = _profile(cfg, r2, with_slope=True)
     K *= s2
+    dr2 = slope * s2 if with_dr2 else None
     slope *= -2.0 * s2
     slope *= r2
     grads = {LOG_LENGTHSCALE: slope, LOG_OUTPUTSCALE: K}
@@ -192,7 +194,7 @@ def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray) -> tuple[np.ndarray, d
         dalpha -= np.log1p(u)
         dalpha *= K * cfg.alpha
         grads[LOG_ALPHA] = dalpha
-    return K, grads
+    return (K, grads, dr2) if with_dr2 else (K, grads)
 
 
 def gram_gradients(cfg: KernelConfig, a, b) -> dict[str, np.ndarray]:

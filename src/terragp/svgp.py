@@ -13,8 +13,11 @@ per-point variances, which keeps the expected log-likelihood in closed
 form; no sampling anywhere.
 
 All ELBO gradients are analytic and come from one reverse-mode pass,
-`elbo_minibatch`, the trainer's own step.  Kernel-matrix adjoints reach
-the hyperparameters and inducing locations via dK/d(r^2).
+`elbo_minibatch`, the trainer's own step.  It evaluates Kzz and Kxz
+once each, with every dK/dtheta and dK/d(r^2), through which the
+kernel-matrix adjoints reach the hyperparameters and inducing
+locations; the adjoint of Kzz comes from a blocked reverse of its
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from scipy.linalg import solve_triangular
 from . import kernels
 from .datasets import Dataset
 from .errors import InvalidConfigError, InvalidInputError
-from .linalg import chol_solve, chol_with_jitter, tri_solve
+from .linalg import chol_with_jitter, tri_inverse, tri_matmul, tri_solve
 from .means import default_mean
 from .methods import (
     LOG_NOISE_VARIANCE, MethodConfig, check_noise, init_kernel, noise_plan,
@@ -92,12 +95,13 @@ def expected_loglik(qf_mean, qf_var, y, noise_var):
     ) / (2.0 * noise_var)
 
 
-def _kzz_factor(kernel: kernels.KernelConfig, Z: np.ndarray) -> np.ndarray:
+def _kzz_factor(Kzz: np.ndarray) -> np.ndarray:
     """Lz = chol(Kzz), the one factor of the inducing prior covariance.
 
-    `kernels.gram` and `chol_with_jitter` are looked up at call time, so
-    a tracer that rebinds them sees every call."""
-    Lz, _ = chol_with_jitter(kernels.gram(kernel, Z, Z))
+    Kzz is symmetric; its transpose spares LAPACK a C-to-Fortran copy.
+    `chol_with_jitter` is looked up at call time, so a tracer that
+    rebinds it sees every call."""
+    Lz, _ = chol_with_jitter(Kzz.T)
     return Lz
 
 
@@ -111,15 +115,15 @@ def _kzz_factor(kernel: kernels.KernelConfig, Z: np.ndarray) -> np.ndarray:
 # rounding error by cond(Lz), so nothing does.
 
 
-def _project(kernel: kernels.KernelConfig, Lz: np.ndarray, X: np.ndarray, Z: np.ndarray):
-    """B = K(X, Z) Lz^-T, the cross-covariance in whitened coordinates."""
-    return tri_solve(Lz, kernels.gram(kernel, X, Z).T).T
+def _project(Lz: np.ndarray, Kxz: np.ndarray) -> np.ndarray:
+    """B = Kxz Lz^-T, the cross-covariance in whitened coordinates."""
+    return tri_solve(Lz, Kxz.T).T
 
 
 def _marginals(B: np.ndarray, mw: np.ndarray, Lw: np.ndarray, kxx: np.ndarray):
     """q(f) at the rows of B: the mean offset B mw from the prior mean,
     the variance kxx - |B_i|^2 + |(B Lw)_i|^2, and B Lw."""
-    BL = B @ Lw
+    BL = tri_matmul(B, Lw)
     var = kxx - np.einsum("ij,ij->i", B, B) + np.einsum("ij,ij->i", BL, BL)
     return B @ mw, var, BL
 
@@ -139,13 +143,13 @@ def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
     """Marginal q(f*) at query points: the sparse-GP mean m(x*) + B mw and
     variance k** - |B_i|^2 + |(B Lw)_i|^2 with B = K*z Lz^-T, clamped at zero."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    Lz = _kzz_factor(state.kernel, state.Z)
+    Lz = _kzz_factor(kernels.gram(state.kernel, state.Z, state.Z))
     q = Xstar.shape[0]
     mean = np.empty(q)
     var = np.empty(q)
     for start in range(0, q, _PREDICT_CHUNK):
         sl = slice(start, min(start + _PREDICT_CHUNK, q))
-        B = _project(state.kernel, Lz, Xstar[sl], state.Z)
+        B = _project(Lz, kernels.gram(state.kernel, Xstar[sl], state.Z))
         kxx = kernels.gram_diag(state.kernel, Xstar[sl])
         offset, var[sl], _ = _marginals(B, state.mvec, state.L, kxx)
         mean[sl] = state.mean_fn(Xstar[sl]) + offset
@@ -175,13 +179,50 @@ def _phi_half_diag(mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chol_block_backward(D: np.ndarray, D_bar: np.ndarray) -> np.ndarray:
+    """Lower-triangle adjoint of A with respect to D = chol(A), for one
+    diagonal block: Phi(T + T^T) with T = D^-T Phi(D^T tril(D_bar)) D^-1."""
+    P = _phi_half_diag(D.T @ np.tril(D_bar))
+    # T = D^-T P D^-1 via two triangular solves
+    U_t = solve_triangular(D, P.T, lower=True, trans="T", check_finite=False)  # U^T, U = P D^-1
+    T = solve_triangular(D, U_t.T, lower=True, trans="T", check_finite=False)
+    return _phi_half_diag(T + T.T)
+
+
+# Columns per block of the Cholesky reverse; on a 1-thread OpenBLAS at
+# m = 1024, 64 and 256 were both slower than 128.
+_CHOL_BLOCK = 128
+
+
 def _chol_backward(Lz: np.ndarray, Lz_bar: np.ndarray) -> np.ndarray:
-    """Adjoint of Kzz with respect to Lz = chol(Kzz)."""
-    P = _phi_half_diag(Lz.T @ np.tril(Lz_bar))
-    # T = Lz^-T P Lz^-1 via two triangular solves
-    U_t = solve_triangular(Lz, P.T, lower=True, trans="T")  # U^T, U = P Lz^-1
-    T = solve_triangular(Lz, U_t.T, lower=True, trans="T")
-    return 0.5 * (T + T.T)
+    """Adjoint of Kzz with respect to Lz = chol(Kzz), symmetric.
+
+    The blocked level-3 reverse of Murray 2016, "Differentiation of the
+    Cholesky decomposition" (arXiv:1602.07527): it undoes a left-looking
+    blocked factorization one diagonal block at a time, last block first,
+    carrying the adjoint of Kzz's lower triangle in place of L_bar.  For
+    the block rows j:k, with R = L[j:k, :j], D = L[j:k, j:k],
+    B = L[k:, :j] and C = L[k:, j:k] (C = (A_C - B R^T) D^-T and
+    D = chol(A_D - R R^T) in the forward pass):
+
+        C_bar <- C_bar D^-1,  B_bar -= C_bar R,  D_bar -= tril(C_bar^T C),
+        R_bar -= C_bar^T B,  D_bar <- block reverse,  R_bar -= (D_bar + D_bar^T) R.
+    """
+    m = Lz.shape[0]
+    A = np.tril(Lz_bar)
+    for k in range(m, 0, -_CHOL_BLOCK):
+        j = max(0, k - _CHOL_BLOCK)
+        R, D, B, C = Lz[j:k, :j], Lz[j:k, j:k], Lz[k:, :j], Lz[k:, j:k]
+        C_bar = solve_triangular(D, A[k:, j:k].T, lower=True, trans="T", check_finite=False).T
+        A[k:, j:k] = C_bar
+        A[k:, :j] -= C_bar @ R
+        A[j:k, j:k] -= np.tril(C_bar.T @ C)
+        A[j:k, :j] -= C_bar.T @ B
+        D_bar = _chol_block_backward(D, A[j:k, j:k])
+        A[j:k, j:k] = D_bar
+        A[j:k, :j] -= (D_bar + D_bar.T) @ R
+    # the lower triangle holds dF/dA_ij for i >= j; spread it symmetrically
+    return 0.5 * (A + A.T)
 
 
 def _elbo_whitened(
@@ -198,7 +239,6 @@ def _elbo_whitened(
     the batch (fixed spatial noise).
     """
     Z, mw, Lw, kernel = state.Z, state.mvec, state.L, state.kernel
-    Lz = _kzz_factor(kernel, Z)
     Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
     yb = np.asarray(yb, dtype=float)
     b = Xb.shape[0]
@@ -209,7 +249,11 @@ def _elbo_whitened(
         v = np.full(b, float(v))
     w = n_total / b
 
-    B = _project(kernel, Lz, Xb, Z)
+    # K, every dK/dtheta and dK/d(r2) of each point pair from one kernel pass
+    Kzz, dKzz, Gz = kernels.gram_and_gradients(kernel, kernels.sq_dists(Z, Z), with_dr2=True)
+    Kxz, dKxz, Gx = kernels.gram_and_gradients(kernel, kernels.sq_dists(Xb, Z), with_dr2=True)
+    Lz = _kzz_factor(Kzz)
+    B = _project(Lz, Kxz)
     kxx = kernels.gram_diag(kernel, Xb)
     offset, s2, BL = _marginals(B, mw, Lw, kxx)
     mu = state.mean_fn(Xb) + offset
@@ -222,30 +266,27 @@ def _elbo_whitened(
     B_bar = (
         np.outer(ebar, mw)
         - 2.0 * ubar[:, None] * B
-        + 2.0 * ubar[:, None] * (BL @ Lw.T)
+        + 2.0 * ubar[:, None] * tri_matmul(BL, Lw, trans=True)
     )
     # B = Kxz Lz^-T:  Kxz_bar = B_bar Lz^-1,  Lz_bar = -Kxz_bar^T B
-    Kxz_bar = solve_triangular(Lz, B_bar.T, lower=True, trans="T").T
+    Kxz_bar = solve_triangular(Lz, B_bar.T, lower=True, trans="T", check_finite=False).T
     Kzz_bar = _chol_backward(Lz, -(Kxz_bar.T @ B))
     mw_bar = B.T @ ebar - mw
     Lw_bar = _log_diag(np.tril(2.0 * (B.T @ (ubar[:, None] * BL)) - Lw), Lw)
 
     # Kzz_bar and Kxz_bar into the kernel hyperparameters ...
     kern_grads: dict[str, float] = {}
-    dKzz = kernels.gram_gradients(kernel, Z, Z)
-    dKxz = kernels.gram_gradients(kernel, Xb, Z)
     for name in kernels.param_names(kernel):
-        g = float(np.sum(Kzz_bar * dKzz[name])) + float(np.sum(Kxz_bar * dKxz[name]))
+        g = float(np.vdot(Kzz_bar, dKzz[name])) + float(np.vdot(Kxz_bar, dKxz[name]))
         if name == kernels.LOG_OUTPUTSCALE:
             g += float(np.sum(ubar * kxx))
         kern_grads[name] = g
 
     # ... and the inducing locations
-    Gz = kernels.gram_dr2(kernel, Z, Z)
-    Wz = (Kzz_bar + Kzz_bar.T) * Gz
+    # Kzz_bar is symmetric, so its weight Kzz_bar + Kzz_bar^T is 2 Kzz_bar
+    Wz = Kzz_bar * Gz
     np.fill_diagonal(Wz, 0.0)
-    Z_bar = 2.0 * (Wz.sum(axis=1)[:, None] * Z - Wz @ Z)
-    Gx = kernels.gram_dr2(kernel, Xb, Z)
+    Z_bar = 4.0 * (Wz.sum(axis=1)[:, None] * Z - Wz @ Z)
     Wx = Kxz_bar * Gx
     Z_bar += 2.0 * (Wx.sum(axis=0)[:, None] * Z - Wx.T @ Xb)
 
@@ -276,14 +317,16 @@ def _optimal_whitened_q(
     prior's small eigendirections and bounded per-coordinate steps take
     thousands of iterations to reach it.
     """
-    B = _project(kernel, _kzz_factor(kernel, Z), X, Z)
+    B = _project(_kzz_factor(kernels.gram(kernel, Z, Z)), kernels.gram(kernel, X, Z))
     v = check_noise(noise_var, X.shape[0], variational=True)
     M = np.eye(Z.shape[0]) + B.T @ (B / v[:, None])
-    Lm, _ = chol_with_jitter(M)
+    # With J the index reversal and U = chol(J M J), M = R R^T for the
+    # upper-triangular R = J U J, so S_w = M^-1 = Lw Lw^T with the lower
+    # factor Lw = R^-T = J U^-T J: one Cholesky and one triangular inverse.
+    U, _ = chol_with_jitter(M[::-1, ::-1])
+    Lw = np.ascontiguousarray(tri_inverse(U)[::-1, ::-1].T)
     resid = np.asarray(Y, dtype=float) - mean_fn(X)
-    mw = chol_solve(Lm, B.T @ (resid / v))
-    S_w = chol_solve(Lm, np.eye(Z.shape[0]))
-    Lw, _ = chol_with_jitter(S_w)
+    mw = Lw @ (Lw.T @ (B.T @ (resid / v)))
     return mw, Lw
 
 

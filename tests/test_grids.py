@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from terragp.errors import DataFormatError, InvalidConfigError, InvalidInputError
+from terragp.errors import DataFormatError, InvalidConfigError, InvalidInputError, TerraGpError
 from terragp.grids import (
     DEFAULT_NODATA,
     DemGrid,
@@ -127,6 +129,77 @@ class TestAscIO:
         )
         g = read_asc(path)
         assert g.cellsize == 4.0 and g.values[0, 0] == 9.0
+
+
+# .asc text from a valid header edited a few times (a line set, inserted
+# or dropped) and rows of cell tokens: keys in either case, unknown and
+# ESRI-style keys, malformed lines, and numbers, non-finite spellings and
+# junk as values and tokens
+_KEYS = st.sampled_from([
+    "NCOLS", "nrows", "XLLCORNER", "yllcorner", "XLLCENTER", "yllcenter", "CELLSIZE",
+    "NODATA_value", "BYTEORDER", "ncol", "",
+])
+_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "1e20", "1e400", "-1e400", "nan", "inf",
+                     "-Infinity", "-9999", "1_0", "0x10", "abc", "1,5", "\u00bd", "\x00"]),
+    st.integers(-3, 6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_VALID_HEADER = ["NCOLS 3", "NROWS 2", "XLLCORNER 0", "YLLCORNER 0", "CELLSIZE 1.5"]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_CELLS = st.one_of(
+    st.lists(_FINITE, min_size=6, max_size=6),  # what the unedited header asks for
+    st.lists(_FINITE, max_size=12),
+    st.lists(_TOKENS, max_size=12),
+)
+
+
+@st.composite
+def _headers(draw):
+    lines = list(_VALID_HEADER)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        line = " ".join([draw(_KEYS), *draw(st.lists(_TOKENS, min_size=1, max_size=2))])
+        edit = draw(st.sampled_from(["set", "insert", "drop"]))
+        if edit == "insert" or at == len(lines):
+            lines.insert(at, line)
+        elif edit == "set":
+            lines[at] = line
+        else:
+            del lines[at]
+    return lines
+
+
+@pytest.fixture(scope="class")
+def asc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("asc") / "g.asc"
+
+
+class TestAscFuzz:
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(
+        header=_headers(),
+        cells=_CELLS,
+        width=st.integers(1, 6),
+    )
+    def test_any_text_reads_or_is_a_data_error(self, asc_path, header, cells, width):
+        rows = [" ".join(cells[i:i + width]) for i in range(0, len(cells), width)]
+        asc_path.write_text("\n".join(header + rows) + "\n", encoding="utf-8")
+        try:
+            dem = read_asc(asc_path)
+        except TerraGpError as exc:
+            assert exc.exit_code == 3, exc
+            return
+        assert dem.values.shape == (dem.nrows, dem.ncols)
+        assert np.all(np.isfinite(dem.values))
+        assert len(cells) == dem.ncols * dem.nrows
+
+    @pytest.mark.parametrize("raw", [b"NCOLS 1\xff\n", b"\xfe\xff\x00N", b"NCOLS 1\nNROWS 1\n\x80"])
+    def test_undecodable_bytes_are_data_errors(self, tmp_path, raw):
+        path = tmp_path / "g.asc"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError):
+            read_asc(path)
 
 
 class TestGeometry:

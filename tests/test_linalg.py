@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from terragp.errors import IllConditionedKernelError
-from terragp.linalg import chol_inverse, chol_solve, chol_with_jitter, tri_solve
+from terragp.linalg import (
+    chol_inverse, chol_solve, chol_with_jitter, tri_inverse, tri_matmul, tri_solve,
+)
 
 
 class TestCholWithJitter:
@@ -53,3 +55,35 @@ class TestCholInverse:
         L = np.asfortranarray([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(IllConditionedKernelError, match="inverting"):
             chol_inverse(L)
+
+
+def lower_factor(rng, m):
+    return np.tril(rng.normal(size=(m, m)) * 0.3, -1) + np.diag(1.0 + rng.random(m))
+
+
+class TestTriangularHelpers:
+    def test_fortran_ordered_right_side_solved_in_place(self, rng):
+        L = lower_factor(rng, 6)
+        b = np.asfortranarray(rng.normal(size=(6, 4)))
+        want = tri_solve(L, b)
+        x = tri_solve(L, b, overwrite_b=True)
+        assert np.shares_memory(x, b)
+        np.testing.assert_array_equal(x, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_inverse(self, rng, m):
+        L = lower_factor(rng, m)
+        inv = tri_inverse(L)
+        assert np.all(np.triu(inv, 1) == 0.0)
+        np.testing.assert_allclose(inv @ L, np.eye(m), atol=1e-13)
+
+    def test_singular_triangle_rejected(self):
+        with pytest.raises(IllConditionedKernelError, match="inverting"):
+            tri_inverse(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_matmul_matches_dense_product(self, rng, trans):
+        L = lower_factor(rng, 7)
+        M = rng.normal(size=(5, 7))
+        want = M @ (L.T if trans else L)
+        np.testing.assert_allclose(tri_matmul(M, L, trans=trans), want, rtol=1e-13, atol=1e-14)

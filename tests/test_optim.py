@@ -117,10 +117,10 @@ def _poison_log_alpha(monkeypatch):
     kernel gradients from the fused pass."""
     original = kernels.gram_and_gradients
 
-    def poisoned(cfg, r2):
-        K, grads = original(cfg, r2)
+    def poisoned(cfg, r2, **kwargs):
+        K, grads, *dr2 = original(cfg, r2, **kwargs)
         grads[kernels.LOG_ALPHA] = np.full_like(grads[kernels.LOG_ALPHA], np.nan)
-        return K, grads
+        return (K, grads, *dr2)
 
     monkeypatch.setattr(kernels, "gram_and_gradients", poisoned)
 

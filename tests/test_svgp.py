@@ -341,6 +341,88 @@ class TestElbo:
             elbo_fn(state, np.zeros((0, 2)), np.zeros(0), 5, 0.1)
 
 
+def symbolic_chol_backward(L, L_bar):
+    """Adjoint of A with respect to L = chol(A) by the dense symbolic
+    formula sym(L^-T Phi(L^T tril(L_bar)) L^-1), Phi halving the diagonal
+    of the lower triangle, with two full triangular solves."""
+    P = np.tril(L.T @ np.tril(L_bar))
+    P[np.diag_indices_from(P)] *= 0.5
+    U_t = solve_triangular(L, P.T, lower=True, trans="T")
+    T = solve_triangular(L, U_t.T, lower=True, trans="T")
+    return 0.5 * (T + T.T)
+
+
+def max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestCholBackward:
+    # m straddles the block size (128) and covers more than two blocks
+    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
+    def test_blocked_reverse_matches_symbolic_formula(self, rng, m):
+        A = rng.normal(size=(m, m))
+        L = np.linalg.cholesky(A @ A.T / m + np.eye(m))  # well conditioned
+        L_bar = rng.normal(size=(m, m))
+        got = svgp._chol_backward(L, L_bar)
+        np.testing.assert_array_equal(got, got.T)
+        assert max_rel(got, symbolic_chol_backward(L, L_bar)) < 1e-12
+
+    def test_blocked_reverse_on_an_inducing_covariance(self, rng):
+        kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=np.log(0.5))
+        Z = rng.uniform(-4.0, 4.0, size=(300, 2))
+        Lz = np.linalg.cholesky(kernels.gram(kernel, Z, Z))
+        L_bar = rng.normal(size=(300, 300))
+        got = svgp._chol_backward(Lz, L_bar)
+        assert max_rel(got, symbolic_chol_backward(Lz, L_bar)) < 1e-12
+
+    def test_elbo_directional_derivative_across_blocks(self, rng):
+        # m = 140 spans two blocks of the reverse; one finite difference
+        # along a random direction of every parameter block
+        m, b = 140, 30
+        state = random_state(rng, m=m, family=kernels.RATIONAL_QUADRATIC)
+        state = replace(
+            state, Z=rng.uniform(-6.0, 6.0, size=(m, 2)),
+            kernel=replace(state.kernel, log_lengthscale=np.log(0.6)),
+        )
+        Xb = rng.uniform(-6.0, 6.0, size=(b, 2))
+        yb = rng.normal(size=b)
+        _, grads = svgp.elbo_minibatch(state, Xb, yb, 4 * b, np.exp(state.log_noise_var))
+        p0 = svgp.pack_state(state)
+        d = rng.normal(size=p0.size)
+        d /= np.linalg.norm(d)
+
+        def f(t):
+            moved = svgp.unpack_state(state, p0 + t * d)
+            return svgp.elbo_minibatch(moved, Xb, yb, 4 * b, np.exp(moved.log_noise_var))[0]
+
+        h = 1e-5
+        numeric = (f(h) - f(-h)) / (2 * h)
+        analytic = svgp.pack_gradients(state, grads) @ d
+        assert abs(analytic - numeric) / max(1.0, abs(numeric)) < 1e-4
+
+
+class TestInitialQ:
+    @pytest.mark.parametrize("per_point", [False, True], ids=["scalar", "per_point"])
+    def test_factor_inverts_the_optimal_precision(self, rng, per_point):
+        n, m = 60, 25
+        X = rng.uniform(-3.0, 3.0, size=(n, 2))
+        Y = rng.normal(size=n)
+        kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=np.log(0.7))
+        mean_fn = ConstantMean(0.2, False)
+        noise = np.exp(rng.normal(size=n) * 0.3 - 2.0) if per_point else 0.1
+        Z = X[:m].copy()
+        mw, Lw = svgp._optimal_whitened_q(Z, kernel, mean_fn, X, Y, noise)
+        assert np.all(np.triu(Lw, 1) == 0.0)
+        assert np.all(np.diag(Lw) > 0.0)
+        # dense (I + B^T V^-1 B)^-1 with B = Kxz Lz^-T
+        Lz = np.linalg.cholesky(kernels.gram(kernel, Z, Z))
+        B = np.linalg.solve(Lz, kernels.gram(kernel, X, Z).T).T
+        v = np.broadcast_to(noise, n)
+        S_w = np.linalg.inv(np.eye(m) + B.T @ (B / v[:, None]))
+        assert max_rel(Lw @ Lw.T, S_w) < 1e-12
+        assert max_rel(mw, S_w @ (B.T @ ((Y - mean_fn(X)) / v))) < 1e-10
+
+
 class TestFitSvgp:
     def test_table_configs(self):
         torroba = method_defaults("torroba")
