@@ -97,6 +97,22 @@ def from_arrays(X_m, Y_m, R_m2=None) -> Dataset:
     )
 
 
+def grid_axes(X) -> tuple[np.ndarray, np.ndarray] | None:
+    """(xs, ys) when the rows of X are the complete product of xs and ys
+    in the row-major order `grid_to_dataset` yields (x fastest), compared
+    exactly; None for any other point set.  Normalization is elementwise,
+    so it keeps a grid's equal coordinates equal."""
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != 2 or X.shape[0] == 0:
+        return None
+    nx = int(np.argmax(X[:, 1] != X[0, 1])) or X.shape[0]  # length of the first row
+    xs, ys = X[:nx, 0], X[::nx, 1]
+    xx, yy = np.meshgrid(xs, ys)
+    if np.array_equal(X[:, 0], xx.ravel()) and np.array_equal(X[:, 1], yy.ravel()):
+        return xs, ys
+    return None
+
+
 def grid_to_dataset(dem: DemGrid, var_grid: DemGrid | None = None) -> Dataset:
     """One sample per non-nodata cell, located at the cell center."""
     if var_grid is not None and dem.values.shape != var_grid.values.shape:

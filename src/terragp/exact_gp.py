@@ -5,7 +5,11 @@ the log marginal likelihood, its analytic gradients in log-parameter
 space, and the posterior predictive.  The gradients take their trace
 terms from one triangle of the inverse (LAPACK dpotri on the factor)
 and K with every dK/dtheta from one kernel pass, so a training epoch
-forms neither the full inverse nor a a^T.  The noise term is either a
+forms neither the full inverse nor a a^T.  One exception: an epoch with
+an RBF kernel, one constant noise and the points of a complete grid
+(hayner, and stage 1 on a raster) takes the LML and its gradients from
+the eigendecompositions of the two 1-D axis Grams, whose Kronecker
+product K is there (Saatci 2012, ch. 5).  The noise term is either a
 single learned variance (constant across space) or a fixed per-point
 variance vector supplied by a noise model; both flow through the same
 vector code path so the constant case is a strict special case of the
@@ -15,12 +19,12 @@ general one.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
-from .datasets import Dataset
+from .datasets import Dataset, grid_axes
 from .errors import TrainingDivergedError
 from .linalg import chol_inverse, chol_solve, chol_with_jitter, tri_solve
 from .means import default_mean
@@ -92,9 +96,16 @@ def lml_gradients(
     the sum over one triangle minus the diagonal's.  A learned noise
     variance s2 gets 0.5 s2 (a^T a - tr Ky^-1), the learned-constant mean
     sum(a).  K and every dK come from one kernel pass.
+
+    With an RBF kernel, one constant noise > 0 and X a complete grid
+    (`datasets.grid_axes`), `_grid_lml_gradients` gives the same values
+    without an n x n matrix, unless the noise is too small for it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     noise_vec = check_noise(noise_var, X.shape[0])
+    grid = _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned)
+    if grid is not None:
+        return grid
     K, dKs = kernels.gram_and_gradients(kernel, kernels.sq_dists(X, X))
     L, a, lml, _ = _factorize(K.copy(), X, Y, mean_fn, noise_vec)
 
@@ -109,6 +120,55 @@ def lml_gradients(
         grads[LOG_NOISE_VARIANCE] = 0.5 * float(noise_vec[0] * (a @ a - Kinv_diag.sum()))
     if getattr(mean_fn, "learnable", False):
         grads[MEAN_CONSTANT] = float(np.sum(a))
+    return lml, grads
+
+
+def _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
+    """`lml_gradients` for an RBF kernel, one constant noise s2n > 0 and a
+    complete grid X, else None.  There K = s2 Ky (x) Kx for the unit-scale
+    1-D Grams of the axes, so K + s2n I = Q (s2 ly (x) lx + s2n) Q^T with
+    Q = Qy (x) Qx from their eigendecompositions, and an n-vector reshaped
+    to ny x nx turns into that basis as Qy^T R Qx.  Below a smallest
+    eigenvalue of n eps times the largest it returns None and the dense
+    path, which owns the jitter policy, takes over; on RBF grids of 30 to
+    2304 points that path's Cholesky first needed jitter 300 times lower.
+    """
+    sigma2 = noise_vec[0]
+    if kernel.family != kernels.RBF or not sigma2 > 0.0 or np.any(noise_vec != sigma2):
+        return None
+    axes = grid_axes(X)
+    if axes is None:
+        return None
+    unit = replace(kernel, log_outputscale=0.0)
+    (Ky, dy), (Kx, dx) = (
+        kernels.gram_and_gradients(unit, kernels.sq_dists(v[:, None], v[:, None]))
+        for v in axes[::-1]  # ys index the rows of an ny x nx grid, xs its columns
+    )
+    (ly, Qy), (lx, Qx) = np.linalg.eigh(Ky), np.linalg.eigh(Kx)
+    s2 = kernel.outputscale
+    S = s2 * np.outer(ly, lx)  # eigenvalues of K, ny x nx
+    lam = S + sigma2
+    n = lam.size
+    if lam.min() <= n * np.finfo(float).eps * lam.max():
+        return None
+    Rt = Qy.T @ (np.asarray(Y, dtype=float) - mean_fn(X)).reshape(lam.shape) @ Qx
+    At = Rt / lam
+    A = Qy @ At @ Qx.T  # a = (K + s2n I)^-1 (Y - m(X)), ny x nx
+    lml = float(-0.5 * np.vdot(At, Rt) - 0.5 * np.log(lam).sum() - 0.5 * n * np.log(2.0 * np.pi))
+    # dK/dlog(ell) = s2 (dKy (x) Kx + Ky (x) dKx); tr((K + s2n I)^-1 dK) from
+    # the diagonals diag(Q^T dK1 Q) of the 1-D factors
+    dKy, dKx = dy[kernels.LOG_LENGTHSCALE], dx[kernels.LOG_LENGTHSCALE]
+    dly, dlx = (np.einsum("ij,ij->j", Q, dK @ Q) for Q, dK in ((Qy, dKy), (Qx, dKx)))
+    quad = np.vdot(A, dKy @ A @ Kx) + np.vdot(A, Ky @ A @ dKx)
+    trace = ((np.outer(dly, lx) + np.outer(ly, dlx)) / lam).sum()
+    grads = {
+        kernels.LOG_LENGTHSCALE: 0.5 * s2 * float(quad - trace),
+        kernels.LOG_OUTPUTSCALE: 0.5 * float(np.vdot(At * At, S) - (S / lam).sum()),
+    }
+    if noise_learned:
+        grads[LOG_NOISE_VARIANCE] = 0.5 * float(sigma2 * (np.vdot(A, A) - (1.0 / lam).sum()))
+    if getattr(mean_fn, "learnable", False):
+        grads[MEAN_CONSTANT] = float(np.sum(A))
     return lml, grads
 
 

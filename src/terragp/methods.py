@@ -9,6 +9,7 @@ values when built.  `noise_plan` is the noise rule both trainers follow.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +36,11 @@ def _noise_ok(var, variational: bool):
     return np.isfinite(var) & ((var > 0) if variational else (var >= 0))
 
 
+def _is(value, kind) -> bool:
+    """`value` is a `kind` of number; a bool is none."""
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     method_id: str
@@ -55,16 +61,20 @@ class MethodConfig:
                 raise InvalidConfigError(f"method {self.method_id!r}: {what}")
 
         lr = self.learning_rate
-        require(np.isfinite(lr) and lr > 0, f"learning rate must be finite and > 0, got {lr}")
-        require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
+        require(_is(lr, numbers.Real) and np.isfinite(lr) and lr > 0,
+                f"learning rate must be a finite number > 0, got {lr!r}")
+        require(_is(self.epochs, numbers.Integral) and self.epochs >= 0,
+                f"epochs must be an integer >= 0, got {self.epochs!r}")
         for name in ("batch_size", "num_inducing"):
             value = getattr(self, name)
-            require(value is None or value >= 1, f"{name} must be >= 1, got {value}")
+            require(value is None or _is(value, numbers.Integral) and value >= 1,
+                    f"{name} must be an integer >= 1, got {value!r}")
             require(value is not None or not self.variational, f"variational fit needs {name}")
         fixed = self.fixed_noise_var
         require(
-            fixed is None or _noise_ok(fixed, self.variational),
-            f"fixed noise variance must be finite, >= 0, and > 0 if variational; got {fixed}",
+            fixed is None or _is(fixed, numbers.Real) and _noise_ok(fixed, self.variational),
+            f"fixed noise variance must be a finite number >= 0, and > 0 if variational; "
+            f"got {fixed!r}",
         )
 
 

@@ -35,7 +35,10 @@ LOG_VAR_CLAMP = 20.0
 # n = 4096 (one BLAS thread, 2-core VM): 2.6 s CPU per LML epoch and a
 # 4.1 n^2-double (0.55 GB) allocation peak.  Projected to n = 10 000
 # (n^3 time, n^2 memory): about 38 s per epoch, 25 min for 40 epochs,
-# and 3.3 GB.
+# and 3.3 GB.  These epoch figures hold for scattered inputs.  On a
+# complete grid the epochs take the Kronecker branch of
+# `exact_gp.lml_gradients`, and the limit comes from `build_model`'s one
+# dense Cholesky and from prediction's n^2 memory.
 STAGE1_EXACT_MAX_N = 10_000
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from terragp.datasets import from_arrays, grid_to_dataset
+from terragp.datasets import from_arrays, grid_axes, grid_to_dataset
 from terragp.errors import EmptyDatasetError, InvalidInputError
 from terragp.grids import make_grid
 
@@ -73,3 +73,25 @@ class TestGridToDataset:
         ds = grid_to_dataset(g, v)
         assert ds.R.shape == (3,)
 
+
+
+class TestGridAxes:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 3)])
+    def test_complete_grid_yields_its_axes(self, rng, shape):
+        ds = grid_to_dataset(make_grid(rng.normal(size=shape), xllcorner=3.0, cellsize=0.5))
+        xs, ys = grid_axes(ds.X)
+        assert (ys.size, xs.size) == shape
+        xx, yy = np.meshgrid(xs, ys)
+        assert np.array_equal(ds.X, np.column_stack([xx.ravel(), yy.ravel()]))
+
+    def test_other_point_sets_are_not_grids(self, rng):
+        values = rng.normal(size=(4, 5))
+        X = grid_to_dataset(make_grid(values)).X
+        values[2, 3] = -9999.0
+        assert grid_axes(grid_to_dataset(make_grid(values)).X) is None  # a nodata cell
+        assert grid_axes(X[rng.permutation(X.shape[0])]) is None
+        assert grid_axes(X[::-1]) is not None  # reversed axes are still a product
+        moved = X.copy()
+        moved[7, 0] = np.nextafter(moved[7, 0], np.inf)
+        assert grid_axes(moved) is None
+        assert grid_axes(X[:, :1]) is None

@@ -5,12 +5,15 @@ import pytest
 from scipy.linalg import cho_solve
 
 from terragp import exact_gp, kernels
-from terragp.datasets import from_arrays
+from terragp.datasets import from_arrays, grid_to_dataset
 from terragp.errors import InvalidConfigError, InvalidInputError
+from terragp.grids import make_grid
 from terragp.linalg import chol_with_jitter
 from terragp.means import ConstantMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
 from terragp.optim import check_gradient
+from terragp.pipeline import fit_method, make_scene
+from terragp.synth import SynthParams
 
 from conftest import (
     all_family_configs,
@@ -164,14 +167,21 @@ def test_lml_gradients_match_explicit_inverse(rng, family):
 
 
 @pytest.mark.parametrize(
-    "family, doubles", [(kernels.RBF, 5.5), (kernels.RATIONAL_QUADRATIC, 7.5)]
+    "family, doubles, grid",
+    [
+        (kernels.RBF, 5.5, False),
+        (kernels.RATIONAL_QUADRATIC, 7.5, False),
+        (kernels.RBF, 0.05, True),
+    ],
+    ids=["rbf-5.5", "rq-7.5", "rbf-grid-0.05"],
 )
-def test_lml_gradients_peak_memory(rng, family, doubles):
+def test_lml_gradients_peak_memory(rng, family, doubles, grid):
     """One epoch allocates at most `doubles` n x n float64 arrays at once;
     the explicit inverse and a x a^T of the dense form took 6 (RBF) and
-    10 (RQ)."""
-    n = 512
-    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    10 (RQ).  On a complete 32 x 32 grid (n = 1024) the RBF epoch holds
+    only 1-D Grams and n-vectors."""
+    X = complete_grid(32, 32) if grid else rng.uniform(-2.0, 2.0, size=(512, 2))
+    n = X.shape[0]
     Y = rng.normal(size=n)
     kernel = kernels.KernelConfig(family, log_lengthscale=-1.0)
     args = (X, Y, ConstantMean(0.0, learnable=True), kernel, np.full(n, 0.05), True)
@@ -183,6 +193,128 @@ def test_lml_gradients_peak_memory(rng, family, doubles):
     finally:
         tracemalloc.stop()
     assert peak <= doubles * n * n * 8
+
+
+def complete_grid(nx, ny):
+    """Normalized cell centers of an ny x nx raster, as `grid_to_dataset` yields them."""
+    return grid_to_dataset(make_grid(np.zeros((ny, nx)))).X
+
+
+def gradient_term_sizes(X, Y, mean_fn, kernel, noise_vec):
+    """Per gradient, the size of the terms it is the difference of:
+    0.5 (|a^T dK a| + |<Ky^-1, dK>|) for a log-parameter and sum |a| for
+    the mean.  Either path's roundoff scales with these, not with the
+    gradient, which can be near zero."""
+    n = X.shape[0]
+    L, _ = chol_with_jitter(kernels.gram(kernel, X, X) + np.diag(noise_vec))
+    Kinv = cho_solve((L, True), np.eye(n))
+    a = Kinv @ (Y - mean_fn(X))
+    dKs = kernels.gram_gradients(kernel, X, X)
+    dKs[exact_gp.LOG_NOISE_VARIANCE] = noise_vec[0] * np.eye(n)
+    sizes = {name: 0.5 * (abs(a @ dK @ a) + abs(np.vdot(Kinv, dK))) for name, dK in dKs.items()}
+    sizes[exact_gp.MEAN_CONSTANT] = np.abs(a).sum()
+    return sizes
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (20, 45), (1, 30), (2, 2)])
+def test_grid_lml_gradients_match_dense(rng, nx, ny):
+    """The Kronecker branch against the dense path on the same points in
+    shuffled order (the LML does not depend on row order), with a learned
+    noise and a learnable constant mean."""
+    X = complete_grid(nx, ny)
+    n = X.shape[0]
+    perm = rng.permutation(n)
+    Y = np.sin(2.0 * X[:, 0]) * np.cos(X[:, 1]) + 0.3 * rng.normal(size=n)
+    mean = ConstantMean(0.2, learnable=True)
+    # (log lengthscale, noise / outputscale, tolerance).  At a noise of
+    # 1e-6 s2 and ell >= 1, cond(K + s2n I) reaches about 1e9 on these
+    # grids, and both paths' roundoff grows with it: 6e-7 was seen.
+    cases = [(-1.0, 1.0, 1e-10), (-0.5, 1e-1, 1e-10), (0.0, 1e-2, 1e-10), (0.3, 1e-3, 1e-10),
+             (1.0, 1e-6, 1e-5)]
+    for log_ell, ratio, tol in cases:
+        kernel = kernels.KernelConfig(
+            kernels.RBF, log_lengthscale=log_ell, log_outputscale=rng.normal() * 0.5
+        )
+        noise = np.full(n, ratio * kernel.outputscale)
+        got = exact_gp._grid_lml_gradients(X, Y, mean, kernel, noise, True)
+        assert got is not None, (log_ell, ratio)
+        lml, want = exact_gp.lml_gradients(X[perm], Y[perm], mean, kernel, noise, True)
+        assert abs(got[0] - lml) <= tol * abs(lml)
+        assert list(got[1]) == list(want)
+        sizes = gradient_term_sizes(X, Y, mean, kernel, noise)
+        for name in want:
+            assert abs(got[1][name] - want[name]) <= tol * sizes[name], (name, log_ell, ratio)
+
+
+def count_dense_factors(monkeypatch):
+    """A list that grows by one on each Cholesky factor `exact_gp` takes."""
+    calls = []
+    real = exact_gp.chol_with_jitter
+
+    def counted(mat):
+        calls.append(mat.shape[0])
+        return real(mat)
+
+    monkeypatch.setattr(exact_gp, "chol_with_jitter", counted)
+    return calls
+
+
+def test_grid_branch_runs_only_on_its_inputs(rng, monkeypatch):
+    X = complete_grid(6, 5)
+    n = X.shape[0]
+    Y = rng.normal(size=n)
+    mean = ConstantMean(0.1, learnable=True)
+    rbf = kernels.KernelConfig(kernels.RBF)
+    noise = np.full(n, 0.1)
+    perm = rng.permutation(n)
+    dense = {
+        "cell dropped": (X[1:], Y[1:], rbf, noise[1:]),
+        "rows shuffled": (X[perm], Y[perm], rbf, noise),
+        "heteroscedastic": (X, Y, rbf, noise * rng.uniform(0.5, 2.0, size=n)),
+        "zero noise": (X, Y, rbf, np.zeros(n)),
+    }
+    for kernel in all_family_configs()[1:]:
+        dense[f"{kernel.family} {kernel.nu}"] = (X, Y, kernel, noise)
+    calls = count_dense_factors(monkeypatch)
+    for case, (Xc, Yc, kernel, noise_c) in dense.items():
+        exact_gp.lml_gradients(Xc, Yc, mean, kernel, noise_c)
+        assert len(calls) == 1, case
+        calls.clear()
+    exact_gp.lml_gradients(X, Y, mean, rbf, noise, noise_learned=True)
+    assert calls == []
+
+
+def test_grid_branch_falls_back_before_the_dense_path_needs_jitter(rng, monkeypatch):
+    """Down a ladder of noise levels on a long-lengthscale grid, the branch
+    returns only where the dense factor takes no jitter, and the smallest
+    noises fall back to the dense path."""
+    X = complete_grid(16, 16)
+    n = X.shape[0]
+    Y = rng.normal(size=n)
+    mean = ConstantMean(0.0, learnable=True)
+    kernel = kernels.KernelConfig(kernels.RBF, log_lengthscale=1.0)
+    K = kernels.gram(kernel, X, X)
+    taken = []
+    for ratio in 10.0 ** -np.arange(4, 19):
+        noise = np.full(n, ratio)
+        if exact_gp._grid_lml_gradients(X, Y, mean, kernel, noise, True) is not None:
+            assert chol_with_jitter(K + ratio * np.eye(n))[1] == 0.0, ratio
+            taken.append(ratio)
+    assert 1e-6 in taken and 1e-18 not in taken
+    calls = count_dense_factors(monkeypatch)
+    exact_gp.lml_gradients(X, Y, mean, kernel, np.full(n, 1e-18), noise_learned=True)
+    assert calls == [n]
+
+
+def test_hayner_fit_on_a_scene_factors_once(monkeypatch):
+    """hayner (RBF, learned constant noise) on a complete training grid
+    trains every epoch on the grid branch; only `build_model` factors."""
+    scene = make_scene(SynthParams(size=16, seed=2), noise_mode="split")
+    method = with_overrides(method_defaults("hayner"), epochs=4)
+    calls = count_dense_factors(monkeypatch)
+    _, _, history = fit_method(method, scene.train, None, None, seed=0)
+    assert len(history) == 4
+    assert calls == [64]
 
 
 class TestPredict:
