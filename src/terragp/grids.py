@@ -46,6 +46,10 @@ class DemGrid:
             raise InvalidConfigError("grid dimensions must be positive")
         if not all(map(math.isfinite, (self.xllcorner, self.yllcorner, self.cellsize))):
             raise InvalidConfigError("grid corners and cellsize must be finite")
+        far_corner = (self.xllcorner + self.ncols * self.cellsize,
+                      self.yllcorner + self.nrows * self.cellsize)
+        if not all(map(math.isfinite, far_corner)):
+            raise InvalidConfigError("grid extent (corner + cells x cellsize) must be finite")
         if self.cellsize <= 0:
             raise InvalidConfigError("cellsize must be positive")
         if self.values.shape != (self.nrows, self.ncols):

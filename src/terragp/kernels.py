@@ -115,27 +115,29 @@ def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
     """k_base(r2) and, when `with_slope`, dk_base/d(r2) (else None).
 
     The one place the families differ; in-place updates spare the hot
-    loops full-size temporaries.
+    loops full-size temporaries.  Without `with_slope` the RBF, RQ and
+    abs-exp profiles overwrite r2 with k, so `gram` holds one q x n array.
     """
     ell = cfg.lengthscale
     ell2 = ell**2
     slope = None
+    out = None if with_slope else r2
     if cfg.family == RBF:
-        k = -0.5 * r2
+        k = np.multiply(r2, -0.5, out=out)
         k /= ell2
         np.exp(k, out=k)
         if with_slope:
             slope = k * (-0.5 / ell2)
     elif cfg.family == RATIONAL_QUADRATIC:
-        base = r2 / (2.0 * cfg.alpha * ell2)
+        base = np.divide(r2, 2.0 * cfg.alpha * ell2, out=out)
         base += 1.0
-        k = np.power(base, -cfg.alpha)
+        k = np.power(base, -cfg.alpha, out=out)
         if with_slope:
             slope = np.divide(k, base, out=base)
             slope *= -0.5 / ell2
     elif cfg.family == ABS_EXP or cfg.nu == 0.5:
-        r = np.sqrt(r2)
-        k = -r
+        r = np.sqrt(r2, out=out)
+        k = np.negative(r, out=out)
         k /= ell
         np.exp(k, out=k)
         if with_slope:

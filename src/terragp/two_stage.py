@@ -11,7 +11,8 @@ at normalized points, and `obs_noise(Xn)`, the observation noise it
 owns; `predict_points` serves any of them.  Both GP kinds (`ExactGpModel`,
 `SvgpState`) also offer `predict_mean(Xn)`, the mean alone: the noise
 field reads nothing else of stage 1, so an exact stage 1 skips the n^2 q
-variance solve.
+variance solve, and on a complete query grid (a truth raster, a `predict`
+target) its RBF mean comes from two 1-D axis factors, not a q x n Gram.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ LOG_VAR_CLAMP = 20.0
 # and 3.3 GB.  These epoch figures hold for scattered inputs.  On a
 # complete grid the epochs take the Kronecker branch of
 # `exact_gp.lml_gradients`, and the limit comes from `build_model`'s one
-# dense Cholesky and from prediction's n^2 memory.
+# dense Cholesky and from prediction's n^2 memory; the noise field on a
+# complete query grid holds only (nx + ny) x n kernel factors.
 STAGE1_EXACT_MAX_N = 10_000
 
 

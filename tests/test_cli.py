@@ -316,6 +316,36 @@ class TestPredictCommand:
         assert code == 2
 
 
+    def test_overflowing_geometry_is_config_or_data_error(self, tmp_path, capsys):
+        """Finite corners and cellsize whose far edge overflows: exit 2 from
+        flags, exit 3 naming the file from a --target grid."""
+        out = synth(tmp_path)
+        model = tmp_path / "m.bin"
+        main([
+            "fit", "--method", "tomita", "--train", str(out / "train.asc"),
+            "--out", str(model), "--epochs", "1",
+        ])
+        capsys.readouterr()
+        code = main([
+            "predict", "--model", str(model), "--out-dir", str(tmp_path / "pred"),
+            "--ncols", "4", "--nrows", "3", "--xll", "1e308", "--yll", "0",
+            "--cellsize", "1e308",
+        ])
+        assert code == 2
+        assert "extent" in capsys.readouterr().err
+        target = tmp_path / "far.asc"
+        target.write_text(
+            "ncols 4\nnrows 3\nxllcorner 0\nyllcorner 1e308\ncellsize 1e308\n"
+            + "0 0 0 0\n" * 3
+        )
+        code = main([
+            "predict", "--model", str(model), "--out-dir", str(tmp_path / "pred"),
+            "--target", str(target),
+        ])
+        assert code == 3
+        assert str(target) in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
     @pytest.mark.parametrize("flag, value", [("--nrows", "-1"), ("--ncols", "0")])
     def test_non_positive_explicit_size_is_config_error(self, tmp_path, capsys, flag, value):
         out = synth(tmp_path)

@@ -223,6 +223,13 @@ class TestGeometry:
             make_grid([[1.0]], **{field: bad})
 
 
+    @pytest.mark.parametrize("corner", ["xllcorner", "yllcorner"])
+    def test_overflowing_extent_rejected(self, corner):
+        # finite corner and cellsize, but corner + 2 cells overflows
+        with pytest.raises(InvalidConfigError, match="extent"):
+            make_grid(np.zeros((2, 2)), cellsize=1e308, **{corner: 1e308})
+
+
 class TestDownsample:
     def test_identity_factor(self):
         g = make_grid(np.arange(12.0).reshape(3, 4))

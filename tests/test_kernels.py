@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,23 @@ class TestGramMatrix:
         cfg = kernels.KernelConfig(kernels.RBF)
         G = kernels.gram(cfg, np.zeros((0, 2)), np.zeros((5, 2)))
         assert G.shape == (0, 5)
+
+
+@pytest.mark.parametrize("family", [kernels.RBF, kernels.RATIONAL_QUADRATIC])
+def test_gram_peak_memory_is_one_matrix(rng, family):
+    """`gram` evaluates the profile in place on its own squared distances,
+    so it holds one q x n array; r2 beside K (beside RQ's base) was two
+    (three)."""
+    A, B = rng.normal(size=(600, 2)), rng.normal(size=(500, 2))
+    cfg = kernels.KernelConfig(family, log_lengthscale=0.3, log_alpha=0.2)
+    kernels.gram(cfg, A, B)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        kernels.gram(cfg, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * A.shape[0] * B.shape[0] * 8
 
 
 class TestInvariants:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from terragp import exact_gp, linalg, modelio, pipeline, svgp, two_stage
+from terragp import exact_gp, kernels, linalg, modelio, pipeline, svgp, two_stage
 from terragp.datasets import grid_to_dataset
 from terragp.errors import InvalidInputError
 from terragp.grids import make_grid
@@ -90,6 +90,25 @@ class TestFitNoiseGp:
         v = nm.noise_variances(grid_points(13))
         assert v.shape == (169,) and np.all(v > 0)
         assert calls == []
+
+
+    def test_exact_noise_field_on_a_raster_builds_no_dense_gram(self, monkeypatch):
+        """On a complete query grid the RBF stage-1 mean takes two axis
+        factors, (nx + ny) n kernel entries, instead of the q x n Gram."""
+        X = grid_points(8)
+        nm = two_stage.fit_noise_gp(X, np.exp(0.5 * np.cos(X[:, 1]) - 2.0), seed=0)
+        entries = []
+        original = kernels.gram
+
+        def counted(*args, **kwargs):
+            K = original(*args, **kwargs)
+            entries.append(K.size)
+            return K
+
+        monkeypatch.setattr(kernels, "gram", counted)
+        v = nm.noise_variances(grid_points(40))
+        assert v.shape == (1600,) and np.all(v > 0)
+        assert 0 < sum(entries) <= (40 + 40) * X.shape[0]
 
 
 class TestTwoStage:
