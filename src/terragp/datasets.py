@@ -58,20 +58,25 @@ class Dataset:
 
 
 def compute_stats(X_m: np.ndarray, Y_m: np.ndarray) -> NormStats:
+    """Per-axis means and standard deviations of the inputs and targets.
+
+    Finite but huge values (say, a cellsize of 1e300) overflow the sums
+    and squares; such data cannot be normalized, and a model saved from
+    it could not be loaded, so it is refused here instead."""
     X_m = np.atleast_2d(np.asarray(X_m, dtype=float))
     Y_m = np.asarray(Y_m, dtype=float)
-    x_std = X_m.std(axis=0)
-    y_std = float(Y_m.std())
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean, x_std = X_m.mean(axis=0), X_m.std(axis=0)
+        y_mean, y_std = float(Y_m.mean()), float(Y_m.std())
+    for name, value in (("x mean", x_mean), ("x standard deviation", x_std),
+                        ("y mean", y_mean), ("y standard deviation", y_std)):
+        if not np.all(np.isfinite(value)):
+            raise InvalidInputError(f"{name} is not finite ({value}); cannot normalize")
     # degenerate axes (single row/column grids, flat terrain) keep scale 1
     x_std = np.where(x_std > 0, x_std, 1.0)
     if y_std == 0.0:
         y_std = 1.0
-    return NormStats(
-        x_mean=X_m.mean(axis=0),
-        x_std=x_std,
-        y_mean=float(Y_m.mean()),
-        y_std=y_std,
-    )
+    return NormStats(x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
 
 
 def from_arrays(X_m, Y_m, R_m2=None) -> Dataset:

@@ -176,9 +176,8 @@ def gram_diag(cfg: KernelConfig, a) -> np.ndarray:
     return np.full(a.shape[0], cfg.outputscale)
 
 
-def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray, with_dr2: bool = False):
-    """K and dK/dtheta, as `gram` and `gram_gradients`, from one `_profile` pass;
-    with `with_dr2` also dK/d(r2) as `gram_dr2`, as a third item.
+def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray):
+    """(K, dK/dtheta), as `gram` and `gram_gradients`, from one `_profile` pass.
 
     Every family depends on r2 only through r2 / ell^2, so by the chain
     rule dK/dlog(ell) = -2 r2 dK/d(r2); dK/dlog(s2) = K, the same array.
@@ -186,7 +185,6 @@ def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray, with_dr2: bool = False
     s2 = cfg.outputscale
     K, slope = _profile(cfg, r2, with_slope=True)
     K *= s2
-    dr2 = slope * s2 if with_dr2 else None
     slope *= -2.0 * s2
     slope *= r2
     grads = {LOG_LENGTHSCALE: slope, LOG_OUTPUTSCALE: K}
@@ -196,7 +194,7 @@ def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray, with_dr2: bool = False
         dalpha -= np.log1p(u)
         dalpha *= K * cfg.alpha
         grads[LOG_ALPHA] = dalpha
-    return (K, grads, dr2) if with_dr2 else (K, grads)
+    return K, grads
 
 
 def gram_gradients(cfg: KernelConfig, a, b) -> dict[str, np.ndarray]:
@@ -205,9 +203,10 @@ def gram_gradients(cfg: KernelConfig, a, b) -> dict[str, np.ndarray]:
 
 
 def gram_dr2(cfg: KernelConfig, a, b) -> np.ndarray:
-    """dK/d(r2) entrywise, used for gradients with respect to locations;
-    the subgradient 0 at coincident points for the non-differentiable
-    absolute-exponential and Matern-1/2 families."""
+    """dK/d(r2) entrywise, the derivative with respect to point locations
+    by the chain rule; the subgradient 0 at coincident points for the
+    non-differentiable absolute-exponential and Matern-1/2 families.
+    No trainer calls it, since no trainer moves points."""
     _, slope = _profile(cfg, sq_dists(a, b), with_slope=True)
     slope *= cfg.outputscale
     return slope

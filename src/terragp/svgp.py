@@ -14,10 +14,15 @@ form; no sampling anywhere.
 
 All ELBO gradients are analytic and come from one reverse-mode pass,
 `elbo_minibatch`, the trainer's own step.  It evaluates Kzz and Kxz
-once each, with every dK/dtheta and dK/d(r^2), through which the
-kernel-matrix adjoints reach the hyperparameters and inducing
-locations; the adjoint of Kzz comes from a blocked reverse of its
-Cholesky factor.
+once each, with every dK/dtheta, through which the kernel-matrix
+adjoints reach the hyperparameters; the adjoint of Kzz comes from a
+blocked reverse of its Cholesky factor.
+
+The inducing locations Z are not trained; they stay at their seeded
+draw from the training inputs.  On terrain domains the data barely
+determine Z, and Adam would turn rounding-level gradients on nearly
+coincident points into full-size steps.  Fixed, well-spread Z come
+close to optimized ones (Burt, Rasmussen & van der Wilk, JMLR 21, 2020).
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ class SvgpState:
 
 
 def init_inducing(X: np.ndarray, m: int, seed: int) -> np.ndarray:
-    """m distinct training inputs drawn without replacement."""
+    """m distinct training inputs drawn without replacement; the inducing
+    locations of a fit, which training leaves where they are."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     if m < 1 or m > n:
@@ -249,9 +255,9 @@ def _elbo_whitened(
         v = np.full(b, float(v))
     w = n_total / b
 
-    # K, every dK/dtheta and dK/d(r2) of each point pair from one kernel pass
-    Kzz, dKzz, Gz = kernels.gram_and_gradients(kernel, kernels.sq_dists(Z, Z), with_dr2=True)
-    Kxz, dKxz, Gx = kernels.gram_and_gradients(kernel, kernels.sq_dists(Xb, Z), with_dr2=True)
+    # K and every dK/dtheta of each point pair from one kernel pass
+    Kzz, dKzz = kernels.gram_and_gradients(kernel, kernels.sq_dists(Z, Z))
+    Kxz, dKxz = kernels.gram_and_gradients(kernel, kernels.sq_dists(Xb, Z))
     Lz = _kzz_factor(Kzz)
     B = _project(Lz, Kxz)
     kxx = kernels.gram_diag(kernel, Xb)
@@ -274,7 +280,7 @@ def _elbo_whitened(
     mw_bar = B.T @ ebar - mw
     Lw_bar = _log_diag(np.tril(2.0 * (B.T @ (ubar[:, None] * BL)) - Lw), Lw)
 
-    # Kzz_bar and Kxz_bar into the kernel hyperparameters ...
+    # Kzz_bar and Kxz_bar into the kernel hyperparameters
     kern_grads: dict[str, float] = {}
     for name in kernels.param_names(kernel):
         g = float(np.vdot(Kzz_bar, dKzz[name])) + float(np.vdot(Kxz_bar, dKxz[name]))
@@ -282,18 +288,10 @@ def _elbo_whitened(
             g += float(np.sum(ubar * kxx))
         kern_grads[name] = g
 
-    # ... and the inducing locations
-    # Kzz_bar is symmetric, so its weight Kzz_bar + Kzz_bar^T is 2 Kzz_bar
-    Wz = Kzz_bar * Gz
-    np.fill_diagonal(Wz, 0.0)
-    Z_bar = 4.0 * (Wz.sum(axis=1)[:, None] * Z - Wz @ Z)
-    Wx = Kxz_bar * Gx
-    Z_bar += 2.0 * (Wx.sum(axis=0)[:, None] * Z - Wx.T @ Xb)
-
     noise_grad = None
     if state.log_noise_var is not None:
         noise_grad = float(w * np.sum(-0.5 + (resid**2 + s2) / (2.0 * v)))
-    return elbo, _blocks(Z_bar, mw_bar, Lw_bar, np.diag(Lw_bar), kern_grads, noise_grad)
+    return elbo, _blocks(mw_bar, Lw_bar, np.diag(Lw_bar), kern_grads, noise_grad)
 
 
 # the public name of the trainer's step: one function object under two names
@@ -335,14 +333,14 @@ def _optimal_whitened_q(
 # ---------------------------------------------------------------------------
 
 
-def _blocks(Z, mvec, chol, chol_logdiag, kernel_params: dict, log_noise_var) -> dict:
+def _blocks(mvec, chol, chol_logdiag, kernel_params: dict, log_noise_var) -> dict:
     """The one parameter layout, of the state and of its gradients alike:
-    inducing locations, variational mean, the strict lower triangle of
-    the variational factor and its log diagonal, the kernel's log
-    hyperparameters, and the log noise variance when the state has one."""
+    variational mean, the strict lower triangle of the variational
+    factor and its log diagonal, the kernel's log hyperparameters, and
+    the log noise variance when the state has one.  The inducing
+    locations are fixed, so they have no block."""
     li, lj = np.tril_indices(mvec.size, -1)
     blocks = {
-        "inducing": Z,
         "variational_mean": mvec,
         "variational_chol": chol[li, lj],
         "variational_chol_logdiag": chol_logdiag,
@@ -356,7 +354,7 @@ def _blocks(Z, mvec, chol, chol_logdiag, kernel_params: dict, log_noise_var) -> 
 def _state_blocks(state: SvgpState) -> dict:
     kernel = dict(zip(kernels.param_names(state.kernel), kernels.get_params(state.kernel)))
     logdiag = np.log(np.diag(state.L))
-    return _blocks(state.Z, state.mvec, state.L, logdiag, kernel, state.log_noise_var)
+    return _blocks(state.mvec, state.L, logdiag, kernel, state.log_noise_var)
 
 
 def _from_blocks(state: SvgpState, blocks: dict) -> SvgpState:
@@ -368,7 +366,7 @@ def _from_blocks(state: SvgpState, blocks: dict) -> SvgpState:
     L[np.diag_indices(m)] = np.exp(blocks["variational_chol_logdiag"])
     names = kernels.param_names(state.kernel)
     return replace(
-        state, Z=blocks["inducing"], mvec=blocks["variational_mean"], L=L,
+        state, mvec=blocks["variational_mean"], L=L,
         kernel=kernels.with_params(state.kernel, [blocks[name] for name in names]),
         log_noise_var=blocks.get(LOG_NOISE_VARIANCE, state.log_noise_var),
     )
@@ -398,9 +396,10 @@ def fit_svgp(
     mean_fn=None,
     noise_vector=None,
 ) -> SvgpState:
-    """Adam ascent on the minibatched ELBO over all parameters: inducing
-    locations, variational mean and covariance factor, kernel
-    hyperparameters, and the constant noise when it is learned.
+    """Adam ascent on the minibatched ELBO over the variational mean and
+    covariance factor, the kernel hyperparameters, and the constant noise
+    when it is learned.  The inducing locations stay at `init_inducing`'s
+    seeded draw.
 
     The noise follows `methods.noise_plan`; a `noise_vector` holds
     per-point variances aligned with `data`.

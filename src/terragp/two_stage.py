@@ -32,7 +32,7 @@ from .methods import NOISE_GP, MethodConfig
 LOG_VAR_CLAMP = 20.0
 
 # above this size stage 1 switches from the exact GP to a sparse one.
-# Stage 1 is an RBF GP with a learned noise and mean.  Measured at
+# Stage 1 is an RBF GP with a learned noise and a fixed mean.  Measured at
 # n = 4096 (one BLAS thread, 2-core VM): 2.6 s CPU per LML epoch and a
 # 4.1 n^2-double (0.55 GB) allocation peak.  Projected to n = 10 000
 # (n^3 time, n^2 memory): about 38 s per epoch, 25 min for 40 epochs,
@@ -90,7 +90,10 @@ def fit_noise_gp(
     """Stage 1: fit the log-variance GP and freeze it.
 
     `R` holds per-sample noise variances in normalized target units
-    (already divided by std(Y)^2); all entries must be positive.
+    (already divided by std(Y)^2); all entries must be positive.  The
+    prior mean is the constant mean of the log-variance targets, fixed
+    on both the exact and the sparse path; the kernel and the noise are
+    trained.
     """
     R = np.asarray(R, dtype=float)
     bad = np.flatnonzero(~(R > 0))
@@ -113,7 +116,9 @@ def fit_noise_gp(
         config = replace(config, variational=False)
     else:
         config = replace(config, variational=True, batch_size=256, num_inducing=min(1024, n))
-    mean_fn = ConstantMean(float(targets.mean()), learnable=not config.variational)
+    # fixed at the target mean: on split-noise scenes its LML gradient is
+    # zero by symmetry, so training it would only follow rounding noise
+    mean_fn = ConstantMean(float(targets.mean()), learnable=False)
     return NoiseModel(gp=fit_gp(data, config, seed, mean_fn=mean_fn))
 
 

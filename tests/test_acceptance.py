@@ -209,7 +209,7 @@ def test_criterion_3_elbo_bound(rng):
         kernel=kernel, mean_fn=mean_fn, log_noise_var=np.log(sigma2),
     )
     p = svgp.pack_state(state)
-    iq0 = 2 * n
+    iq0 = 0  # q(u) leads the parameter layout
     iq1 = iq0 + n + n * (n + 1) // 2
     mask = np.zeros_like(p)
     mask[iq0:iq1] = 1.0

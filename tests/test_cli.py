@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from terragp import modelio, pipeline
 from terragp.cli import main
-from terragp.grids import read_asc
+from terragp.grids import make_grid, read_asc, write_asc
 from terragp.methods import method_defaults, with_overrides
 
 SCENE_FILES = ("truth.asc", "dem.asc", "train.asc", "prior.asc", "uncertainty.asc")
@@ -174,6 +176,19 @@ class TestFitCommand:
             "--out", str(tmp_path / "m.bin"), "--epochs", "1",
         ])
         assert code == 3
+
+    def test_coordinates_too_large_to_normalize_are_data_error(self, tmp_path, capsys):
+        # finite cell centers whose spread overflows float64 when squared
+        train = tmp_path / "train.asc"
+        write_asc(make_grid(np.random.default_rng(0).normal(size=(16, 16)), cellsize=1e300), train)
+        model = tmp_path / "m.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["fit", "--method", "hayner", "--train", str(train), "--out", str(model)])
+        assert code == 3
+        assert "x standard deviation is not finite" in capsys.readouterr().err
+        assert not model.exists()
+        assert not (tmp_path / "m.bin.loss.csv").exists()
 
     def test_absurd_learning_rate_is_numerical_error(self, tmp_path):
         out = synth(tmp_path)

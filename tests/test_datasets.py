@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,27 @@ class TestNormalization:
         ds = from_arrays(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([5.0, 5.0]))
         assert ds.stats.y_std == 1.0
         np.testing.assert_allclose(ds.Y, 0.0)
+
+    @pytest.mark.parametrize(
+        "x_scale, x_shift, y_scale, what",
+        [
+            (1e300, 0.0, 1.0, "x standard deviation"),
+            (1.0, 1.5e308, 1.0, "x mean"),
+            (1.0, 0.0, 1e200, "y standard deviation"),
+        ],
+        ids=["x-spread", "x-mean", "y-spread"],
+    )
+    def test_finite_values_too_large_to_normalize_are_refused(
+        self, rng, x_scale, x_shift, y_scale, what
+    ):
+        # the sums and squares overflow; no RuntimeWarning may escape
+        X = rng.uniform(0.5, 1.0, size=(64, 2)) * x_scale + x_shift
+        Y = rng.normal(size=64) * y_scale
+        assert np.all(np.isfinite(X)) and np.all(np.isfinite(Y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match=f"{what} is not finite"):
+                from_arrays(X, Y)
 
 
 class TestGridToDataset:

@@ -169,15 +169,15 @@ class TestGradients:
     @pytest.mark.parametrize("cfg", FAMILY_CONFIGS, ids=family_id)
     @pytest.mark.parametrize("rows", [7, 0], ids=["points", "empty"])
     def test_fused_pass_with_dr2_matches_separate_calls_bitwise(self, cfg, rows, rng):
-        # one sq_dists and one _profile pass give what gram, gram_gradients
-        # and gram_dr2 give from three, coincident points (r2 = 0) included
+        # one sq_dists and one _profile pass give what gram and
+        # gram_gradients give from two, coincident points (r2 = 0) and an
+        # empty point set included
         cfg = replace(cfg, log_lengthscale=0.4, log_outputscale=0.3, log_alpha=0.2)
         B = rng.normal(size=(5, 2))
         A = np.vstack([B[:3], rng.normal(size=(4, 2))])[:rows]
-        K, grads, dr2 = kernels.gram_and_gradients(cfg, kernels.sq_dists(A, B), with_dr2=True)
-        assert K.shape == dr2.shape == (rows, 5)
+        K, grads = kernels.gram_and_gradients(cfg, kernels.sq_dists(A, B))
+        assert K.shape == (rows, 5)
         np.testing.assert_array_equal(K, kernels.gram(cfg, A, B))
-        np.testing.assert_array_equal(dr2, kernels.gram_dr2(cfg, A, B))
         want = kernels.gram_gradients(cfg, A, B)
         assert list(grads) == list(want) == kernels.param_names(cfg)
         for name in want:

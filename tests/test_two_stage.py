@@ -231,3 +231,45 @@ class TestTwoStage:
         data = grid_to_dataset(g)
         with pytest.raises(InvalidInputError):
             two_stage.fit_two_stage(data, method_defaults("ours-exact"), seed=0)
+
+
+class TestRoundingSensitivity:
+    """A 1e-14 relative change to one input grid moves the maps by a like
+    amount.  Training the inducing locations or the stage-1 mean, whose
+    gradients on these scenes are rounding noise, moves them by up to
+    percents."""
+
+    @staticmethod
+    def drift(method, scene, seed, perturbed):
+        """max |Δ| / max |ref| over the `predict_grid` mean and latent maps
+        when the `perturbed` grid is scaled by 1 + 1e-14."""
+        grids = {"train": scene.train, "uncertainty": scene.uncertainty}
+
+        def maps(g):
+            model, stats, _ = pipeline.fit_method(
+                method, g["train"], g["uncertainty"], scene.prior, seed=seed
+            )
+            mean, latent, _ = pipeline.predict_grid(model, stats, scene.truth)
+            return mean.values, latent.values
+
+        scaled = grids[perturbed].values * (1.0 + 1e-14)
+        ref = maps(grids)
+        alt = maps({**grids, perturbed: grids[perturbed].with_values(scaled)})
+        return max(np.max(np.abs(a - r)) / np.max(np.abs(r)) for r, a in zip(ref, alt))
+
+    @pytest.mark.parametrize(
+        "method_id, size, seed, perturbed, overrides, bound",
+        [
+            ("ours-variational", 64, 0, "uncertainty", dict(num_inducing=128, epochs=5), 1e-8),
+            ("torroba", 64, 0, "train", dict(num_inducing=256, epochs=15), 1e-8),
+            ("ours-exact", 32, 0, "uncertainty", dict(epochs=20), 1e-10),
+            ("ours-exact", 32, 1, "uncertainty", dict(epochs=20), 1e-10),
+        ],
+        ids=["ours-variational", "torroba", "ours-exact-seed0", "ours-exact-seed1"],
+    )
+    def test_maps_follow_a_rounding_level_input_change(
+        self, method_id, size, seed, perturbed, overrides, bound
+    ):
+        scene = pipeline.make_scene(SynthParams(size=size, seed=seed), noise_mode="split")
+        method = with_overrides(method_defaults(method_id), **overrides)
+        assert self.drift(method, scene, seed, perturbed) < bound
