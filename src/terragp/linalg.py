@@ -63,8 +63,13 @@ def tri_solve(L: np.ndarray, b: np.ndarray, overwrite_b: bool = False) -> np.nda
     return solve_triangular(L, b, lower=True, overwrite_b=overwrite_b)
 
 
-def tri_matmul(M: np.ndarray, L: np.ndarray, trans: bool = False) -> np.ndarray:
+def tri_matmul(
+    M: np.ndarray, L: np.ndarray, trans: bool = False, overwrite_m: bool = False
+) -> np.ndarray:
     """M L, or M L^T with `trans`, for lower-triangular L by BLAS dtrmm
-    (half the flops of a general product); C-ordered M and L are read in
-    place as the Fortran-ordered M^T and upper-triangular L^T."""
-    return dtrmm(1.0, L.T, M.T, lower=0, trans_a=int(trans)).T
+    (half the flops of a general product).  A C-ordered M is read in
+    place as the Fortran-ordered M^T, a C-ordered L as the
+    upper-triangular L^T and a Fortran-ordered L as itself; with
+    `overwrite_m` the product is written over a C-ordered M."""
+    A, lower, trans_a = (L.T, 0, trans) if L.flags.c_contiguous else (L, 1, not trans)
+    return dtrmm(1.0, A, M.T, lower=lower, trans_a=int(trans_a), overwrite_b=int(overwrite_m)).T

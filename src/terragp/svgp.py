@@ -121,9 +121,10 @@ def _kzz_factor(Kzz: np.ndarray) -> np.ndarray:
 # rounding error by cond(Lz), so nothing does.
 
 
-def _project(Lz: np.ndarray, Kxz: np.ndarray) -> np.ndarray:
-    """B = Kxz Lz^-T, the cross-covariance in whitened coordinates."""
-    return tri_solve(Lz, Kxz.T).T
+def _project(Lz: np.ndarray, Kxz: np.ndarray, overwrite_kxz: bool = False) -> np.ndarray:
+    """B = Kxz Lz^-T, the cross-covariance in whitened coordinates; with
+    `overwrite_kxz` a C-ordered Kxz is solved in place."""
+    return tri_solve(Lz, Kxz.T, overwrite_b=overwrite_kxz).T
 
 
 def _marginals(B: np.ndarray, mw: np.ndarray, Lw: np.ndarray, kxx: np.ndarray):
@@ -155,10 +156,11 @@ def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
     var = np.empty(q)
     for start in range(0, q, _PREDICT_CHUNK):
         sl = slice(start, min(start + _PREDICT_CHUNK, q))
-        B = _project(Lz, kernels.gram(state.kernel, Xstar[sl], state.Z))
+        B = _project(Lz, kernels.gram(state.kernel, Xstar[sl], state.Z), overwrite_kxz=True)
         kxx = kernels.gram_diag(state.kernel, Xstar[sl])
-        offset, var[sl], _ = _marginals(B, state.mvec, state.L, kxx)
+        offset, var[sl] = _marginals(B, state.mvec, state.L, kxx)[:2]
         mean[sl] = state.mean_fn(Xstar[sl]) + offset
+        del B  # before the next chunk's Gram
     return mean, np.maximum(var, 0.0)
 
 

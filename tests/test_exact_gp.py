@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from terragp import exact_gp, kernels
 from terragp.datasets import from_arrays, grid_to_dataset
@@ -412,6 +412,59 @@ class TestPredict:
         mean = exact_gp.predict_mean(model, Xstar)
         assert mean.tobytes() == exact_gp.predict_exact(model, Xstar)[0].tobytes()
         assert model.predict_mean(Xstar).tobytes() == mean.tobytes()
+
+    @pytest.mark.parametrize("jittered", [False, True], ids=["noisy", "jittered"])
+    @pytest.mark.parametrize("family", range(6))
+    def test_variance_matches_triangular_solve(self, rng, family, jittered):
+        """`predict_exact` forms L^-1 K* from an explicit inverse; an
+        independent solve on the same factor gives the same variances to
+        1e-12 of the outputscale, across a chunk boundary.  The jittered
+        factor (zero noise, near-duplicate points) has cond(L) ~ 1e5 and
+        drifts most, up to about 7e-13; the noisy ones about 3e-15."""
+        n = 200
+        kernel = all_family_configs(rng, jitter_params=True)[family]
+        X = rng.uniform(-2.0, 2.0, size=(n, 2))
+        if jittered:
+            X[n // 2 :] = X[: n // 2] + 1e-9 * rng.normal(size=(n // 2, 2))
+            noise = np.zeros(n)
+        else:
+            noise = np.exp(rng.normal(size=n) * 0.3 - 2)
+        model = exact_gp.build_model(
+            X, rng.normal(size=n), ConstantMean(0.3, False), kernel, noise,
+            homoscedastic=False, noise_learned=False,
+        )
+        if jittered and family not in (2, 3):  # the two exponential kernels' need none
+            assert model.jitter > 0.0
+        Xstar = rng.uniform(-2.5, 2.5, size=(exact_gp._PREDICT_CHUNK + 37, 2))
+        _, var = exact_gp.predict_exact(model, Xstar)
+        V = solve_triangular(model.chol, kernels.gram(kernel, X, Xstar), lower=True)
+        want = np.maximum(kernels.gram_diag(kernel, Xstar) - np.sum(V * V, axis=0), 0.0)
+        assert np.max(np.abs(var - want)) <= 1e-12 * kernel.outputscale
+
+    @pytest.mark.parametrize("predict", [exact_gp.predict_exact, exact_gp.predict_mean])
+    def test_peak_memory_is_one_chunk(self, rng, predict):
+        """Three chunks of scattered queries hold one n x chunk Gram at a
+        time, next to the factor and its inverse; the previous chunk's
+        Gram used to stay referenced while the next was built."""
+        n = 64
+        X = rng.uniform(-2.0, 2.0, size=(n, 2))
+        kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=-0.5)
+        model = exact_gp.build_model(
+            X, rng.normal(size=n), ConstantMean(0.0, False), kernel, np.full(n, 0.05),
+            homoscedastic=True, noise_learned=False,
+        )
+        q = 3 * exact_gp._PREDICT_CHUNK
+        Xstar = rng.uniform(-2.0, 2.0, size=(q, 2))
+        predict(model, Xstar)  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            predict(model, Xstar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = exact_gp._PREDICT_CHUNK * n * 8
+        # one chunk, the inverse, and q-sized outputs and chunk-sized vectors
+        assert peak <= chunk + n * n * 8 + 8 * q * 8
 
 
 def rbf_field_model(rng, n=200):

@@ -83,7 +83,11 @@ class TestTriangularHelpers:
 
     @pytest.mark.parametrize("trans", [False, True])
     def test_matmul_matches_dense_product(self, rng, trans):
-        L = lower_factor(rng, 7)
-        M = rng.normal(size=(5, 7))
-        want = M @ (L.T if trans else L)
-        np.testing.assert_allclose(tri_matmul(M, L, trans=trans), want, rtol=1e-13, atol=1e-14)
+        for order in "CF":  # L read as L^T or as itself
+            L = np.asarray(lower_factor(rng, 7), order=order)
+            M = rng.normal(size=(5, 7))
+            want = M @ (L.T if trans else L)
+            np.testing.assert_allclose(tri_matmul(M, L, trans=trans), want, rtol=1e-13, atol=1e-14)
+            got = tri_matmul(M, L, trans=trans, overwrite_m=True)
+            assert np.shares_memory(got, M)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -156,6 +157,27 @@ class TestPredictive:
         ref_mean, ref_var = dense_unwhitened_qf(state, Xs)
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-10)
         np.testing.assert_allclose(var, ref_var, rtol=1e-10)
+
+    def test_peak_memory_is_one_chunk(self, rng):
+        """Three chunks of queries hold one chunk's B = K*z Lz^-T and
+        B Lw at a time, next to the m x m factors: the Gram is solved in
+        place, and the previous chunk's B and B Lw are released before
+        the next Gram is built."""
+        m = 32
+        state = random_state(rng, m=m)
+        q = 3 * svgp._PREDICT_CHUNK
+        Xs = rng.normal(size=(q, 2)) * 2
+        svgp.predictive_qf(state, Xs)  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            svgp.predictive_qf(state, Xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = svgp._PREDICT_CHUNK * m * 8
+        # B and B Lw, the m x m Gram and factor, q-sized outputs and
+        # chunk-sized vectors
+        assert peak <= 2 * chunk + 2 * m * m * 8 + 8 * q * 8
 
     def test_variance_nonnegative(self, rng):
         state = random_state(rng, m=8)

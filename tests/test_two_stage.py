@@ -74,22 +74,31 @@ class TestFitNoiseGp:
 
     def test_exact_noise_field_makes_no_triangular_solve(self, monkeypatch):
         """Stage 2 reads only the stage-1 mean, so the exact field must
-        not pay for the n^2 q variance solve."""
+        not pay for the n^2 q variance work: neither a triangular solve
+        nor the inverse and in-place product `predict_exact` forms it by."""
         X = grid_points(8)
         nm = two_stage.fit_noise_gp(X, np.exp(0.5 * np.cos(X[:, 1]) - 2.0), seed=0)
         assert isinstance(nm.gp, exact_gp.ExactGpModel)
         calls = []
-        original = linalg.tri_solve
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
 
-        for module in (linalg, exact_gp, svgp):
-            monkeypatch.setattr(module, "tri_solve", counted)
+            return counted
+
+        for name in ("tri_solve", "tri_inverse", "tri_matmul"):
+            wrapper = counting(name, getattr(linalg, name))
+            for module in (linalg, exact_gp, svgp):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
         v = nm.noise_variances(grid_points(13))
         assert v.shape == (169,) and np.all(v > 0)
         assert calls == []
+        # the counters see the variance path when it does run
+        nm.gp.predict(grid_points(13))
+        assert {"tri_inverse", "tri_matmul"} <= set(calls)
 
 
     def test_exact_noise_field_on_a_raster_builds_no_dense_gram(self, monkeypatch):
