@@ -20,8 +20,10 @@ triangular solve, at about twice its speed.  An inverse's error grows
 with cond(L) (Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 8 and 14), and here the noise, its floor and the jitter bound it:
 cond(L) was 37 to 162 on the Table-1 scenes' exact models.  The SVGP
-keeps its solve: its Kzz carries no noise and can be numerically
-singular.  The noise term is either a single learned variance
+predicts through the same loop, `_predict`, with its factor Lz of the
+floored inducing prior Kzz + 1e-6 s2 I (`svgp.KZZ_FLOOR`), which bounds
+cond(Lz) by sqrt(1 + m / 1e-6), and `predict_mean` serves the means of
+both model kinds.  The noise term is either a single learned variance
 (constant across space) or a fixed per-point variance vector supplied by
 a noise model; both flow through the same vector code path so the
 constant case is a strict special case of the general one.
@@ -70,7 +72,7 @@ class ExactGpModel:
         return predict_exact(self, Xn)
 
     def predict_mean(self, Xn: np.ndarray) -> np.ndarray:
-        return predict_mean(self, Xn)
+        return predict_mean(self.kernel, self.mean_fn, self.X, self.alpha, Xn)
 
     def obs_noise(self, Xn: np.ndarray) -> float:
         return float(self.noise_var[0]) if self.homoscedastic else 0.0
@@ -183,19 +185,19 @@ def _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
     return lml, grads
 
 
-def _grid_mean(model: ExactGpModel, Xstar):
+def _grid_mean(kernel, mean_fn, centres, weights, Xstar):
     """`predict_mean` for an RBF kernel and a complete query grid (xs, ys)
     with nx + ny <= `_PREDICT_CHUNK` (so within one dense chunk's memory),
-    else None.  With the unit-scale Ex = k1(xs, X[:, 0]) and Ey = k1(ys,
-    X[:, 1]), the ny x nx mean is m + Ey (s2 a (.) Ex)^T: (nx + ny) n kernel
-    entries and one gemm instead of q n entries."""
-    axes = grid_axes(Xstar) if model.kernel.family == kernels.RBF else None
+    else None.  With the unit-scale Ex = k1(xs, C[:, 0]) and Ey = k1(ys,
+    C[:, 1]) for the centres C, the ny x nx mean is m + Ey (s2 w (.) Ex)^T:
+    (nx + ny) c kernel entries and one gemm instead of q c entries."""
+    axes = grid_axes(Xstar) if kernel.family == kernels.RBF else None
     if axes is None or axes[0].size + axes[1].size > _PREDICT_CHUNK:
         return None
-    unit = replace(model.kernel, log_outputscale=0.0)
-    Ex, Ey = (kernels.gram(unit, v[:, None], model.X[:, d : d + 1]) for d, v in enumerate(axes))
-    Ex *= model.kernel.outputscale * model.alpha
-    return model.mean_fn(Xstar) + (Ey @ Ex.T).ravel()
+    unit = replace(kernel, log_outputscale=0.0)
+    Ex, Ey = (kernels.gram(unit, v[:, None], centres[:, d : d + 1]) for d, v in enumerate(axes))
+    Ex *= kernel.outputscale * weights
+    return mean_fn(Xstar) + (Ey @ Ex.T).ravel()
 
 
 def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic, noise_learned) -> ExactGpModel:
@@ -218,54 +220,68 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic, noise_learned) 
     )
 
 
-def _chunks(model: ExactGpModel, Xstar: np.ndarray):
-    """(slice, K(X, chunk), posterior mean m + K*^T a) per query chunk.
+def _chunks(kernel, mean_fn, centres, weights, Xstar):
+    """(slice, K(centres, chunk), posterior mean m + K*^T w) per query chunk.
 
-    The generator drops its K(X, chunk) before it builds the next one, so
-    a caller that drops its own holds one chunk at a time."""
+    The generator drops its K(centres, chunk) before it builds the next
+    one, so a caller that drops its own holds one chunk at a time."""
     for start in range(0, Xstar.shape[0], _PREDICT_CHUNK):
         sl = slice(start, min(start + _PREDICT_CHUNK, Xstar.shape[0]))
-        # K(chunk, X)^T is K(X, chunk), Fortran-ordered, so BLAS reads it in place
-        Ks = kernels.gram(model.kernel, Xstar[sl], model.X).T
-        yield sl, Ks, model.mean_fn(Xstar[sl]) + Ks.T @ model.alpha
+        # K(chunk, C)^T is K(C, chunk), Fortran-ordered, so BLAS reads it in place
+        Ks = kernels.gram(kernel, Xstar[sl], centres).T
+        yield sl, Ks, mean_fn(Xstar[sl]) + Ks.T @ weights
         del Ks
 
 
-def predict_mean(model: ExactGpModel, Xstar) -> np.ndarray:
-    """`predict_exact`'s posterior mean without its triangular solve;
-    bitwise that mean except on `_grid_mean`'s inputs (rounding drift)."""
+def predict_mean(kernel, mean_fn, centres, weights, Xstar) -> np.ndarray:
+    """The posterior mean m(X*) + K(X*, centres) w of either GP kind (the
+    exact one's training inputs and alpha, the SVGP's Z and Lz^-T mw),
+    with no triangular work: `_predict`'s mean bitwise, except on
+    `_grid_mean`'s inputs (rounding drift)."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    grid = _grid_mean(model, Xstar)
+    grid = _grid_mean(kernel, mean_fn, centres, weights, Xstar)
     if grid is not None:
         return grid
     means = []
-    for _, Ks, mean in _chunks(model, Xstar):
+    for _, Ks, mean in _chunks(kernel, mean_fn, centres, weights, Xstar):
         del Ks
         means.append(mean)
     return np.concatenate(means) if means else np.empty(0)
 
 
-def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and latent variance (observation noise excluded).
+def _predict(kernel, mean_fn, centres, weights, L, Xstar, Lw=None):
+    """Posterior mean and latent variance (observation noise excluded) of
+    either GP kind.
 
-    The variance is k** - |L^-1 K*|^2 per column, with L^-1 inverted once
-    per call and multiplied into each chunk's K* in place by dtrmm.
-    Variances are clamped at zero after roundoff.  Queries are processed
-    in chunks so dense grids do not blow up memory.
+    With L the lower triangular factor (the exact model's Cholesky factor,
+    the SVGP's Lz), the variance is k** - |L^-1 K*|^2 per column, L^-1
+    inverted once per call and multiplied into each chunk's K* in place by
+    dtrmm.  With the SVGP's whitened factor `Lw` it adds
+    |(L^-1 K*)^T Lw|^2.  Variances are clamped at zero after roundoff.
+    Queries are processed in chunks so dense grids do not blow up memory.
     """
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     q = Xstar.shape[0]
     mean = np.empty(q)
     var = np.empty(q)
-    Linv = tri_inverse(model.chol) if q else None
-    for sl, Ks, mean_sl in _chunks(model, Xstar):
+    Linv = tri_inverse(L) if q else None
+    for sl, Ks, mean_sl in _chunks(kernel, mean_fn, centres, weights, Xstar):
         mean[sl] = mean_sl
         # (L^-1 K*)^T = K*^T L^-T, written over K*, which is not read again
         Vt = tri_matmul(Ks.T, Linv, trans=True, overwrite_m=True)
+        VL = None if Lw is None else tri_matmul(Vt, Lw)
         Vt *= Vt
-        var[sl] = kernels.gram_diag(model.kernel, Xstar[sl]) - np.sum(Vt, axis=1)
-        del Ks, Vt
+        var[sl] = kernels.gram_diag(kernel, Xstar[sl]) - np.sum(Vt, axis=1)
+        if VL is not None:
+            VL *= VL
+            var[sl] += np.sum(VL, axis=1)
+        del Ks, Vt, VL
     return mean, np.maximum(var, 0.0)
+
+
+def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and latent variance of an exact model (`_predict`)."""
+    return _predict(model.kernel, model.mean_fn, model.X, model.alpha, model.chol, Xstar)
 
 
 def fit_exact(

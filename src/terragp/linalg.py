@@ -57,10 +57,9 @@ def tri_inverse(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def tri_solve(L: np.ndarray, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
-    """Solve L x = b for lower-triangular L; with `overwrite_b` a
-    Fortran-ordered b is solved in place."""
-    return solve_triangular(L, b, lower=True, overwrite_b=overwrite_b)
+def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L x = b for lower-triangular L."""
+    return solve_triangular(L, b, lower=True)
 
 
 def tri_matmul(

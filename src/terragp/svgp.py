@@ -1,6 +1,6 @@
 """Sparse stochastic variational GP regression.
 
-The state holds the variational posterior over inducing values u = f(Z)
+The state holds the variational posterior over inducing values u
 whitened (Hensman et al., UAI 2013): with Lz = chol(Kzz),
 
     q(u) = N(m(Z) + Lz mvec, Lz L L^T Lz^T),
@@ -11,6 +11,18 @@ them: the q(f) marginals, the KL, the initial q(u) and the ELBO.  The
 likelihood is Gaussian with either a learned constant variance or fixed
 per-point variances, which keeps the expected log-likelihood in closed
 form; no sampling anywhere.
+
+Kzz is the prior covariance of u with a floor: `_kzz_factor`, the one
+place it is factored, adds KZZ_FLOOR s2 to its diagonal, with
+KZZ_FLOOR = 1e-6 as GPflow's default jitter (Matthews et al., JMLR 18,
+2017).  That floored Kzz is the prior in the ELBO, the initial q(u) and
+prediction alike.  It treats u as f(Z) plus a small independent noise,
+so the prior of f itself is unchanged and the ELBO still bounds the
+exact log marginal likelihood.  Its eigenvalues lie in
+[KZZ_FLOOR s2, (m + KZZ_FLOOR) s2], so cond(Lz) <= sqrt(1 + m / KZZ_FLOOR),
+about 3.2e4 at m = 1024, where the unfloored Kzz of a smooth kernel
+reached 1e16.  With cond(Lz) bounded, prediction runs through Lz^-1 in
+the exact model's loop (`exact_gp._predict`, `exact_gp.predict_mean`).
 
 All ELBO gradients are analytic and come from one reverse-mode pass,
 `elbo_minibatch`, the trainer's own step.  It evaluates Kzz and Kxz
@@ -32,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from . import kernels
+from . import exact_gp, kernels
 from .datasets import Dataset
 from .errors import InvalidConfigError, InvalidInputError
 from .linalg import chol_with_jitter, tri_inverse, tri_matmul, tri_solve
@@ -64,7 +76,7 @@ class SvgpState:
         return predictive_qf(self, Xn)
 
     def predict_mean(self, Xn: np.ndarray) -> np.ndarray:
-        return predictive_qf(self, Xn)[0]
+        return exact_gp.predict_mean(self.kernel, self.mean_fn, self.Z, _mean_weights(self)[1], Xn)
 
     def obs_noise(self, Xn: np.ndarray) -> float:
         return 0.0 if self.log_noise_var is None else np.exp(self.log_noise_var)
@@ -101,12 +113,19 @@ def expected_loglik(qf_mean, qf_var, y, noise_var):
     ) / (2.0 * noise_var)
 
 
-def _kzz_factor(Kzz: np.ndarray) -> np.ndarray:
-    """Lz = chol(Kzz), the one factor of the inducing prior covariance.
+# the floor on Kzz's diagonal, as a fraction of the outputscale s2
+KZZ_FLOOR = 1e-6
 
-    Kzz is symmetric; its transpose spares LAPACK a C-to-Fortran copy.
-    `chol_with_jitter` is looked up at call time, so a tracer that
-    rebinds it sees every call."""
+
+def _kzz_factor(Kzz: np.ndarray, outputscale: float) -> np.ndarray:
+    """Lz = chol(Kzz + KZZ_FLOOR s2 I), the one factor of the inducing
+    prior covariance; the floor is added to Kzz in place.
+
+    Where Kzz is also the kernel's d/dlog s2, the floored array stays the
+    exact derivative of s2 (k + KZZ_FLOOR).  Kzz is symmetric; its
+    transpose spares LAPACK a C-to-Fortran copy.  `chol_with_jitter` is
+    looked up at call time, so a tracer that rebinds it sees every call."""
+    Kzz.flat[:: Kzz.shape[0] + 1] += KZZ_FLOOR * outputscale
     Lz, _ = chol_with_jitter(Kzz.T)
     return Lz
 
@@ -121,18 +140,9 @@ def _kzz_factor(Kzz: np.ndarray) -> np.ndarray:
 # rounding error by cond(Lz), so nothing does.
 
 
-def _project(Lz: np.ndarray, Kxz: np.ndarray, overwrite_kxz: bool = False) -> np.ndarray:
-    """B = Kxz Lz^-T, the cross-covariance in whitened coordinates; with
-    `overwrite_kxz` a C-ordered Kxz is solved in place."""
-    return tri_solve(Lz, Kxz.T, overwrite_b=overwrite_kxz).T
-
-
-def _marginals(B: np.ndarray, mw: np.ndarray, Lw: np.ndarray, kxx: np.ndarray):
-    """q(f) at the rows of B: the mean offset B mw from the prior mean,
-    the variance kxx - |B_i|^2 + |(B Lw)_i|^2, and B Lw."""
-    BL = tri_matmul(B, Lw)
-    var = kxx - np.einsum("ij,ij->i", B, B) + np.einsum("ij,ij->i", BL, BL)
-    return B @ mw, var, BL
+def _project(Lz: np.ndarray, Kxz: np.ndarray) -> np.ndarray:
+    """B = Kxz Lz^-T, the cross-covariance in whitened coordinates."""
+    return tri_solve(Lz, Kxz.T).T
 
 
 def kl_term(state: SvgpState) -> float:
@@ -143,25 +153,18 @@ def kl_term(state: SvgpState) -> float:
     return 0.5 * (float(np.sum(Lw**2)) + float(mw @ mw) - mw.size - 2.0 * logdet_lw)
 
 
-_PREDICT_CHUNK = 4096
+def _mean_weights(state: SvgpState) -> tuple[np.ndarray, np.ndarray]:
+    """(Lz, c) with c = Lz^-T mw: the q(f) mean is m(x) + K(x, Z) c."""
+    Lz = _kzz_factor(kernels.gram(state.kernel, state.Z, state.Z), state.kernel.outputscale)
+    return Lz, solve_triangular(Lz, state.mvec, lower=True, trans="T", check_finite=False)
 
 
 def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal q(f*) at query points: the sparse-GP mean m(x*) + B mw and
-    variance k** - |B_i|^2 + |(B Lw)_i|^2 with B = K*z Lz^-T, clamped at zero."""
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    Lz = _kzz_factor(kernels.gram(state.kernel, state.Z, state.Z))
-    q = Xstar.shape[0]
-    mean = np.empty(q)
-    var = np.empty(q)
-    for start in range(0, q, _PREDICT_CHUNK):
-        sl = slice(start, min(start + _PREDICT_CHUNK, q))
-        B = _project(Lz, kernels.gram(state.kernel, Xstar[sl], state.Z), overwrite_kxz=True)
-        kxx = kernels.gram_diag(state.kernel, Xstar[sl])
-        offset, var[sl] = _marginals(B, state.mvec, state.L, kxx)[:2]
-        mean[sl] = state.mean_fn(Xstar[sl]) + offset
-        del B  # before the next chunk's Gram
-    return mean, np.maximum(var, 0.0)
+    """Marginal q(f*) at query points: the sparse-GP mean m(x*) + K*z c and
+    variance k** - |B_i|^2 + |(B Lw)_i|^2 with B = K*z Lz^-T, clamped at
+    zero, from the exact model's loop with Lz as its factor."""
+    Lz, c = _mean_weights(state)
+    return exact_gp._predict(state.kernel, state.mean_fn, state.Z, c, Lz, Xstar, Lw=state.L)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +263,13 @@ def _elbo_whitened(
     # K and every dK/dtheta of each point pair from one kernel pass
     Kzz, dKzz = kernels.gram_and_gradients(kernel, kernels.sq_dists(Z, Z))
     Kxz, dKxz = kernels.gram_and_gradients(kernel, kernels.sq_dists(Xb, Z))
-    Lz = _kzz_factor(Kzz)
+    Lz = _kzz_factor(Kzz, kernel.outputscale)
     B = _project(Lz, Kxz)
     kxx = kernels.gram_diag(kernel, Xb)
-    offset, s2, BL = _marginals(B, mw, Lw, kxx)
-    mu = state.mean_fn(Xb) + offset
+    # q(f) at the batch: mean m + B mw, variance kxx - |B_i|^2 + |(B Lw)_i|^2
+    BL = tri_matmul(B, Lw)
+    s2 = kxx - np.einsum("ij,ij->i", B, B) + np.einsum("ij,ij->i", BL, BL)
+    mu = state.mean_fn(Xb) + B @ mw
     resid = yb - mu
     elbo = w * float(np.sum(expected_loglik(mu, s2, yb, v))) - kl_term(state)
 
@@ -317,7 +322,8 @@ def _optimal_whitened_q(
     prior's small eigendirections and bounded per-coordinate steps take
     thousands of iterations to reach it.
     """
-    B = _project(_kzz_factor(kernels.gram(kernel, Z, Z)), kernels.gram(kernel, X, Z))
+    Lz = _kzz_factor(kernels.gram(kernel, Z, Z), kernel.outputscale)
+    B = _project(Lz, kernels.gram(kernel, X, Z))
     v = check_noise(noise_var, X.shape[0], variational=True)
     M = np.eye(Z.shape[0]) + B.T @ (B / v[:, None])
     # With J the index reversal and U = chol(J M J), M = R R^T for the

@@ -9,10 +9,11 @@ from the elevations; it comes entirely from the confidence data.
 Every fitted model offers `predict(Xn)`, the mean and latent variance
 at normalized points, and `obs_noise(Xn)`, the observation noise it
 owns; `predict_points` serves any of them.  Both GP kinds (`ExactGpModel`,
-`SvgpState`) also offer `predict_mean(Xn)`, the mean alone: the noise
-field reads nothing else of stage 1, so an exact stage 1 skips the n^2 q
-variance solve, and on a complete query grid (a truth raster, a `predict`
-target) its RBF mean comes from two 1-D axis factors, not a q x n Gram.
+`SvgpState`) also offer `predict_mean(Xn)`, the mean alone, by one code
+path (`exact_gp.predict_mean`): the noise field reads nothing else of
+stage 1, so stage 1 skips the variance work over the queries, and on a
+complete query grid (a truth raster, a `predict` target) its RBF mean
+comes from two 1-D axis factors, not a q x n Gram.
 """
 
 from __future__ import annotations

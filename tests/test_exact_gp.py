@@ -409,9 +409,8 @@ class TestPredict:
             homoscedastic=False, noise_learned=False,
         )
         Xstar = rng.normal(size=(exact_gp._PREDICT_CHUNK + 37, 2))
-        mean = exact_gp.predict_mean(model, Xstar)
+        mean = model.predict_mean(Xstar)
         assert mean.tobytes() == exact_gp.predict_exact(model, Xstar)[0].tobytes()
-        assert model.predict_mean(Xstar).tobytes() == mean.tobytes()
 
     @pytest.mark.parametrize("jittered", [False, True], ids=["noisy", "jittered"])
     @pytest.mark.parametrize("family", range(6))
@@ -441,7 +440,10 @@ class TestPredict:
         want = np.maximum(kernels.gram_diag(kernel, Xstar) - np.sum(V * V, axis=0), 0.0)
         assert np.max(np.abs(var - want)) <= 1e-12 * kernel.outputscale
 
-    @pytest.mark.parametrize("predict", [exact_gp.predict_exact, exact_gp.predict_mean])
+    @pytest.mark.parametrize(
+        "predict", [exact_gp.predict_exact, exact_gp.ExactGpModel.predict_mean],
+        ids=["predict_exact", "predict_mean"],
+    )
     def test_peak_memory_is_one_chunk(self, rng, predict):
         """Three chunks of scattered queries hold one n x chunk Gram at a
         time, next to the factor and its inverse; the previous chunk's
@@ -479,6 +481,10 @@ def rbf_field_model(rng, n=200):
     )
 
 
+def grid_mean(model, Xstar):
+    return exact_gp._grid_mean(model.kernel, model.mean_fn, model.X, model.alpha, Xstar)
+
+
 @pytest.mark.parametrize(
     "nx, ny", [(1, 1), (1, 40), (40, 1), (37, 53), (70, 70)],
     ids=["1x1", "1xk", "kx1", "37x53", "beyond-one-chunk"],
@@ -490,9 +496,9 @@ def test_grid_mean_matches_predict_exact_mean(rng, nx, ny):
     one mean is small next to the terms it sums."""
     model = rbf_field_model(rng)
     Xstar = complete_grid(nx, ny) * 1.3
-    grid = exact_gp._grid_mean(model, Xstar)
+    grid = grid_mean(model, Xstar)
     assert grid is not None
-    mean = exact_gp.predict_mean(model, Xstar)
+    mean = model.predict_mean(Xstar)
     assert mean.tobytes() == grid.tobytes()
     want = exact_gp.predict_exact(model, Xstar)[0]
     assert np.abs(mean - want).max() <= 5e-13 * np.abs(want).max()
@@ -514,8 +520,8 @@ def test_off_grid_mean_is_bitwise_predict_exact_mean(rng):
         other = replace(model, kernel=kernel)
         cases[f"{kernel.family} {kernel.nu}"] = (other, Xstar)
     for case, (m, Xs) in cases.items():
-        assert exact_gp._grid_mean(m, Xs) is None, case
-        mean = exact_gp.predict_mean(m, Xs)
+        assert grid_mean(m, Xs) is None, case
+        mean = m.predict_mean(Xs)
         assert mean.tobytes() == exact_gp.predict_exact(m, Xs)[0].tobytes(), case
 
 
@@ -524,7 +530,7 @@ def test_grid_mean_rejects_non_finite_coordinates(rng):
     xx, yy = np.meshgrid([0.0, 1.0, np.inf], [0.0, 1.0])
     Xstar = np.column_stack([xx.ravel(), yy.ravel()])
     with pytest.raises(InvalidInputError, match="finite"):
-        exact_gp.predict_mean(model, Xstar)
+        model.predict_mean(Xstar)
 
 
 class TestFitExact:

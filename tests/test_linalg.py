@@ -62,14 +62,6 @@ def lower_factor(rng, m):
 
 
 class TestTriangularHelpers:
-    def test_fortran_ordered_right_side_solved_in_place(self, rng):
-        L = lower_factor(rng, 6)
-        b = np.asfortranarray(rng.normal(size=(6, 4)))
-        want = tri_solve(L, b)
-        x = tri_solve(L, b, overwrite_b=True)
-        assert np.shares_memory(x, b)
-        np.testing.assert_array_equal(x, want)
-
     @pytest.mark.parametrize("m", [1, 2, 7])
     def test_inverse(self, rng, m):
         L = lower_factor(rng, m)

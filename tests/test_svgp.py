@@ -37,17 +37,24 @@ def random_state(rng, m=5, family=kernels.RATIONAL_QUADRATIC, homosc=True, mean_
     )
 
 
+def prior_kzz(kernel, Z):
+    """The prior covariance of the inducing values the model uses: Kzz
+    with `svgp.KZZ_FLOOR` s2 on its diagonal.  Every oracle below builds
+    its Kzz here, so oracle and program share one prior on u."""
+    return kernels.gram(kernel, Z, Z) + svgp.KZZ_FLOOR * kernel.outputscale * np.eye(len(Z))
+
+
 def unwhitened(state):
     """(mean offset, factor of S) of the state's q(u) = N(m(Z) + Lz mw,
     Lz Lw Lw^T Lz^T), with Lz from numpy's own Cholesky of Kzz."""
-    Lz = np.linalg.cholesky(kernels.gram(state.kernel, state.Z, state.Z))
+    Lz = np.linalg.cholesky(prior_kzz(state.kernel, state.Z))
     return Lz @ state.mvec, Lz @ state.L
 
 
 def from_unwhitened(Z, mvec, L, kernel, mean_fn, log_noise_var=None):
     """The state whose q(u) is N(m(Z) + mvec, L L^T), for a lower-triangular
     L with a positive diagonal."""
-    Lz = np.linalg.cholesky(kernels.gram(kernel, Z, Z))
+    Lz = np.linalg.cholesky(prior_kzz(kernel, Z))
     return svgp.SvgpState(
         Z=Z,
         mvec=solve_triangular(Lz, mvec, lower=True),
@@ -62,7 +69,7 @@ def dense_unwhitened_qf(state, X):
     """q(f) mean and unclamped variance from the unwhitened forms, with
     A = Kxz Kzz^-1 by a dense solve and S = L L^T."""
     mvec, L = unwhitened(state)
-    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
+    Kzz = prior_kzz(state.kernel, state.Z)
     Kxz = kernels.gram(state.kernel, X, state.Z)
     A = np.linalg.solve(Kzz, Kxz.T).T
     S = L @ L.T
@@ -77,7 +84,7 @@ def dense_unwhitened_qf(state, X):
 def dense_unwhitened_kl(state):
     """KL[N(mvec, S) || N(0, Kzz)] with dense solves and slogdet."""
     mvec, L = unwhitened(state)
-    Kzz = kernels.gram(state.kernel, state.Z, state.Z)
+    Kzz = prior_kzz(state.kernel, state.Z)
     S = L @ L.T
     m = state.num_inducing
     return 0.5 * (
@@ -124,7 +131,7 @@ class TestPredictive:
         kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_outputscale=0.2)
         mean_fn = ConstantMean(0.7, False)
         Z = X[:5]
-        Lz, _ = chol_with_jitter(kernels.gram(kernel, Z, Z))
+        Lz = np.linalg.cholesky(prior_kzz(kernel, Z))
         state = from_unwhitened(Z, np.zeros(5), Lz, kernel, mean_fn)
         Xs = rng.normal(size=(6, 2))
         mean, var = svgp.predictive_qf(state, Xs)
@@ -132,7 +139,9 @@ class TestPredictive:
         np.testing.assert_allclose(var, kernel.outputscale, atol=1e-9)
 
     def test_full_inducing_interpolates_exact_posterior(self, rng):
-        # m = n, Z = X, S -> 0, mean offset from the noise-free posterior
+        # m = n, Z = X, S -> 0, q(u) centred on the data: the mean is the
+        # posterior m + K (K + floor s2 I)^-1 (Y - m) of the floored prior,
+        # which treats the floor as a noise on u
         n = 7
         X = rng.normal(size=(n, 2))
         Y = rng.normal(size=n)
@@ -140,7 +149,9 @@ class TestPredictive:
         mean_fn = ConstantMean(0.1, False)
         state = from_unwhitened(X.copy(), Y - mean_fn(X), 1e-8 * np.eye(n), kernel, mean_fn)
         mean, _ = svgp.predictive_qf(state, X)
-        np.testing.assert_allclose(mean, Y, atol=1e-6)
+        K = kernels.gram(kernel, X, X)
+        want = mean_fn(X) + K @ np.linalg.solve(prior_kzz(kernel, X), Y - mean_fn(X))
+        np.testing.assert_allclose(mean, want, atol=1e-6)
 
     def test_far_point_reverts_to_prior_variance(self, rng):
         state = random_state(rng, m=1)
@@ -152,7 +163,7 @@ class TestPredictive:
         # more query points than one prediction chunk, so a chunk boundary
         # is crossed
         state = replace(random_state(rng, m=8), Z=rng.normal(size=(8, 2)) * 2, kernel=kernel)
-        Xs = rng.normal(size=(svgp._PREDICT_CHUNK + 37, 2)) * 2
+        Xs = rng.normal(size=(exact_gp._PREDICT_CHUNK + 37, 2)) * 2
         mean, var = svgp.predictive_qf(state, Xs)
         ref_mean, ref_var = dense_unwhitened_qf(state, Xs)
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-10)
@@ -160,12 +171,12 @@ class TestPredictive:
 
     def test_peak_memory_is_one_chunk(self, rng):
         """Three chunks of queries hold one chunk's B = K*z Lz^-T and
-        B Lw at a time, next to the m x m factors: the Gram is solved in
-        place, and the previous chunk's B and B Lw are released before
-        the next Gram is built."""
+        B Lw at a time, next to the m x m factors: the Gram is multiplied
+        by Lz^-1 in place, and the previous chunk's B and B Lw are
+        released before the next Gram is built."""
         m = 32
         state = random_state(rng, m=m)
-        q = 3 * svgp._PREDICT_CHUNK
+        q = 3 * exact_gp._PREDICT_CHUNK
         Xs = rng.normal(size=(q, 2)) * 2
         svgp.predictive_qf(state, Xs)  # warm any lazy set-up
         tracemalloc.start()
@@ -174,7 +185,7 @@ class TestPredictive:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = svgp._PREDICT_CHUNK * m * 8
+        chunk = exact_gp._PREDICT_CHUNK * m * 8
         # B and B Lw, the m x m Gram and factor, q-sized outputs and
         # chunk-sized vectors
         assert peak <= 2 * chunk + 2 * m * m * 8 + 8 * q * 8
@@ -190,13 +201,13 @@ class TestPredictive:
         X = rng.normal(size=(20, 2)) * 2
         kernel = kernels.KernelConfig(kernels.MATERN, nu=1.5)
         Z = svgp.init_inducing(X, 10, seed=0)
-        Kzz = kernels.gram(kernel, Z, Z)
-        Lz, _ = chol_with_jitter(Kzz)
+        Kzz = prior_kzz(kernel, Z)
+        Lz = np.linalg.cholesky(Kzz)
         state = from_unwhitened(Z, np.zeros(10), 0.1 * Lz, kernel, ZeroMean())
         _, L = unwhitened(state)
         Xs = np.vstack([X, Z])
         Ksz = kernels.gram(kernel, Xs, state.Z)
-        A = np.linalg.solve(Kzz + 1e-12 * np.eye(10), Ksz.T).T
+        A = np.linalg.solve(Kzz, Ksz.T).T
         raw = (
             kernels.gram_diag(kernel, Xs)
             - np.einsum("ij,ij->i", A, Ksz)
@@ -236,15 +247,15 @@ class TestKlTerm:
     def test_zero_at_prior(self, rng):
         X = rng.normal(size=(6, 2))
         kernel = kernels.KernelConfig(kernels.RBF)
-        Lz, _ = chol_with_jitter(kernels.gram(kernel, X, X))
+        Lz = np.linalg.cholesky(prior_kzz(kernel, X))
         state = from_unwhitened(X, np.zeros(6), Lz, kernel, ZeroMean())
         assert svgp.kl_term(state) == pytest.approx(0.0, abs=1e-9)
 
     def test_mean_shift_quadratic_form(self, rng):
         X = rng.normal(size=(5, 2))
         kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC)
-        Kzz = kernels.gram(kernel, X, X)
-        Lz, _ = chol_with_jitter(Kzz)
+        Kzz = prior_kzz(kernel, X)
+        Lz = np.linalg.cholesky(Kzz)
         delta = rng.normal(size=5) * 0.4
         state = from_unwhitened(X, delta, Lz, kernel, ZeroMean())
         expected = 0.5 * delta @ np.linalg.solve(Kzz, delta)
@@ -264,6 +275,32 @@ class TestKlTerm:
         L2, _ = chol_with_jitter(S)
         state2 = from_unwhitened(state.Z[perm], mvec[perm], L2, state.kernel, state.mean_fn)
         assert svgp.kl_term(state2) == pytest.approx(base, abs=1e-9)
+
+
+class TestKzzFloor:
+    def test_clustered_inducing_points_factor_at_jitter_zero(self, rng, monkeypatch):
+        """Clustered inducing points under a long length-scale make Kzz
+        numerically singular: unfloored, this one needs jitter 1e-8, and
+        its factor then has cond 8e4.  With the floor it factors at
+        jitter 0, and cond(Lz) <= sqrt(1 + m / floor), since the floored
+        eigenvalues lie in [floor s2, (m + floor) s2]."""
+        m = 40
+        Z = 0.05 * rng.normal(size=(m, 2))
+        kernel = kernels.KernelConfig(
+            kernels.RBF, log_lengthscale=np.log(3.0), log_outputscale=0.5
+        )
+        jitters = []
+
+        def recording(mat):
+            L, jitter = chol_with_jitter(mat)
+            jitters.append(jitter)
+            return L, jitter
+
+        monkeypatch.setattr(svgp, "chol_with_jitter", recording)
+        Lz = svgp._kzz_factor(kernels.gram(kernel, Z, Z), kernel.outputscale)
+        assert jitters == [0.0]
+        assert np.linalg.cond(Lz) <= np.sqrt(1.0 + m / svgp.KZZ_FLOOR)
+        np.testing.assert_allclose(Lz @ Lz.T, prior_kzz(kernel, Z), rtol=0, atol=1e-14)
 
 
 # the ELBO the trainer follows; it takes a state and returns gradient
@@ -437,7 +474,7 @@ class TestInitialQ:
         assert np.all(np.triu(Lw, 1) == 0.0)
         assert np.all(np.diag(Lw) > 0.0)
         # dense (I + B^T V^-1 B)^-1 with B = Kxz Lz^-T
-        Lz = np.linalg.cholesky(kernels.gram(kernel, Z, Z))
+        Lz = np.linalg.cholesky(prior_kzz(kernel, Z))
         B = np.linalg.solve(Lz, kernels.gram(kernel, X, Z).T).T
         v = np.broadcast_to(noise, n)
         S_w = np.linalg.inv(np.eye(m) + B.T @ (B / v[:, None]))

@@ -72,40 +72,53 @@ class TestFitNoiseGp:
         expected = np.clip(svgp.predictive_qf(nm.gp, far)[0], -clamp, clamp)
         assert nm.log_var_mean(far).tobytes() == expected.tobytes()
 
-    def test_exact_noise_field_makes_no_triangular_solve(self, monkeypatch):
-        """Stage 2 reads only the stage-1 mean, so the exact field must
-        not pay for the n^2 q variance work: neither a triangular solve
-        nor the inverse and in-place product `predict_exact` forms it by."""
+    @staticmethod
+    def stage_one(monkeypatch, kind):
+        """A stage 1 fitted on an 8 x 8 grid, exact or (below a lowered
+        size limit) sparse with Z the 64 training points."""
+        if kind == "sparse":
+            monkeypatch.setattr(two_stage, "STAGE1_EXACT_MAX_N", 50)
         X = grid_points(8)
         nm = two_stage.fit_noise_gp(X, np.exp(0.5 * np.cos(X[:, 1]) - 2.0), seed=0)
-        assert isinstance(nm.gp, exact_gp.ExactGpModel)
+        assert isinstance(nm.gp, exact_gp.ExactGpModel) == (kind == "exact")
+        return nm
+
+    @pytest.mark.parametrize("kind", ["exact", "sparse"])
+    def test_noise_field_makes_no_triangular_solve(self, monkeypatch, kind):
+        """Stage 2 reads only the stage-1 mean, so the field must not pay for
+        the variance work over the query columns: neither a triangular
+        solve of them nor the inverse and in-place product the variance
+        is formed by.  The sparse mean solves one m-vector, c = Lz^-T mw."""
+        nm = self.stage_one(monkeypatch, kind)
         calls = []
 
         def counting(name, original):
             def counted(*args, **kwargs):
-                calls.append(name)
+                calls.append((name, np.ndim(args[1]) if len(args) > 1 else None))
                 return original(*args, **kwargs)
 
             return counted
 
-        for name in ("tri_solve", "tri_inverse", "tri_matmul"):
+        for name in ("tri_solve", "tri_inverse", "tri_matmul", "solve_triangular"):
             wrapper = counting(name, getattr(linalg, name))
             for module in (linalg, exact_gp, svgp):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
         v = nm.noise_variances(grid_points(13))
         assert v.shape == (169,) and np.all(v > 0)
-        assert calls == []
+        assert calls == ([] if kind == "exact" else [("solve_triangular", 1)])
         # the counters see the variance path when it does run
         nm.gp.predict(grid_points(13))
-        assert {"tri_inverse", "tri_matmul"} <= set(calls)
+        assert {"tri_inverse", "tri_matmul"} <= {name for name, _ in calls}
 
-
-    def test_exact_noise_field_on_a_raster_builds_no_dense_gram(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["exact", "sparse"])
+    def test_noise_field_on_a_raster_builds_no_dense_gram(self, monkeypatch, kind):
         """On a complete query grid the RBF stage-1 mean takes two axis
-        factors, (nx + ny) n kernel entries, instead of the q x n Gram."""
-        X = grid_points(8)
-        nm = two_stage.fit_noise_gp(X, np.exp(0.5 * np.cos(X[:, 1]) - 2.0), seed=0)
+        factors, (nx + ny) c kernel entries for the c centres, instead of
+        the q x c Gram; the sparse GP adds the m x m Kzz its mean weights
+        are solved through."""
+        nm = self.stage_one(monkeypatch, kind)
+        c = 64
         entries = []
         original = kernels.gram
 
@@ -117,7 +130,8 @@ class TestFitNoiseGp:
         monkeypatch.setattr(kernels, "gram", counted)
         v = nm.noise_variances(grid_points(40))
         assert v.shape == (1600,) and np.all(v > 0)
-        assert 0 < sum(entries) <= (40 + 40) * X.shape[0]
+        kzz = 0 if kind == "exact" else c * c
+        assert 0 < sum(entries) <= (40 + 40) * c + kzz
 
 
 class TestTwoStage:
@@ -246,7 +260,9 @@ class TestRoundingSensitivity:
     """A 1e-14 relative change to one input grid moves the maps by a like
     amount.  Training the inducing locations or the stage-1 mean, whose
     gradients on these scenes are rounding noise, moves them by up to
-    percents."""
+    percents.  With Kzz floored, the variational drifts were 6e-12
+    (ours-variational) and 1e-12 (torroba) here, and at most 2e-11 on
+    scene seeds 1 to 4; unfloored, ours-variational reached 1.3e-9."""
 
     @staticmethod
     def drift(method, scene, seed, perturbed):
@@ -269,8 +285,8 @@ class TestRoundingSensitivity:
     @pytest.mark.parametrize(
         "method_id, size, seed, perturbed, overrides, bound",
         [
-            ("ours-variational", 64, 0, "uncertainty", dict(num_inducing=128, epochs=5), 1e-8),
-            ("torroba", 64, 0, "train", dict(num_inducing=256, epochs=15), 1e-8),
+            ("ours-variational", 64, 0, "uncertainty", dict(num_inducing=128, epochs=5), 1e-9),
+            ("torroba", 64, 0, "train", dict(num_inducing=256, epochs=15), 1e-9),
             ("ours-exact", 32, 0, "uncertainty", dict(epochs=20), 1e-10),
             ("ours-exact", 32, 1, "uncertainty", dict(epochs=20), 1e-10),
         ],
