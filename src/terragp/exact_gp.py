@@ -5,25 +5,29 @@ the log marginal likelihood, its analytic gradients in log-parameter
 space, and the posterior predictive.  The gradients take their trace
 terms from one triangle of the inverse (LAPACK dpotri on the factor)
 and K with every dK/dtheta from one kernel pass, so a training epoch
-forms neither the full inverse nor a a^T.  One exception: an epoch with
+forms neither the full inverse nor a a^T.  One exception: a model with
 an RBF kernel, one constant noise and the points of a complete grid
-(hayner, and stage 1 on a raster) takes the LML and its gradients from
-the eigendecompositions of the two 1-D axis Grams, whose Kronecker
-product K is there (Saatci 2012, ch. 5).  Likewise `predict_mean` with
-an RBF kernel on a complete query grid takes the mean from two 1-D
-cross-Grams.
+(hayner, and stage 1 on a raster) has K = s2 Ky (x) Kx for the 1-D
+Grams of the two axes (Saatci 2012, ch. 5; Wilson et al. 2014).  Its
+training epochs, its weights alpha and its predictive variance all come
+from the eigendecompositions of those Grams (`_grid_basis`), and it
+holds no Cholesky factor: no n x n array is formed in fit, build, load
+or predict.  Likewise `predict_mean` with an RBF kernel on a complete
+query grid takes the mean from two 1-D cross-Grams.
 
-`predict_exact` forms the latent variance k** - |L^-1 K*|^2 from an
-explicit L^-1 (LAPACK dtrtri, once per call), multiplied into each
-query chunk's K* in place by BLAS dtrmm: the same n^2 q flops as a
+Off the grid, `predict_exact` forms the latent variance k** - |L^-1 K*|^2
+from an explicit L^-1 (LAPACK dtrtri, once per call), multiplied into
+each query chunk's K* in place by BLAS dtrmm: the same n^2 q flops as a
 triangular solve, at about twice its speed.  An inverse's error grows
 with cond(L) (Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 8 and 14), and here the noise, its floor and the jitter bound it:
-cond(L) was 37 to 162 on the Table-1 scenes' exact models.  The SVGP
-predicts through the same loop, `_predict`, with its factor Lz of the
-floored inducing prior Kzz + 1e-6 s2 I (`svgp.KZZ_FLOOR`), which bounds
-cond(Lz) by sqrt(1 + m / 1e-6), and `predict_mean` serves the means of
-both model kinds.  The noise term is either a single learned variance
+cond(L) was 37 to 162 on the Table-1 scenes' exact models.  On the grid
+the variance takes O(q n) flops from the query cross-Grams
+rotated into the eigenbasis (`_grid_variance`).  The SVGP predicts
+through the same loop, `_predict`, with its factor Lz of the floored
+inducing prior Kzz + 1e-6 s2 I (`svgp.KZZ_FLOOR`), which bounds cond(Lz)
+by sqrt(1 + m / 1e-6), and `predict_mean` serves the means of both
+model kinds.  The noise term is either a single learned variance
 (constant across space) or a fixed per-point variance vector supplied by
 a noise model; both flow through the same vector code path so the
 constant case is a strict special case of the general one.
@@ -32,6 +36,7 @@ constant case is a strict special case of the general one.
 from __future__ import annotations
 
 import copy
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,7 +66,7 @@ class ExactGpModel:
     noise_learned: bool
     X: np.ndarray
     Y: np.ndarray
-    chol: np.ndarray
+    chol: np.ndarray | None  # None on a `_grid_basis` training grid
     alpha: np.ndarray
     jitter: float
     loss_history: list = field(default_factory=list, repr=False, compare=False)
@@ -136,41 +141,60 @@ def lml_gradients(
     return lml, grads
 
 
-def _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
-    """`lml_gradients` for an RBF kernel, one constant noise s2n > 0 and a
-    complete grid X, else None.  There K = s2 Ky (x) Kx for the unit-scale
-    1-D Grams of the axes, so K + s2n I = Q (s2 ly (x) lx + s2n) Q^T with
-    Q = Qy (x) Qx from their eigendecompositions, and an n-vector reshaped
-    to ny x nx turns into that basis as Qy^T R Qx.  Below a smallest
-    eigenvalue of n eps times the largest it returns None and the dense
-    path, which owns the jitter policy, takes over; on RBF grids of 30 to
-    2304 points that path's Cholesky first needed jitter 300 times lower.
+# The Kronecker eigenbasis of K + s2n I on a complete grid (xs, ys): the
+# unit-scale 1-D Grams of the axes with their d/dlog(ell), their
+# eigendecompositions, and the ny x nx eigenvalues lam of K + s2n I
+_GridBasis = namedtuple("_GridBasis", "xs ys Ky dKy Kx dKx ly Qy lx Qx lam")
+
+
+def _grid_solve(basis: _GridBasis, resid):
+    """(Rt, At, A): the ny x nx residual in the eigenbasis, Rt = Qy^T R Qx,
+    At = Rt / lam, and A = Qy At Qx^T = (K + s2n I)^-1 R."""
+    Rt = basis.Qy.T @ resid.reshape(basis.lam.shape) @ basis.Qx
+    At = Rt / basis.lam
+    return Rt, At, basis.Qy @ At @ basis.Qx.T
+
+
+def _grid_basis(X, kernel, noise_vec) -> _GridBasis | None:
+    """The eigenbasis of K + s2n I for an RBF kernel, one constant noise
+    s2n > 0 and a complete grid X, else None.  There K = s2 Ky (x) Kx for
+    the unit-scale 1-D Grams of the axes, so K + s2n I = Q (s2 ly (x) lx +
+    s2n) Q^T with Q = Qy (x) Qx from their eigendecompositions, and an
+    n-vector reshaped to ny x nx turns into that basis as Qy^T R Qx.
+    Below a smallest eigenvalue of n eps times the largest it returns None
+    and the dense path, which owns the jitter policy, takes over; on RBF
+    grids of 30 to 2304 points that path's Cholesky first needed jitter
+    300 times lower.
     """
+    axes = grid_axes(X) if kernel.family == kernels.RBF else None  # None for no points
+    if axes is None or not noise_vec[0] > 0.0 or np.any(noise_vec != noise_vec[0]):
+        return None
     sigma2 = noise_vec[0]
-    if kernel.family != kernels.RBF or not sigma2 > 0.0 or np.any(noise_vec != sigma2):
-        return None
-    axes = grid_axes(X)
-    if axes is None:
-        return None
     unit = replace(kernel, log_outputscale=0.0)
     (Ky, dy), (Kx, dx) = (
         kernels.gram_and_gradients(unit, kernels.sq_dists(v[:, None], v[:, None]))
         for v in axes[::-1]  # ys index the rows of an ny x nx grid, xs its columns
     )
     (ly, Qy), (lx, Qx) = np.linalg.eigh(Ky), np.linalg.eigh(Kx)
-    s2 = kernel.outputscale
-    S = s2 * np.outer(ly, lx)  # eigenvalues of K, ny x nx
-    lam = S + sigma2
-    n = lam.size
-    if lam.min() <= n * np.finfo(float).eps * lam.max():
+    lam = kernel.outputscale * np.outer(ly, lx) + sigma2
+    if lam.min() <= lam.size * np.finfo(float).eps * lam.max():
         return None
-    Rt = Qy.T @ (np.asarray(Y, dtype=float) - mean_fn(X)).reshape(lam.shape) @ Qx
-    At = Rt / lam
-    A = Qy @ At @ Qx.T  # a = (K + s2n I)^-1 (Y - m(X)), ny x nx
+    dKy, dKx = dy[kernels.LOG_LENGTHSCALE], dx[kernels.LOG_LENGTHSCALE]
+    return _GridBasis(*axes, Ky, dKy, Kx, dKx, ly, Qy, lx, Qx, lam)
+
+
+def _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
+    """`lml_gradients` in the eigenbasis of `_grid_basis`, else None."""
+    basis = _grid_basis(X, kernel, noise_vec)
+    if basis is None:
+        return None
+    _, _, Ky, dKy, Kx, dKx, ly, Qy, lx, Qx, lam = basis
+    s2, sigma2, n = kernel.outputscale, noise_vec[0], lam.size
+    S = s2 * np.outer(ly, lx)  # eigenvalues of K, ny x nx
+    Rt, At, A = _grid_solve(basis, np.asarray(Y, dtype=float) - mean_fn(X))
     lml = float(-0.5 * np.vdot(At, Rt) - 0.5 * np.log(lam).sum() - 0.5 * n * np.log(2.0 * np.pi))
     # dK/dlog(ell) = s2 (dKy (x) Kx + Ky (x) dKx); tr((K + s2n I)^-1 dK) from
     # the diagonals diag(Q^T dK1 Q) of the 1-D factors
-    dKy, dKx = dy[kernels.LOG_LENGTHSCALE], dx[kernels.LOG_LENGTHSCALE]
     dly, dlx = (np.einsum("ij,ij->j", Q, dK @ Q) for Q, dK in ((Qy, dKy), (Qx, dKx)))
     quad = np.vdot(A, dKy @ A @ Kx) + np.vdot(A, Ky @ A @ dKx)
     trace = ((np.outer(dly, lx) + np.outer(ly, dlx)) / lam).sum()
@@ -201,11 +225,17 @@ def _grid_mean(kernel, mean_fn, centres, weights, Xstar):
 
 
 def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic, noise_learned) -> ExactGpModel:
-    """Assemble a model with its Cholesky and solve caches."""
+    """Assemble a model with its weights alpha and, off `_grid_basis`'s
+    inputs, its Cholesky factor.  On them alpha comes from the eigenbasis
+    and `chol` is None: no n x n array is formed."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
     noise_vec = check_noise(noise_var, X.shape[0])
-    L, a, _, jitter = _factorize(kernels.gram(kernel, X, X), X, Y, mean_fn, noise_vec)
+    basis = _grid_basis(X, kernel, noise_vec)
+    if basis is None:
+        L, a, _, jitter = _factorize(kernels.gram(kernel, X, X), X, Y, mean_fn, noise_vec)
+    else:
+        L, a, jitter = None, _grid_solve(basis, Y - mean_fn(X))[2].ravel(), 0.0
     return ExactGpModel(
         kernel=kernel,
         mean_fn=mean_fn,
@@ -279,9 +309,40 @@ def _predict(kernel, mean_fn, centres, weights, L, Xstar, Lw=None):
     return mean, np.maximum(var, 0.0)
 
 
+def _grid_variance(basis: _GridBasis, kernel, Xstar) -> np.ndarray:
+    """Latent variance at any query points of a model on `_grid_basis`'s
+    inputs: s2 - s2^2 sum_ij Py[k, i]^2 Px[k, j]^2 / lam_ij, with the
+    unit-scale cross-Grams against the training axes rotated into the
+    eigenbasis, Px = k1(x*, xs) Qx and Py = k1(y*, ys) Qy.  Each chunk of
+    queries holds a few chunk x (nx + ny) arrays."""
+    s2 = kernel.outputscale
+    unit = replace(kernel, log_outputscale=0.0)
+    inv_lam = 1.0 / basis.lam
+    var = np.empty(Xstar.shape[0])
+    for start in range(0, Xstar.shape[0], _PREDICT_CHUNK):
+        sl = slice(start, min(start + _PREDICT_CHUNK, Xstar.shape[0]))
+        Px, Py = (
+            kernels.gram(unit, Xstar[sl, d : d + 1], v[:, None]) @ Q
+            for d, (v, Q) in enumerate(((basis.xs, basis.Qx), (basis.ys, basis.Qy)))
+        )
+        Px *= Px
+        Py *= Py
+        W = Py @ inv_lam
+        W *= Px
+        var[sl] = s2 - s2 * s2 * np.sum(W, axis=1)
+        del Px, Py, W
+    return np.maximum(var, 0.0)
+
+
 def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and latent variance of an exact model (`_predict`)."""
-    return _predict(model.kernel, model.mean_fn, model.X, model.alpha, model.chol, Xstar)
+    """Posterior mean and latent variance of an exact model: `_predict`
+    through its Cholesky factor, or, when it has none, `predict_mean`'s
+    mean and `_grid_variance` from the eigenbasis of its training grid."""
+    if model.chol is not None:
+        return _predict(model.kernel, model.mean_fn, model.X, model.alpha, model.chol, Xstar)
+    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    basis = _grid_basis(model.X, model.kernel, model.noise_var)
+    return model.predict_mean(Xstar), _grid_variance(basis, model.kernel, Xstar)
 
 
 def fit_exact(

@@ -37,11 +37,12 @@ LOG_VAR_CLAMP = 20.0
 # n = 4096 (one BLAS thread, 2-core VM): 2.6 s CPU per LML epoch and a
 # 4.1 n^2-double (0.55 GB) allocation peak.  Projected to n = 10 000
 # (n^3 time, n^2 memory): about 38 s per epoch, 25 min for 40 epochs,
-# and 3.3 GB.  These epoch figures hold for scattered inputs.  On a
-# complete grid the epochs take the Kronecker branch of
-# `exact_gp.lml_gradients`, and the limit comes from `build_model`'s one
-# dense Cholesky and from prediction's n^2 memory; the noise field on a
-# complete query grid holds only (nx + ny) x n kernel factors.
+# and 3.3 GB.  These figures hold for scattered inputs.  A complete-grid
+# stage 1 trains, builds and holds its weights through the axis
+# eigenbases of `exact_gp._grid_basis`, with no n x n array, and its
+# noise field on a complete query grid holds only (nx + ny) x n kernel
+# factors.  What limits it is the field at scattered queries: each
+# chunk of 4096 queries forms a 4096 x n Gram, 0.33 GB at n = 10 000.
 STAGE1_EXACT_MAX_N = 10_000
 
 
@@ -129,9 +130,14 @@ def fit_terrain(
     method: MethodConfig,
     seed: int,
     mean_fn=None,
+    noise_vector=None,
 ) -> TwoStageModel:
-    """Stage 2: fit the terrain GP with the frozen noise field."""
-    v = noise_model.noise_variances(data.X)
+    """Stage 2: fit the terrain GP with the frozen noise field.
+
+    `noise_vector`, if given, is that field at `data.X` as
+    `noise_model.noise_variances` returns it, evaluated once by a caller
+    that fits several terrains on one dataset."""
+    v = noise_model.noise_variances(data.X) if noise_vector is None else noise_vector
     terrain = fit_gp(data, method, seed, mean_fn=mean_fn, noise_vector=v)
     return TwoStageModel(
         noise=noise_model,

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from terragp import exact_gp, kernels
 from terragp.datasets import from_arrays, grid_to_dataset
@@ -13,7 +13,7 @@ from terragp.linalg import chol_with_jitter
 from terragp.means import ConstantMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
 from terragp.optim import check_gradient
-from terragp.pipeline import fit_method, make_scene
+from terragp.pipeline import fit_method, make_scene, predict_grid
 from terragp.synth import SynthParams
 
 from conftest import (
@@ -288,7 +288,9 @@ def test_grid_branch_runs_only_on_its_inputs(rng, monkeypatch):
 def test_grid_branch_falls_back_before_the_dense_path_needs_jitter(rng, monkeypatch):
     """Down a ladder of noise levels on a long-lengthscale grid, the branch
     returns only where the dense factor takes no jitter, and the smallest
-    noises fall back to the dense path."""
+    noises fall back to the dense path: in training, in `build_model`,
+    which keeps the Cholesky factor, and in `predict_exact`, which runs
+    through `_predict`."""
     X = complete_grid(16, 16)
     n = X.shape[0]
     Y = rng.normal(size=n)
@@ -305,17 +307,105 @@ def test_grid_branch_falls_back_before_the_dense_path_needs_jitter(rng, monkeypa
     calls = count_dense_factors(monkeypatch)
     exact_gp.lml_gradients(X, Y, mean, kernel, np.full(n, 1e-18), noise_learned=True)
     assert calls == [n]
+    model = exact_gp.build_model(X, Y, mean, kernel, 1e-18, homoscedastic=True, noise_learned=True)
+    assert calls == [n, n] and model.chol is not None
+    dense = []
+    real = exact_gp._predict
+    monkeypatch.setattr(exact_gp, "_predict", lambda *args: dense.append(args) or real(*args))
+    _, var = exact_gp.predict_exact(model, complete_grid(5, 5))
+    assert len(dense) == 1 and np.all(var >= 0.0)
 
 
-def test_hayner_fit_on_a_scene_factors_once(monkeypatch):
+def test_hayner_on_a_scene_takes_no_dense_factor(monkeypatch):
     """hayner (RBF, learned constant noise) on a complete training grid
-    trains every epoch on the grid branch; only `build_model` factors."""
+    trains every epoch on the grid branch, takes its alpha from the same
+    eigenbasis, and predicts its maps from it: neither the fit nor
+    `predict_grid` factors or inverts an n x n matrix."""
     scene = make_scene(SynthParams(size=16, seed=2), noise_mode="split")
     method = with_overrides(method_defaults("hayner"), epochs=4)
     calls = count_dense_factors(monkeypatch)
-    _, _, history = fit_method(method, scene.train, None, None, seed=0)
+    inversions = []
+    real = exact_gp.tri_inverse
+    monkeypatch.setattr(exact_gp, "tri_inverse", lambda L: inversions.append(L) or real(L))
+    model, stats, history = fit_method(method, scene.train, None, None, seed=0)
     assert len(history) == 4
-    assert calls == [64]
+    assert calls == []
+    assert model.chol is None and model.jitter == 0.0
+    mean, latent, _ = predict_grid(model, stats, scene.truth)
+    assert calls == [] and inversions == []
+    assert np.all(np.isfinite(mean.values)) and np.all(latent.values >= 0.0)
+
+
+def dense_posterior(X, Y, mean_fn, kernel, noise, Xstar):
+    """(alpha, mean, latent variance) from a scipy Cholesky of K + s2n I."""
+    L = cholesky(kernels.gram(kernel, X, X) + noise * np.eye(X.shape[0]), lower=True)
+    alpha = cho_solve((L, True), Y - mean_fn(X))
+    Ks = kernels.gram(kernel, X, Xstar)
+    V = solve_triangular(L, Ks, lower=True)
+    var = np.maximum(kernel.outputscale - np.sum(V * V, axis=0), 0.0)
+    return alpha, mean_fn(Xstar) + Ks.T @ alpha, var
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 5), (40, 48), (1, 30), (16, 16)])
+def test_grid_posterior_matches_dense_oracle(rng, nx, ny):
+    """An RBF model with one constant noise on a complete grid holds no
+    Cholesky factor.  Its alpha, and `predict_exact`'s mean and variance
+    on a query grid and on scattered queries across a chunk boundary,
+    agree with a dense Cholesky.  The largest drifts seen were 7e-13 of
+    max |alpha|, 4e-13 of max |mean| and 4e-14 of the outputscale."""
+    X = complete_grid(nx, ny)
+    n = X.shape[0]
+    for _ in range(3):
+        kernel = kernels.KernelConfig(
+            kernels.RBF, log_lengthscale=rng.uniform(-1.5, 0.0),
+            log_outputscale=rng.normal() * 0.5,
+        )
+        noise = rng.uniform(0.01, 0.5) * kernel.outputscale
+        Y = np.sin(2.0 * X[:, 0]) * np.cos(X[:, 1]) + 0.3 * rng.normal(size=n)
+        mean_fn = ConstantMean(rng.normal() * 0.3, learnable=True)
+        model = exact_gp.build_model(
+            X, Y, mean_fn, kernel, noise, homoscedastic=True, noise_learned=True
+        )
+        assert model.chol is None and model.jitter == 0.0
+        queries = {
+            "grid": complete_grid(2 * nx + 1, ny + 3) * 1.2,
+            "scattered": rng.uniform(-2.0, 2.0, size=(exact_gp._PREDICT_CHUNK + 37, 2)),
+        }
+        for case, Xstar in queries.items():
+            alpha, want_mean, want_var = dense_posterior(X, Y, mean_fn, kernel, noise, Xstar)
+            assert np.abs(model.alpha - alpha).max() <= 1e-11 * np.abs(alpha).max()
+            mean, var = exact_gp.predict_exact(model, Xstar)
+            assert mean.tobytes() == model.predict_mean(Xstar).tobytes(), case
+            assert np.abs(mean - want_mean).max() <= 1e-11 * np.abs(want_mean).max(), case
+            assert np.abs(var - want_var).max() <= 1e-12 * kernel.outputscale, case
+
+
+def test_grid_predict_peak_memory(rng):
+    """On a 48 x 48 training grid (n = 2304) and a 96 x 128 query grid
+    (three chunks), prediction holds no n x n array and no chunk x n
+    Gram: the mean's (96 + 128) x n axis factors, one chunk's
+    chunk x (nx + ny) cross-Grams and q-sized vectors."""
+    X = complete_grid(48, 48)
+    n = X.shape[0]
+    kernel = kernels.KernelConfig(kernels.RBF, log_lengthscale=-1.0)
+    model = exact_gp.build_model(
+        X, rng.normal(size=n), ConstantMean(0.0, False), kernel, 0.05,
+        homoscedastic=True, noise_learned=True,
+    )
+    Xstar = complete_grid(96, 128)
+    q = Xstar.shape[0]
+    assert q == 3 * exact_gp._PREDICT_CHUNK
+    exact_gp.predict_exact(model, Xstar)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        exact_gp.predict_exact(model, Xstar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    factors = (96 + 128) * n * 8
+    chunk = 3 * exact_gp._PREDICT_CHUNK * (48 + 48) * 8
+    assert peak <= factors + chunk + 8 * q * 8
+    assert peak <= n * n * 8 / 4
 
 
 class TestPredict:

@@ -75,10 +75,15 @@ class TestFitNoiseGp:
     @staticmethod
     def stage_one(monkeypatch, kind):
         """A stage 1 fitted on an 8 x 8 grid, exact or (below a lowered
-        size limit) sparse with Z the 64 training points."""
+        size limit) sparse with Z the 64 training points.  The exact one
+        sees the grid's rows shuffled, so that it keeps a dense Cholesky
+        factor (a complete grid in row order would have none) and the
+        variance path it skips has triangular work to count."""
+        X = grid_points(8)
         if kind == "sparse":
             monkeypatch.setattr(two_stage, "STAGE1_EXACT_MAX_N", 50)
-        X = grid_points(8)
+        else:
+            X = X[np.random.default_rng(0).permutation(X.shape[0])]
         nm = two_stage.fit_noise_gp(X, np.exp(0.5 * np.cos(X[:, 1]) - 2.0), seed=0)
         assert isinstance(nm.gp, exact_gp.ExactGpModel) == (kind == "exact")
         return nm
