@@ -8,7 +8,16 @@ and differentiable).
 
 Each family is written once, in `_profile`, as k_base(r2) and its slope
 dk_base/d(r2); location and lengthscale derivatives follow from the
-slope by the chain rule (see `gram_and_gradients`).
+slope by the chain rule (see `gram_and_gradients`).  The rational
+quadratic's shape derivative is written there too.  With
+u = r2 / (2 alpha ell^2), all of it comes from one log1p(u) per entry:
+
+    k_base = exp(-alpha log1p(u)),
+    dk_base/d(r2) = -k_base / (2 ell^2 (1 + u)),
+    dk_base/dlog(alpha) = alpha k_base (u / (1 + u) - log1p(u)).
+
+The last is kept in that form: the equal 1 - 1/(1 + u) - log(1 + u)
+cancels catastrophically at small u.
 
 Every family is wrapped by an output scale, k(x, x') = s2 * k_base, and
 all positive hyperparameters are stored as logarithms so unconstrained
@@ -112,7 +121,9 @@ def sq_dists(a, b) -> np.ndarray:
 
 
 def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
-    """k_base(r2) and, when `with_slope`, dk_base/d(r2) (else None).
+    """(k_base(r2), slope, dalpha): when `with_slope`, slope is
+    dk_base/d(r2) and dalpha is dk_base/dlog(alpha) for the rational
+    quadratic; otherwise (and dalpha for every other family) None.
 
     The one place the families differ; in-place updates spare the hot
     loops full-size temporaries.  Without `with_slope` the RBF, RQ and
@@ -120,7 +131,7 @@ def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
     """
     ell = cfg.lengthscale
     ell2 = ell**2
-    slope = None
+    slope = dalpha = None
     out = None if with_slope else r2
     if cfg.family == RBF:
         k = np.multiply(r2, -0.5, out=out)
@@ -129,12 +140,18 @@ def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
         if with_slope:
             slope = k * (-0.5 / ell2)
     elif cfg.family == RATIONAL_QUADRATIC:
-        base = np.divide(r2, 2.0 * cfg.alpha * ell2, out=out)
-        base += 1.0
-        k = np.power(base, -cfg.alpha, out=out)
+        u = np.divide(r2, 2.0 * cfg.alpha * ell2, out=out)
+        log_base = np.log1p(u, out=out)
+        k = np.multiply(log_base, -cfg.alpha, out=out)
+        np.exp(k, out=k)
         if with_slope:
-            slope = np.divide(k, base, out=base)
+            slope = np.add(u, 1.0)
+            np.divide(u, slope, out=u)  # u / (1 + u)
+            np.divide(k, slope, out=slope)
             slope *= -0.5 / ell2
+            dalpha = np.subtract(u, log_base, out=log_base)
+            dalpha *= k
+            dalpha *= cfg.alpha
     elif cfg.family == ABS_EXP or cfg.nu == 0.5:
         r = np.sqrt(r2, out=out)
         k = np.negative(r, out=out)
@@ -155,12 +172,12 @@ def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
             k = (1.0 + s + s**2 / 3.0) * e
             if with_slope:
                 slope = (-5.0 / (6.0 * ell2)) * (1.0 + s) * e
-    return k, slope
+    return k, slope, dalpha
 
 
 def gram(cfg: KernelConfig, a, b) -> np.ndarray:
     """Covariance matrix with entries s2 * k_base(a_i, b_j)."""
-    k, _ = _profile(cfg, sq_dists(a, b))
+    k, _, _ = _profile(cfg, sq_dists(a, b))
     k *= cfg.outputscale
     return k
 
@@ -183,16 +200,13 @@ def gram_and_gradients(cfg: KernelConfig, r2: np.ndarray):
     rule dK/dlog(ell) = -2 r2 dK/d(r2); dK/dlog(s2) = K, the same array.
     """
     s2 = cfg.outputscale
-    K, slope = _profile(cfg, r2, with_slope=True)
+    K, slope, dalpha = _profile(cfg, r2, with_slope=True)
     K *= s2
     slope *= -2.0 * s2
     slope *= r2
     grads = {LOG_LENGTHSCALE: slope, LOG_OUTPUTSCALE: K}
-    if cfg.family == RATIONAL_QUADRATIC:
-        u = r2 / (2.0 * cfg.alpha * cfg.lengthscale**2)
-        dalpha = u / (1.0 + u)
-        dalpha -= np.log1p(u)
-        dalpha *= K * cfg.alpha
+    if dalpha is not None:
+        dalpha *= s2
         grads[LOG_ALPHA] = dalpha
     return K, grads
 
@@ -207,6 +221,6 @@ def gram_dr2(cfg: KernelConfig, a, b) -> np.ndarray:
     by the chain rule; the subgradient 0 at coincident points for the
     non-differentiable absolute-exponential and Matern-1/2 families.
     No trainer calls it, since no trainer moves points."""
-    _, slope = _profile(cfg, sq_dists(a, b), with_slope=True)
+    _, slope, _ = _profile(cfg, sq_dists(a, b), with_slope=True)
     slope *= cfg.outputscale
     return slope

@@ -44,7 +44,9 @@ def adam_step(
     cfg: AdamConfig,
     name_of=None,
 ) -> tuple[np.ndarray, AdamState]:
-    """One minimization step; returns updated params and state.
+    """One minimization step; returns fresh params and `state`, whose
+    step count and moment arrays are updated in place.  `params` and
+    `grad` are left as they are.
 
     `name_of` optionally maps a parameter index to a human-readable name
     used when a non-finite gradient aborts training.
@@ -59,13 +61,15 @@ def adam_step(
         label = name_of(i) if name_of is not None else f"index {i}"
         raise TrainingDivergedError(f"non-finite gradient for parameter {label}")
 
-    t = state.step + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad**2
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    return new_params, AdamState(step=t, m=m, v=v)
+    state.step += 1
+    t = state.step
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * grad
+    state.v *= cfg.beta2
+    state.v += (1.0 - cfg.beta2) * grad**2
+    m_hat = state.m / (1.0 - cfg.beta1**t)
+    v_hat = state.v / (1.0 - cfg.beta2**t)
+    return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon), state
 
 
 def _layout(blocks) -> dict:

@@ -28,7 +28,13 @@ All ELBO gradients are analytic and come from one reverse-mode pass,
 `elbo_minibatch`, the trainer's own step.  It evaluates Kzz and Kxz
 once each, with every dK/dtheta, through which the kernel-matrix
 adjoints reach the hyperparameters; the adjoint of Kzz comes from a
-blocked reverse of its Cholesky factor.
+blocked reverse of its Cholesky factor.  That adjoint is one triangle:
+the Cholesky reads only Kzz's lower triangle, so dF/dKzz_ij for i >= j
+is all there is, and each dKzz/dtheta, symmetric, is contracted with it
+by a plain `vdot`.  The products whose upper triangles nothing reads
+(the Lz adjoint fed to that reverse, and the Lw adjoint, whose strict
+lower triangle and diagonal are the gradient blocks) are formed on and
+below the diagonal only.
 
 The inducing locations Z are not trained; they stay at their seeded
 draw from the training inputs.  On terrain domains the data barely
@@ -40,9 +46,11 @@ close to optimized ones (Burt, Rasmussen & van der Wilk, JMLR 21, 2020).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsyrk
 
 from . import exact_gp, kernels
 from .datasets import Dataset
@@ -150,7 +158,7 @@ def kl_term(state: SvgpState) -> float:
     mean mw = `mvec` and factor Lw = `L`."""
     mw, Lw = state.mvec, state.L
     logdet_lw = float(np.log(np.diag(Lw)).sum())
-    return 0.5 * (float(np.sum(Lw**2)) + float(mw @ mw) - mw.size - 2.0 * logdet_lw)
+    return 0.5 * (float(np.vdot(Lw, Lw)) + float(mw @ mw) - mw.size - 2.0 * logdet_lw)
 
 
 def _mean_weights(state: SvgpState) -> tuple[np.ndarray, np.ndarray]:
@@ -184,29 +192,24 @@ def _log_diag(chol_bar: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return chol_bar
 
 
-def _phi_half_diag(mat: np.ndarray) -> np.ndarray:
-    out = np.tril(mat)
-    out[np.diag_indices(mat.shape[0])] *= 0.5
-    return out
-
-
-def _chol_block_backward(D: np.ndarray, D_bar: np.ndarray) -> np.ndarray:
-    """Lower-triangle adjoint of A with respect to D = chol(A), for one
-    diagonal block: Phi(T + T^T) with T = D^-T Phi(D^T tril(D_bar)) D^-1."""
-    P = _phi_half_diag(D.T @ np.tril(D_bar))
-    # T = D^-T P D^-1 via two triangular solves
-    U_t = solve_triangular(D, P.T, lower=True, trans="T", check_finite=False)  # U^T, U = P D^-1
-    T = solve_triangular(D, U_t.T, lower=True, trans="T", check_finite=False)
-    return _phi_half_diag(T + T.T)
-
-
-# Columns per block of the Cholesky reverse; on a 1-thread OpenBLAS at
-# m = 1024, 64 and 256 were both slower than 128.
-_CHOL_BLOCK = 128
+# Columns per block of the Cholesky reverse.  Its diagonal-block work
+# grows as b^3 per block and its trailing products slow down as b
+# shrinks.  On a 1-thread OpenBLAS (CPU ms, medians of 15) blocks of 32,
+# 64, 96, 128 and 256 took 43.1, 33.8, 31.7, 34.2 and 35.4 at m = 1024,
+# where 64 to 128 are within the spread, and 1.74, 1.56, 1.73, 2.24 and
+# 4.23 at m = 256.
+_CHOL_BLOCK = 64
 
 
 def _chol_backward(Lz: np.ndarray, Lz_bar: np.ndarray) -> np.ndarray:
-    """Adjoint of Kzz with respect to Lz = chol(Kzz), symmetric.
+    """One-triangle adjoint of Kzz with respect to Lz = chol(Kzz), written
+    over `Lz_bar`.
+
+    The Cholesky reads only the lower triangle of Kzz, so the adjoint is
+    the lower-triangular A with A_ij = dF/dKzz_ij for i >= j and a zero
+    strict upper triangle.  For a symmetric D (every dKzz/dtheta),
+    vdot(A, D) is the derivative of F along D: the same sum as against
+    the symmetric adjoint (A + A^T) / 2, which is never formed.
 
     The blocked level-3 reverse of Murray 2016, "Differentiation of the
     Cholesky decomposition" (arXiv:1602.07527): it undoes a left-looking
@@ -217,23 +220,59 @@ def _chol_backward(Lz: np.ndarray, Lz_bar: np.ndarray) -> np.ndarray:
     D = chol(A_D - R R^T) in the forward pass):
 
         C_bar <- C_bar D^-1,  B_bar -= C_bar R,  D_bar -= tril(C_bar^T C),
-        R_bar -= C_bar^T B,  D_bar <- block reverse,  R_bar -= (D_bar + D_bar^T) R.
+        D_bar <- Phi(T + T^T) with T = D^-T Phi(D^T D_bar) D^-1,
+        R_bar -= (D_bar + D_bar^T) R + C_bar^T B,
+
+    Phi taking the lower triangle with its diagonal halved.  The last
+    update is one product, [T + T^T; C_bar]^T L[j:, :j].  Each block's
+    three solves with D are products with its inverse (`dtrtri`, then
+    `dtrmm`).  On a 1-thread OpenBLAS that took 39 ms at m = 1024 and
+    1.7 ms at m = 256, against 45 and 2.3 ms through `dtrsm`, whose
+    solves ran at 5 to 10 Gflop/s.
     """
     m = Lz.shape[0]
-    A = np.tril(Lz_bar)
+    A = Lz_bar
     for k in range(m, 0, -_CHOL_BLOCK):
         j = max(0, k - _CHOL_BLOCK)
-        R, D, B, C = Lz[j:k, :j], Lz[j:k, j:k], Lz[k:, :j], Lz[k:, j:k]
-        C_bar = solve_triangular(D, A[k:, j:k].T, lower=True, trans="T", check_finite=False).T
+        b = k - j
+        A[j:k, k:] = 0.0
+        Dinv = tri_inverse(Lz[j:k, j:k])
+        # the block column's adjoint [T + T^T; C_bar], C-ordered
+        W = np.empty((m - j, b))
+        C_bar = W[b:]
+        C_bar[...] = A[k:, j:k]
+        tri_matmul(C_bar, Dinv, overwrite_m=True)  # C_bar D^-1, over C-ordered C_bar
         A[k:, j:k] = C_bar
-        A[k:, :j] -= C_bar @ R
-        A[j:k, j:k] -= np.tril(C_bar.T @ C)
-        A[j:k, :j] -= C_bar.T @ B
-        D_bar = _chol_block_backward(D, A[j:k, j:k])
+        A[k:, :j] -= C_bar @ Lz[j:k, :j]
+        D_bar = np.tril(A[j:k, j:k])
+        D_bar -= np.tril(C_bar.T @ Lz[k:, j:k])
+        P = np.tril(Lz[j:k, j:k].T @ D_bar)
+        P[np.diag_indices(b)] *= 0.5
+        T = tri_matmul(tri_matmul(P, Dinv).T, Dinv).T  # D^-T P D^-1
+        W[:b] = T
+        W[:b] += T.T
+        A[j:k, :j] -= W.T @ Lz[j:, :j]
+        D_bar = np.tril(W[:b])
+        D_bar[np.diag_indices(b)] *= 0.5
         A[j:k, j:k] = D_bar
-        A[j:k, :j] -= (D_bar + D_bar.T) @ R
-    # the lower triangle holds dF/dA_ij for i >= j; spread it symmetrically
-    return 0.5 * (A + A.T)
+    return A
+
+
+# Row panel of `_lower_product`: wide enough to keep its products at BLAS
+# speed, narrow enough to skip most of the upper triangle.
+_PANEL = 128
+
+
+def _lower_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X^T Y for X, Y of one shape (b, m), formed only on and below the
+    diagonal in row panels of _PANEL: about half the flops of the full
+    product.  The rest of the upper triangle is zero."""
+    m = X.shape[1]
+    out = np.zeros((m, m))
+    for i in range(0, m, _PANEL):
+        k = min(m, i + _PANEL)
+        np.matmul(X[:, i:k].T, Y[:, :k], out=out[i:k, :k])
+    return out
 
 
 def _elbo_whitened(
@@ -276,18 +315,24 @@ def _elbo_whitened(
     # reverse pass down to the kernel matrices
     ebar = w * resid / v  # d elbo / d mu
     ubar = -w / (2.0 * v)  # d elbo / d s2
-    B_bar = (
-        np.outer(ebar, mw)
-        - 2.0 * ubar[:, None] * B
-        + 2.0 * ubar[:, None] * tri_matmul(BL, Lw, trans=True)
-    )
-    # B = Kxz Lz^-T:  Kxz_bar = B_bar Lz^-1,  Lz_bar = -Kxz_bar^T B
-    Kxz_bar = solve_triangular(Lz, B_bar.T, lower=True, trans="T", check_finite=False).T
-    Kzz_bar = _chol_backward(Lz, -(Kxz_bar.T @ B))
+    # B_bar = ebar mw^T + 2 ubar (B Lw Lw^T - B), in one b x m buffer
+    B_bar = tri_matmul(BL, Lw, trans=True)
+    B_bar -= B
+    B_bar *= (2.0 * ubar)[:, None]
+    B_bar += np.outer(ebar, mw)
+    # B = Kxz Lz^-T:  Kxz_bar = B_bar Lz^-1 (in place),  Lz_bar = -Kxz_bar^T B
+    Kxz_bar = solve_triangular(
+        Lz, B_bar.T, lower=True, trans="T", overwrite_b=True, check_finite=False
+    ).T
+    Kzz_bar = _chol_backward(Lz, _lower_product(-Kxz_bar, B))
     mw_bar = B.T @ ebar - mw
-    Lw_bar = _log_diag(np.tril(2.0 * (B.T @ (ubar[:, None] * BL)) - Lw), Lw)
+    # 2 B^T diag(ubar) B Lw - Lw; only its strict lower triangle and its
+    # diagonal are read
+    Lw_bar = _lower_product(B, (2.0 * ubar)[:, None] * BL)
+    Lw_bar -= Lw
+    _log_diag(Lw_bar, Lw)
 
-    # Kzz_bar and Kxz_bar into the kernel hyperparameters
+    # Kzz_bar (one triangle) and Kxz_bar into the kernel hyperparameters
     kern_grads: dict[str, float] = {}
     for name in kernels.param_names(kernel):
         g = float(np.vdot(Kzz_bar, dKzz[name])) + float(np.vdot(Kxz_bar, dKxz[name]))
@@ -324,15 +369,18 @@ def _optimal_whitened_q(
     """
     Lz = _kzz_factor(kernels.gram(kernel, Z, Z), kernel.outputscale)
     B = _project(Lz, kernels.gram(kernel, X, Z))
-    v = check_noise(noise_var, X.shape[0], variational=True)
-    M = np.eye(Z.shape[0]) + B.T @ (B / v[:, None])
+    root_v = np.sqrt(check_noise(noise_var, X.shape[0], variational=True))
+    B /= root_v[:, None]  # V^-1/2 B
+    # the upper triangle of M = I + B^T V^-1 B by one rank-n update (dsyrk)
+    M = dsyrk(1.0, B.T, beta=1.0, c=np.eye(Z.shape[0], order="F"), overwrite_c=1)
     # With J the index reversal and U = chol(J M J), M = R R^T for the
     # upper-triangular R = J U J, so S_w = M^-1 = Lw Lw^T with the lower
     # factor Lw = R^-T = J U^-T J: one Cholesky and one triangular inverse.
+    # The lower triangle of J M J that the Cholesky reads is M's upper.
     U, _ = chol_with_jitter(M[::-1, ::-1])
     Lw = np.ascontiguousarray(tri_inverse(U)[::-1, ::-1].T)
     resid = np.asarray(Y, dtype=float) - mean_fn(X)
-    mw = Lw @ (Lw.T @ (B.T @ (resid / v)))
+    mw = Lw @ (Lw.T @ (B.T @ (resid / root_v)))
     return mw, Lw
 
 
@@ -341,16 +389,24 @@ def _optimal_whitened_q(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _strict_lower(m: int) -> np.ndarray:
+    """Read-only boolean mask of the strict lower triangle of an m x m
+    array; indexing with it walks the entries in row-major order."""
+    mask = np.tri(m, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _blocks(mvec, chol, chol_logdiag, kernel_params: dict, log_noise_var) -> dict:
     """The one parameter layout, of the state and of its gradients alike:
     variational mean, the strict lower triangle of the variational
     factor and its log diagonal, the kernel's log hyperparameters, and
     the log noise variance when the state has one.  The inducing
     locations are fixed, so they have no block."""
-    li, lj = np.tril_indices(mvec.size, -1)
     blocks = {
         "variational_mean": mvec,
-        "variational_chol": chol[li, lj],
+        "variational_chol": chol[_strict_lower(mvec.size)],
         "variational_chol_logdiag": chol_logdiag,
         **kernel_params,
     }
@@ -370,7 +426,7 @@ def _from_blocks(state: SvgpState, blocks: dict) -> SvgpState:
     block the state keeps its own noise."""
     m = state.num_inducing
     L = np.zeros((m, m))
-    L[np.tril_indices(m, -1)] = blocks["variational_chol"]
+    L[_strict_lower(m)] = blocks["variational_chol"]
     L[np.diag_indices(m)] = np.exp(blocks["variational_chol_logdiag"])
     names = kernels.param_names(state.kernel)
     return replace(

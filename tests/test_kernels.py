@@ -204,6 +204,44 @@ class TestGradients:
             rtol=1e-14,
         )
 
+    @pytest.mark.parametrize("log_alpha", [-1.5, 0.0, 0.2, 2.0])
+    def test_rq_log_alpha_gradient_against_long_double(self, log_alpha):
+        # alpha K (u / (1 + u) - log1p u) for u = r2 / (2 alpha l^2) from
+        # 1e-12 to 1e3.  Below u = 1 the two terms cancel to about -u^2 / 2,
+        # so the relative error of any double evaluation grows as eps / u;
+        # the form 1 - 1/(1 + u) - log(1 + u) is off by more than 1e4 there.
+        # Above u = 1 it scales with the alpha log1p(u) ulps in the exponent
+        # of K = (1 + u)^-alpha.  Both pow and exp(-alpha log1p u) for K
+        # stay within 2.7 eps / u below u = 1 and 1.14 eps (1 + alpha log1p u)
+        # above it.
+        cfg = kernels.KernelConfig(
+            kernels.RATIONAL_QUADRATIC, log_lengthscale=0.4, log_outputscale=0.3,
+            log_alpha=log_alpha,
+        )
+        eps = np.finfo(float).eps
+        u = np.logspace(-12, 3, 301)
+        r2 = 2.0 * cfg.alpha * cfg.lengthscale**2 * u
+        _, grads = kernels.gram_and_gradients(cfg, r2[None, :].copy())
+        alpha = np.longdouble(cfg.alpha)
+        u_ld = r2.astype(np.longdouble) / (2 * alpha * np.longdouble(cfg.lengthscale) ** 2)
+        K_ld = np.longdouble(cfg.outputscale) * np.exp(-alpha * np.log1p(u_ld))
+        want = alpha * K_ld * (u_ld / (1 + u_ld) - np.log1p(u_ld))
+        rel = np.abs(grads[kernels.LOG_ALPHA][0] - want) / np.abs(want)
+        small = u < 1.0
+        assert np.all(rel[small] <= 3.0 * eps / u[small])
+        assert np.all(rel[~small] <= 1.25 * eps * (1.0 + cfg.alpha * np.log1p(u[~small])))
+
+    def test_rq_gradients_at_zero_and_underflow(self):
+        # r2 = 0 gives exactly 0; an r2 whose K underflows gives finite zeros
+        cfg = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_alpha=2.0)
+        r2 = np.array([[0.0, 1e60, 1e300]])
+        with np.errstate(all="raise", under="ignore"):
+            K, grads = kernels.gram_and_gradients(cfg, r2.copy())
+        assert K[0, 0] == cfg.outputscale and np.all(K[0, 1:] == 0.0)
+        for name in (kernels.LOG_LENGTHSCALE, kernels.LOG_ALPHA):
+            assert grads[name][0, 0] == 0.0
+            assert np.all(np.isfinite(grads[name])) and np.all(grads[name][0, 1:] == 0.0)
+
     def test_rbf_lengthscale_gradient_value(self):
         # l=1, ||d||^2=2: dk/d(log l) = exp(-1) * 2
         cfg = kernels.KernelConfig(kernels.RBF)

@@ -35,6 +35,19 @@ class TestAdam:
         expected_delta = 0.1 * 1.0 / (1.0 + cfg.epsilon)
         assert params[0] - new[0] == pytest.approx(expected_delta, abs=1e-15)
 
+    def test_arguments_left_as_they_are(self):
+        cfg = AdamConfig(learning_rate=0.1)
+        rng = np.random.default_rng(3)
+        params, grad = rng.normal(size=5), rng.normal(size=5)
+        params0, grad0 = params.copy(), grad.copy()
+        state = adam_init(5)
+        for _ in range(3):
+            new, state = adam_step(state, params, grad, cfg)
+            assert new is not params and not np.shares_memory(new, params)
+            np.testing.assert_array_equal(params, params0)
+            np.testing.assert_array_equal(grad, grad0)
+        assert state.step == 3
+
     def test_deterministic_trajectories(self):
         cfg = AdamConfig(learning_rate=0.05)
         rng = np.random.default_rng(0)

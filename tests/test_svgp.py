@@ -411,31 +411,52 @@ def symbolic_chol_backward(L, L_bar):
     return 0.5 * (T + T.T)
 
 
+def one_triangle(S):
+    """The lower-triangular adjoint equivalent to the symmetric S:
+    off-diagonal pairs folded onto the lower triangle, 2 tril(S) - diag(S)."""
+    return 2.0 * np.tril(S) - np.diag(np.diag(S))
+
+
 def max_rel(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 class TestCholBackward:
-    # m straddles the block size (128) and covers more than two blocks
-    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
+    """`_chol_backward` returns the one-triangle adjoint: dF/dA_ij for
+    i >= j, zero above the diagonal, written over its L_bar argument."""
+
+    def check(self, rng, L, L_bar):
+        S = symbolic_chol_backward(L, L_bar)
+        got = svgp._chol_backward(L, L_bar.copy())
+        assert np.all(np.triu(got, 1) == 0.0)
+        assert max_rel(got, one_triangle(S)) < 1e-12
+        # contracted with a symmetric matrix it gives the symmetric adjoint's sum
+        for _ in range(3):
+            D = rng.normal(size=L.shape)
+            D += D.T
+            scale = np.vdot(np.abs(S), np.abs(D))
+            assert abs(np.vdot(got, D) - np.vdot(S, D)) <= 1e-12 * scale
+
+    # m straddles the block size and covers more than two blocks
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 127, 128, 129, 300])
     def test_blocked_reverse_matches_symbolic_formula(self, rng, m):
         A = rng.normal(size=(m, m))
         L = np.linalg.cholesky(A @ A.T / m + np.eye(m))  # well conditioned
-        L_bar = rng.normal(size=(m, m))
-        got = svgp._chol_backward(L, L_bar)
-        np.testing.assert_array_equal(got, got.T)
-        assert max_rel(got, symbolic_chol_backward(L, L_bar)) < 1e-12
+        self.check(rng, L, rng.normal(size=(m, m)))
 
     def test_blocked_reverse_on_an_inducing_covariance(self, rng):
         kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=np.log(0.5))
         Z = rng.uniform(-4.0, 4.0, size=(300, 2))
         Lz = np.linalg.cholesky(kernels.gram(kernel, Z, Z))
-        L_bar = rng.normal(size=(300, 300))
-        got = svgp._chol_backward(Lz, L_bar)
-        assert max_rel(got, symbolic_chol_backward(Lz, L_bar)) < 1e-12
+        self.check(rng, Lz, rng.normal(size=(300, 300)))
+
+    def test_result_is_written_over_l_bar(self, rng):
+        L = np.linalg.cholesky(np.eye(70) * 2.0)
+        L_bar = rng.normal(size=(70, 70))
+        assert svgp._chol_backward(L, L_bar) is L_bar
 
     def test_elbo_directional_derivative_across_blocks(self, rng):
-        # m = 140 spans two blocks of the reverse; one finite difference
+        # m = 140 spans three blocks of the reverse; one finite difference
         # along a random direction of every parameter block
         m, b = 140, 30
         state = random_state(rng, m=m, family=kernels.RATIONAL_QUADRATIC)
