@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels, modelio, pipeline
 from .errors import InvalidConfigError, TerraGpError
-from .grids import DemGrid, hillshade, read_asc, to_pgm_bytes, write_asc
+from .grids import DEFAULT_NODATA, DemGrid, hillshade, read_asc, to_pgm_bytes, write_asc
 from .methods import METHOD_IDS, method_defaults, with_overrides
 from .synth import SynthParams
 
@@ -24,22 +24,35 @@ EXIT_OK = 0
 EXIT_IO = 3  # OSError; every TerraGpError carries its own exit_code
 
 
+# `synth` flag -> the SynthParams field it sets; each flag takes its type
+# and default from that field
+_SYNTH_FLAGS = {
+    "--size": "size",
+    "--seed": "seed",
+    "--amplitude": "amplitude",
+    "--roughness": "roughness",
+    "--craters": "crater_count",
+    "--radius-min": "radius_min",
+    "--radius-max": "radius_max",
+    "--rim-fraction": "rim_fraction",
+    "--sun-azimuth": "sun_azimuth",
+    "--sun-elevation": "sun_elevation",
+    "--var-dark": "var_dark",
+    "--var-lit": "var_lit",
+    "--cellsize": "cellsize",
+}
+
+
 def _add_synth(sub):
     p = sub.add_parser("synth", help="generate a synthetic scene (five .asc files)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--size", type=int, default=64, help="truth grid side length")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--amplitude", type=float, default=2.0)
-    p.add_argument("--roughness", type=float, default=3.2)
-    p.add_argument("--craters", type=int, default=3)
-    p.add_argument("--radius-min", type=float, default=3.0)
-    p.add_argument("--radius-max", type=float, default=6.0)
-    p.add_argument("--rim-fraction", type=float, default=0.35)
-    p.add_argument("--sun-azimuth", type=float, default=315.0)
-    p.add_argument("--sun-elevation", type=float, default=20.0)
-    p.add_argument("--var-dark", type=float, default=1.2)
-    p.add_argument("--var-lit", type=float, default=0.12)
-    p.add_argument("--cellsize", type=float, default=1.0)
+    defaults = SynthParams()
+    for flag, name in _SYNTH_FLAGS.items():
+        default = getattr(defaults, name)
+        p.add_argument(
+            flag, type=type(default), default=default,
+            help="truth grid side length" if name == "size" else None,
+        )
     p.add_argument(
         "--noise-mode", choices=("shadow", "split"), default="shadow",
         help="shadow-derived variance map, or a left/right split field",
@@ -49,19 +62,7 @@ def _add_synth(sub):
 
 def _cmd_synth(args) -> int:
     params = SynthParams(
-        size=args.size,
-        amplitude=args.amplitude,
-        roughness=args.roughness,
-        crater_count=args.craters,
-        radius_min=args.radius_min,
-        radius_max=args.radius_max,
-        rim_fraction=args.rim_fraction,
-        sun_azimuth=args.sun_azimuth,
-        sun_elevation=args.sun_elevation,
-        var_dark=args.var_dark,
-        var_lit=args.var_lit,
-        cellsize=args.cellsize,
-        seed=args.seed,
+        **{name: getattr(args, flag[2:].replace("-", "_")) for flag, name in _SYNTH_FLAGS.items()}
     )
     scene = pipeline.make_scene(params, noise_mode=args.noise_mode, split_ratio=args.split_ratio)
     out = Path(args.out_dir)
@@ -147,12 +148,11 @@ def _add_predict(sub):
 
 
 def _target_geometry(args) -> DemGrid:
+    explicit = (args.ncols, args.nrows, args.xll, args.yll, args.cellsize)
     if args.target:
-        explicit = (args.ncols, args.nrows, args.xll, args.yll, args.cellsize)
         if any(v is not None for v in explicit):
             raise InvalidConfigError("--target and explicit geometry flags conflict")
         return read_asc(args.target)
-    explicit = (args.ncols, args.nrows, args.xll, args.yll, args.cellsize)
     if any(v is None for v in explicit):
         raise InvalidConfigError(
             "predict needs --target or all of --ncols/--nrows/--xll/--yll/--cellsize"
@@ -166,7 +166,7 @@ def _target_geometry(args) -> DemGrid:
         xllcorner=args.xll,
         yllcorner=args.yll,
         cellsize=args.cellsize,
-        nodata=-9999.0,
+        nodata=DEFAULT_NODATA,
         values=np.zeros((args.nrows, args.ncols)),
     )
 

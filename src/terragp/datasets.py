@@ -93,7 +93,10 @@ def from_arrays(X_m, Y_m, R_m2=None) -> Dataset:
         R_m2 = np.asarray(R_m2, dtype=float)
         if R_m2.shape[0] != Y_m.shape[0]:
             raise InvalidInputError("R and Y lengths differ")
-        R = stats.normalize_var(R_m2)
+        # a tiny std(Y) can overflow R to inf; its consumer,
+        # `two_stage.fit_noise_gp`, refuses non-finite variances
+        with np.errstate(over="ignore"):
+            R = stats.normalize_var(R_m2)
     return Dataset(
         X=stats.normalize_points(X_m),
         Y=stats.normalize_y(Y_m),

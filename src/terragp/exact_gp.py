@@ -63,7 +63,6 @@ class ExactGpModel:
     mean_fn: object
     noise_var: np.ndarray  # (n,) effective variances, normalized units
     homoscedastic: bool
-    noise_learned: bool
     X: np.ndarray
     Y: np.ndarray
     chol: np.ndarray | None  # None on a `_grid_basis` training grid
@@ -94,13 +93,6 @@ def _factorize(K, X, Y, mean_fn, noise_vec):
     n = a.size
     lml = float(-0.5 * resid @ a - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi))
     return L, a, lml, jitter
-
-
-def log_marginal_likelihood(X, Y, mean_fn, kernel, noise_var) -> float:
-    """log N(Y | m(X), K + diag(noise)) via Cholesky."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    noise_vec = check_noise(noise_var, X.shape[0])
-    return _factorize(kernels.gram(kernel, X, X), X, Y, mean_fn, noise_vec)[2]
 
 
 def lml_gradients(
@@ -224,7 +216,7 @@ def _grid_mean(kernel, mean_fn, centres, weights, Xstar):
     return mean_fn(Xstar) + (Ey @ Ex.T).ravel()
 
 
-def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic, noise_learned) -> ExactGpModel:
+def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic) -> ExactGpModel:
     """Assemble a model with its weights alpha and, off `_grid_basis`'s
     inputs, its Cholesky factor.  On them alpha comes from the eigenbasis
     and `chol` is None: no n x n array is formed."""
@@ -241,7 +233,6 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic, noise_learned) 
         mean_fn=mean_fn,
         noise_var=noise_vec,
         homoscedastic=bool(homoscedastic),
-        noise_learned=bool(noise_learned),
         X=X,
         Y=Y,
         chol=L,
@@ -392,7 +383,6 @@ def fit_exact(
         kernel,
         noise_vec,
         homoscedastic=not method.heteroscedastic,
-        noise_learned=learn_noise,
     )
     model.loss_history = history
     return model

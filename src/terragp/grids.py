@@ -21,6 +21,9 @@ from .errors import DataFormatError, InvalidConfigError, InvalidInputError
 from .seeding import NOISE_INJECT, stream_rng
 
 DEFAULT_NODATA = -9999.0
+# meters by which two grids' corners and cellsizes may differ and still
+# be the same geometry
+GEOMETRY_TOL = 1e-9
 
 # NODATA_VALUE is optional; each lower-left coordinate is given either as
 # the cell corner or as the cell center (corner = center - cellsize / 2)
@@ -78,13 +81,13 @@ class DemGrid:
     def with_values(self, values: np.ndarray) -> "DemGrid":
         return replace(self, values=np.asarray(values, dtype=float))
 
-    def same_geometry(self, other: "DemGrid", tol: float = 1e-9) -> bool:
+    def same_geometry(self, other: "DemGrid") -> bool:
         return (
             self.ncols == other.ncols
             and self.nrows == other.nrows
-            and abs(self.xllcorner - other.xllcorner) <= tol
-            and abs(self.yllcorner - other.yllcorner) <= tol
-            and abs(self.cellsize - other.cellsize) <= tol
+            and abs(self.xllcorner - other.xllcorner) <= GEOMETRY_TOL
+            and abs(self.yllcorner - other.yllcorner) <= GEOMETRY_TOL
+            and abs(self.cellsize - other.cellsize) <= GEOMETRY_TOL
         )
 
 

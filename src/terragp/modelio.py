@@ -100,7 +100,7 @@ def payload_to_bytes(payload: dict) -> bytes:
 # section value types by key without its noise./terrain. prefix; others are numbers
 _SECTION_TYPES = {
     **dict.fromkeys("method_id model_kind kernel.family mean.kind".split(), str),
-    **dict.fromkeys("variational mean.learnable has_noise homoscedastic noise_learned".split(), bool),
+    **dict.fromkeys("variational mean.learnable has_noise homoscedastic".split(), bool),
     **dict.fromkeys(
         "mean.grid_values stats.x_mean stats.x_std inducing whitened_mean "
         "whitened_chol noise_var train_x train_y".split(),
@@ -281,7 +281,6 @@ def _gp_payload(gp) -> dict:
         kind, fields = "exact", {
             "noise_var": gp.noise_var,
             "homoscedastic": gp.homoscedastic,
-            "noise_learned": gp.noise_learned,
             "train_x": gp.X,
             "train_y": gp.Y,
         }
@@ -319,7 +318,6 @@ def _gp_from(payload: dict, stats: NormStats):
             _kernel_from(payload),
             payload["noise_var"],
             homoscedastic=payload["homoscedastic"],
-            noise_learned=payload["noise_learned"],
         )
     raise DataFormatError(f"unknown model kind {payload.prefix}model_kind = {kind!r}")
 
@@ -359,7 +357,6 @@ def model_from_payload(payload: dict):
     model = two_stage.TwoStageModel(
         noise=two_stage.NoiseModel(gp=_gp_from(_unprefixed(payload, "noise."), identity)),
         terrain=_gp_from(_unprefixed(payload, "terrain."), stats),
-        stats=stats,
     )
     if payload["variational"] != model.variational:
         raise DataFormatError(f"variational = {payload['variational']} disagrees with the terrain")

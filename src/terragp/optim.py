@@ -1,4 +1,4 @@
-"""Adam optimizer, the training loop, and a finite-difference checker.
+"""Adam optimizer and the training loop.
 
 Each trainer names its free parameters once, as an ordered dict of
 blocks (name -> scalar or array), and runs `minimize` over it: the
@@ -18,12 +18,10 @@ from .errors import TrainingDivergedError
 from .methods import LOG_NOISE_VARIANCE, NOISE_FLOOR
 
 
-@dataclass
-class AdamConfig:
-    learning_rate: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
@@ -41,7 +39,7 @@ def adam_step(
     state: AdamState,
     params: np.ndarray,
     grad: np.ndarray,
-    cfg: AdamConfig,
+    learning_rate: float,
     name_of=None,
 ) -> tuple[np.ndarray, AdamState]:
     """One minimization step; returns fresh params and `state`, whose
@@ -63,13 +61,13 @@ def adam_step(
 
     state.step += 1
     t = state.step
-    state.m *= cfg.beta1
-    state.m += (1.0 - cfg.beta1) * grad
-    state.v *= cfg.beta2
-    state.v += (1.0 - cfg.beta2) * grad**2
-    m_hat = state.m / (1.0 - cfg.beta1**t)
-    v_hat = state.v / (1.0 - cfg.beta2**t)
-    return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon), state
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grad
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * grad**2
+    m_hat = state.m / (1.0 - BETA1**t)
+    v_hat = state.v / (1.0 - BETA2**t)
+    return params - learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON), state
 
 
 def _layout(blocks) -> dict:
@@ -112,7 +110,6 @@ def minimize(objective_grad, unpack, blocks, learning_rate, epochs, batches):
     the parameter `blocks` (other gradient blocks are ignored), floors a
     `LOG_NOISE_VARIANCE` block at log(NOISE_FLOOR) and hands the new blocks
     to `unpack`."""
-    cfg = AdamConfig(learning_rate=learning_rate)
     params = flatten(blocks)
     state = adam_init(params.size)
     noise = _layout(blocks).get(LOG_NOISE_VARIANCE, (None, None))[1]
@@ -125,32 +122,12 @@ def minimize(objective_grad, unpack, blocks, learning_rate, epochs, batches):
             if not np.isfinite(objective):
                 raise TrainingDivergedError("training loss became non-finite")
             losses.append(-objective)
-            params, state = adam_step(state, params, -flatten(grads, blocks), cfg, name_of)
+            params, state = adam_step(state, params, -flatten(grads, blocks), learning_rate, name_of)
             if noise is not None:
                 params[noise] = np.maximum(params[noise], np.log(NOISE_FLOOR))
             unpack(unflatten(params, blocks))
         history.append(float(np.mean(losses)))
     return history
-
-
-def check_gradient(f, x, analytic_grad, step: float = 1e-5) -> float:
-    """Max relative error between `analytic_grad` and central differences.
-
-    Per coordinate the error is |analytic - numeric| / max(1, |numeric|);
-    the maximum over coordinates is returned.
-    """
-    x = np.asarray(x, dtype=float)
-    analytic_grad = np.asarray(analytic_grad, dtype=float)
-    worst = 0.0
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        numeric = (f(xp) - f(xm)) / (2.0 * step)
-        err = abs(analytic_grad[i] - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, err)
-    return worst
 
 
 def epoch_batches(n: int, batch_size: int | None, rng: np.random.Generator):

@@ -71,7 +71,9 @@ def fit_method(
     prior: DemGrid | None,
     seed: int,
 ):
-    """Fit one method on grids; returns (model, stats, loss_history)."""
+    """Fit one method on grids; returns (model, stats, loss_history), the
+    history being the terrain GP's (a two-stage model's stage-1 history
+    stays on `model.noise.gp`)."""
     if method.heteroscedastic and uncertainty is None:
         raise InvalidConfigError(
             f"method {method.method_id!r} needs an uncertainty grid"
@@ -82,8 +84,8 @@ def fit_method(
     mean_fn = default_mean(method, stats=data.stats, prior_grid=prior)
     if method.heteroscedastic:
         model = two_stage.fit_two_stage(data, method, seed, mean_fn=mean_fn)
-    else:
-        model = two_stage.fit_gp(data, method, seed, mean_fn=mean_fn)
+        return model, data.stats, list(model.terrain.loss_history)
+    model = two_stage.fit_gp(data, method, seed, mean_fn=mean_fn)
     return model, data.stats, list(model.loss_history)
 
 
@@ -91,7 +93,7 @@ def predict_grid(model, stats: NormStats, geometry: DemGrid):
     """Dense prediction at a target grid's cell centers; returns mean,
     latent-variance and predictive-variance grids."""
     X_m = geometry.cell_centers()
-    mean_m, latent_m2, pred_m2 = two_stage.predict_points(model, stats, X_m)
+    mean_m, latent_m2, pred_m2 = two_stage.predict_terrain(model, stats, X_m)
     shape = geometry.values.shape
     return (
         geometry.with_values(mean_m.reshape(shape)),
@@ -200,7 +202,7 @@ def run_sweep(
                 data, noise_model, method, seed, mean_fn=mean_fn, noise_vector=noise_vector
             )
             wall = time.perf_counter() - t0
-            mean_m, _, _ = two_stage.predict_terrain(model, truth_pts)
+            mean_m, _, _ = two_stage.predict_terrain(model, data.stats, truth_pts)
             rows.append(
                 SweepRow(
                     n=n,

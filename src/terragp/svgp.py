@@ -60,7 +60,7 @@ from .means import default_mean
 from .methods import (
     LOG_NOISE_VARIANCE, MethodConfig, check_noise, init_kernel, noise_plan,
 )
-from .optim import epoch_batches, flatten, minimize, unflatten
+from .optim import epoch_batches, minimize
 from .seeding import BATCH_SHUFFLE, INDUCING_INIT, INIT, stream_rng
 
 
@@ -434,18 +434,6 @@ def _from_blocks(state: SvgpState, blocks: dict) -> SvgpState:
         kernel=kernels.with_params(state.kernel, [blocks[name] for name in names]),
         log_noise_var=blocks.get(LOG_NOISE_VARIANCE, state.log_noise_var),
     )
-
-
-def pack_state(state: SvgpState) -> np.ndarray:
-    return flatten(_state_blocks(state))
-
-
-def unpack_state(state: SvgpState, vec: np.ndarray) -> SvgpState:
-    return _from_blocks(state, unflatten(vec, _state_blocks(state)))
-
-
-def pack_gradients(state: SvgpState, grads: dict) -> np.ndarray:
-    return flatten(grads, _state_blocks(state))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from the elevations; it comes entirely from the confidence data.
 
 Every fitted model offers `predict(Xn)`, the mean and latent variance
 at normalized points, and `obs_noise(Xn)`, the observation noise it
-owns; `predict_points` serves any of them.  Both GP kinds (`ExactGpModel`,
+owns; `predict_terrain` serves any of them in meters.  Both GP kinds (`ExactGpModel`,
 `SvgpState`) also offer `predict_mean(Xn)`, the mean alone, by one code
 path (`exact_gp.predict_mean`): the noise field reads nothing else of
 stage 1, so stage 1 skips the variance work over the queries, and on a
@@ -18,7 +18,7 @@ comes from two 1-D axis factors, not a q x n Gram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,10 +62,11 @@ class NoiseModel:
 
 @dataclass
 class TwoStageModel:
+    """The frozen stage-1 noise GP and the terrain GP trained on its
+    field; each GP keeps its own loss history."""
+
     noise: NoiseModel
     terrain: exact_gp.ExactGpModel | svgp.SvgpState
-    stats: NormStats
-    loss_history: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def variational(self) -> bool:
@@ -92,16 +93,17 @@ def fit_noise_gp(
     """Stage 1: fit the log-variance GP and freeze it.
 
     `R` holds per-sample noise variances in normalized target units
-    (already divided by std(Y)^2); all entries must be positive.  The
+    (already divided by std(Y)^2); all entries must be finite and
+    positive.  The
     prior mean is the constant mean of the log-variance targets, fixed
     on both the exact and the sparse path; the kernel and the noise are
     trained.
     """
     R = np.asarray(R, dtype=float)
-    bad = np.flatnonzero(~(R > 0))
+    bad = np.flatnonzero(~((R > 0) & np.isfinite(R)))
     if bad.size:
         raise InvalidInputError(
-            f"noise variance must be positive; r[{int(bad[0])}] = {R[bad[0]]}"
+            f"noise variance must be finite and positive; r[{int(bad[0])}] = {R[bad[0]]}"
         )
     if config is None:
         config = NOISE_GP
@@ -139,12 +141,7 @@ def fit_terrain(
     that fits several terrains on one dataset."""
     v = noise_model.noise_variances(data.X) if noise_vector is None else noise_vector
     terrain = fit_gp(data, method, seed, mean_fn=mean_fn, noise_vector=v)
-    return TwoStageModel(
-        noise=noise_model,
-        terrain=terrain,
-        stats=data.stats,
-        loss_history=terrain.loss_history,
-    )
+    return TwoStageModel(noise=noise_model, terrain=terrain)
 
 
 def fit_two_stage(
@@ -157,9 +154,12 @@ def fit_two_stage(
     return fit_terrain(data, noise_model, method, seed, mean_fn=mean_fn)
 
 
-def predict_points(model, stats: NormStats, X_m: np.ndarray):
-    """(mean m, latent variance m^2, predictive variance m^2) at meter
-    coordinates; the predictive variance adds `model.obs_noise`."""
+def predict_terrain(
+    model, stats: NormStats, X_m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean m, latent variance m^2, predictive variance m^2) of any
+    fitted model at meter coordinates, `stats` being the normalization it
+    was trained in; the predictive variance adds `model.obs_noise`."""
     Xn = stats.normalize_points(np.atleast_2d(X_m))
     mean_n, latent_n = model.predict(Xn)
     return (
@@ -167,11 +167,3 @@ def predict_points(model, stats: NormStats, X_m: np.ndarray):
         stats.denormalize_var(latent_n),
         stats.denormalize_var(latent_n + model.obs_noise(Xn)),
     )
-
-
-def predict_terrain(
-    model: TwoStageModel, Xstar_m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, latent variance, and noise-inclusive predictive variance at
-    meter-unit query points, denormalized to meters / m^2."""
-    return predict_points(model, model.stats, Xstar_m)

@@ -16,10 +16,11 @@ from terragp.datasets import grid_to_dataset
 from terragp.grids import read_asc, write_asc
 from terragp.means import ConstantMean, GridInterpMean
 from terragp.methods import method_defaults, with_overrides
-from terragp.optim import AdamConfig, adam_init, adam_step
+from terragp.optim import adam_init, adam_step
 from terragp.synth import SynthParams
 
 from conftest import all_family_configs, brute_force_posterior
+from helpers import log_marginal_likelihood, pack_gradients, pack_state, unpack_state
 from test_metrics import brute_ause, brute_sparsification
 
 
@@ -40,7 +41,7 @@ def test_criterion_1_exact_posterior_oracle(rng):
         mean_fn = ConstantMean(rng.normal() * 0.3, False)
         noise = np.exp(rng.normal(size=n) * 0.3 - 2.0)
         model = exact_gp.build_model(
-            X, Y, mean_fn, kernel, noise, homoscedastic=False, noise_learned=False
+            X, Y, mean_fn, kernel, noise, homoscedastic=False
         )
         Xstar = rng.normal(size=(9, 2))
         mean, var = exact_gp.predict_exact(model, Xstar)
@@ -104,7 +105,7 @@ def test_criterion_2_gradient_suite(rng):
 
             def f(v):
                 k2 = kernels.with_params(cfg, v[: len(names)])
-                return exact_gp.log_marginal_likelihood(
+                return log_marginal_likelihood(
                     X, Y, ConstantMean(v[-2], False), k2, np.full(n, np.exp(v[-1]))
                 )
 
@@ -144,11 +145,11 @@ def test_criterion_2_gradient_suite(rng):
             else np.exp(rng.normal(size=b) * 0.3 - 2.0)
         )
         _, grads = svgp.elbo_minibatch(state, Xb, yb, 3 * b, noise)
-        gvec = svgp.pack_gradients(state, grads)
-        p0 = svgp.pack_state(state)
+        gvec = pack_gradients(state, grads)
+        p0 = pack_state(state)
 
         def f(p):
-            st = svgp.unpack_state(state, p)
+            st = unpack_state(state, p)
             nv = np.exp(st.log_noise_var) if homosc else noise
             return svgp.elbo_minibatch(st, Xb, yb, 3 * b, nv)[0]
 
@@ -181,7 +182,7 @@ def test_criterion_3_elbo_bound(rng):
         )
         mean_fn = ConstantMean(rng.normal() * 0.2, False)
         sigma2 = float(np.exp(rng.normal() * 0.3 - 1.5))
-        lml = exact_gp.log_marginal_likelihood(X, Y, mean_fn, kernel, sigma2)
+        lml = log_marginal_likelihood(X, Y, mean_fn, kernel, sigma2)
         L = np.tril(rng.normal(size=(m, m)) * 0.2, -1) + np.diag(
             np.exp(rng.normal(size=m) * 0.2 - 1.0)
         )
@@ -203,24 +204,23 @@ def test_criterion_3_elbo_bound(rng):
     Y = np.linalg.cholesky(K) @ rng.standard_normal(n) + np.sqrt(
         sigma2
     ) * rng.standard_normal(n)
-    lml = exact_gp.log_marginal_likelihood(X, Y, mean_fn, kernel, sigma2)
+    lml = log_marginal_likelihood(X, Y, mean_fn, kernel, sigma2)
     state = svgp.SvgpState(
         Z=X.copy(), mvec=np.zeros(n), L=0.1 * np.eye(n),
         kernel=kernel, mean_fn=mean_fn, log_noise_var=np.log(sigma2),
     )
-    p = svgp.pack_state(state)
+    p = pack_state(state)
     iq0 = 0  # q(u) leads the parameter layout
     iq1 = iq0 + n + n * (n + 1) // 2
     mask = np.zeros_like(p)
     mask[iq0:iq1] = 1.0
-    cfg = AdamConfig(learning_rate=0.1)
     opt = adam_init(p.size)
     for _ in range(500):
-        st = svgp.unpack_state(state, p)
+        st = unpack_state(state, p)
         elbo, grads = svgp.elbo_minibatch(st, X, Y, n, sigma2)
-        pn, opt = adam_step(opt, p, -svgp.pack_gradients(st, grads) * mask, cfg)
+        pn, opt = adam_step(opt, p, -pack_gradients(st, grads) * mask, 0.1)
         p = p + (pn - p) * mask
-    final_elbo, _ = svgp.elbo_minibatch(svgp.unpack_state(state, p), X, Y, n, sigma2)
+    final_elbo, _ = svgp.elbo_minibatch(unpack_state(state, p), X, Y, n, sigma2)
     gap = lml - final_elbo
     _report(
         3,
@@ -251,7 +251,7 @@ def test_criterion_4_homoscedastic_collapse():
         data, matched, seed=0, mean_fn=GridInterpMean(scene.prior, data.stats)
     )
     pts = scene.truth.cell_centers()
-    ours_mean, _, _ = two_stage.predict_terrain(ours, pts)
+    ours_mean, _, _ = two_stage.predict_terrain(ours, data.stats, pts)
     base_mean_n, _ = exact_gp.predict_exact(
         baseline, data.stats.normalize_points(pts)
     )

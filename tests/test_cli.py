@@ -190,6 +190,23 @@ class TestFitCommand:
         assert not model.exists()
         assert not (tmp_path / "m.bin.loss.csv").exists()
 
+    @pytest.mark.parametrize("method, code", [("ours-exact", 3), ("hayner", 0)])
+    def test_noise_variance_overflowing_normalization(self, tmp_path, method, code):
+        """0.1 m^2 over 1e-156 m of relief is +inf once divided by std(Y)^2:
+        the two-stage fit, which reads the variances, refuses it as bad
+        data, and a homoscedastic fit, which does not, runs."""
+        rng = np.random.default_rng(0)
+        grids = {
+            "train": make_grid(1e-156 * rng.normal(size=(8, 8))),
+            "noise": make_grid(np.full((8, 8), 0.1)),
+            "prior": make_grid(np.zeros((8, 8))),
+        }
+        argv = ["fit", "--method", method, "--out", str(tmp_path / "m.bin"), "--epochs", "1"]
+        for name, grid in grids.items():
+            write_asc(grid, tmp_path / f"{name}.asc")
+            argv += [f"--{name}", str(tmp_path / f"{name}.asc")]
+        assert main(argv) == code
+
     def test_absurd_learning_rate_is_numerical_error(self, tmp_path):
         out = synth(tmp_path)
         with np.errstate(all="ignore"):

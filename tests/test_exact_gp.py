@@ -12,7 +12,6 @@ from terragp.grids import make_grid
 from terragp.linalg import chol_with_jitter
 from terragp.means import ConstantMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
-from terragp.optim import check_gradient
 from terragp.pipeline import fit_method, make_scene, predict_grid
 from terragp.synth import SynthParams
 
@@ -22,6 +21,7 @@ from conftest import (
     brute_force_posterior,
     random_gp_problem,
 )
+from helpers import check_gradient, log_marginal_likelihood
 
 
 class TestLogMarginalLikelihood:
@@ -31,7 +31,7 @@ class TestLogMarginalLikelihood:
         kernel = kernels.KernelConfig(
             kernels.RBF, log_outputscale=np.log(total_var / 2)
         )
-        lml = exact_gp.log_marginal_likelihood(
+        lml = log_marginal_likelihood(
             [[0.0, 0.0]], [0.5], ConstantMean(0.5, False), kernel, total_var / 2
         )
         assert lml == pytest.approx(0.0, abs=1e-12)
@@ -39,7 +39,7 @@ class TestLogMarginalLikelihood:
     def test_scalar_gaussian_value(self):
         # residual 1, total variance 1: -log(2 pi)/2 - 1/2
         kernel = kernels.KernelConfig(kernels.RBF, log_outputscale=np.log(0.5))
-        lml = exact_gp.log_marginal_likelihood(
+        lml = log_marginal_likelihood(
             [[0.0, 0.0]], [1.0], ZeroMean(), kernel, 0.5
         )
         assert lml == pytest.approx(-0.5 * np.log(2 * np.pi) - 0.5, abs=1e-12)
@@ -47,15 +47,15 @@ class TestLogMarginalLikelihood:
     def test_matches_dense_oracle(self, rng):
         for _ in range(10):
             X, Y, mean, kernel, noise = random_gp_problem(rng, n=3)
-            got = exact_gp.log_marginal_likelihood(X, Y, mean, kernel, noise)
+            got = log_marginal_likelihood(X, Y, mean, kernel, noise)
             want = brute_force_lml(X, Y, mean, kernel, noise)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_permutation_invariant(self, rng):
         X, Y, mean, kernel, noise = random_gp_problem(rng, n=9)
-        base = exact_gp.log_marginal_likelihood(X, Y, mean, kernel, noise)
+        base = log_marginal_likelihood(X, Y, mean, kernel, noise)
         perm = rng.permutation(9)
-        shuffled = exact_gp.log_marginal_likelihood(
+        shuffled = log_marginal_likelihood(
             X[perm], Y[perm], mean, kernel, noise[perm]
         )
         assert shuffled == pytest.approx(base, abs=1e-9)
@@ -85,7 +85,7 @@ class TestLmlGradients:
             def f(v):
                 k2 = kernels.with_params(fam_cfg, v[: len(names)])
                 m2 = ConstantMean(v[-2], False)
-                return exact_gp.log_marginal_likelihood(
+                return log_marginal_likelihood(
                     X, Y, m2, k2, np.full(n, np.exp(v[-1]))
                 )
 
@@ -307,7 +307,7 @@ def test_grid_branch_falls_back_before_the_dense_path_needs_jitter(rng, monkeypa
     calls = count_dense_factors(monkeypatch)
     exact_gp.lml_gradients(X, Y, mean, kernel, np.full(n, 1e-18), noise_learned=True)
     assert calls == [n]
-    model = exact_gp.build_model(X, Y, mean, kernel, 1e-18, homoscedastic=True, noise_learned=True)
+    model = exact_gp.build_model(X, Y, mean, kernel, 1e-18, homoscedastic=True)
     assert calls == [n, n] and model.chol is not None
     dense = []
     real = exact_gp._predict
@@ -364,7 +364,7 @@ def test_grid_posterior_matches_dense_oracle(rng, nx, ny):
         Y = np.sin(2.0 * X[:, 0]) * np.cos(X[:, 1]) + 0.3 * rng.normal(size=n)
         mean_fn = ConstantMean(rng.normal() * 0.3, learnable=True)
         model = exact_gp.build_model(
-            X, Y, mean_fn, kernel, noise, homoscedastic=True, noise_learned=True
+            X, Y, mean_fn, kernel, noise, homoscedastic=True
         )
         assert model.chol is None and model.jitter == 0.0
         queries = {
@@ -390,7 +390,7 @@ def test_grid_predict_peak_memory(rng):
     kernel = kernels.KernelConfig(kernels.RBF, log_lengthscale=-1.0)
     model = exact_gp.build_model(
         X, rng.normal(size=n), ConstantMean(0.0, False), kernel, 0.05,
-        homoscedastic=True, noise_learned=True,
+        homoscedastic=True,
     )
     Xstar = complete_grid(96, 128)
     q = Xstar.shape[0]
@@ -414,7 +414,7 @@ class TestPredict:
         Y = rng.normal(size=5)
         kernel = kernels.KernelConfig(kernels.RBF, log_lengthscale=0.3)
         model = exact_gp.build_model(
-            X, Y, ZeroMean(), kernel, np.zeros(5), homoscedastic=True, noise_learned=False
+            X, Y, ZeroMean(), kernel, np.zeros(5), homoscedastic=True
         )
         mean, var = exact_gp.predict_exact(model, X)
         np.testing.assert_allclose(mean, Y, atol=1e-6)
@@ -423,7 +423,7 @@ class TestPredict:
     def test_far_field_reverts_to_prior(self, rng):
         X, Y, mean_fn, kernel, noise = random_gp_problem(rng, n=6)
         model = exact_gp.build_model(
-            X, Y, mean_fn, kernel, noise, homoscedastic=False, noise_learned=False
+            X, Y, mean_fn, kernel, noise, homoscedastic=False
         )
         far = np.array([[500.0, -500.0]])
         mean, var = exact_gp.predict_exact(model, far)
@@ -439,7 +439,7 @@ class TestPredict:
             mean_fn = ConstantMean(rng.normal() * 0.5, False)
             noise = np.exp(rng.normal(size=n) * 0.3 - 2)
             model = exact_gp.build_model(
-                X, Y, mean_fn, kernel, noise, homoscedastic=False, noise_learned=False
+                X, Y, mean_fn, kernel, noise, homoscedastic=False
             )
             Xstar = rng.normal(size=(7, 2))
             mean, var = exact_gp.predict_exact(model, Xstar)
@@ -450,7 +450,7 @@ class TestPredict:
     def test_variance_never_exceeds_prior(self, rng):
         X, Y, mean_fn, kernel, noise = random_gp_problem(rng, n=10)
         model = exact_gp.build_model(
-            X, Y, mean_fn, kernel, noise, homoscedastic=False, noise_learned=False
+            X, Y, mean_fn, kernel, noise, homoscedastic=False
         )
         Xstar = rng.normal(size=(200, 2)) * 3
         _, var = exact_gp.predict_exact(model, Xstar)
@@ -462,10 +462,10 @@ class TestPredict:
             Xstar = rng.normal(size=(15, 2))
             small = exact_gp.build_model(
                 X[:6], Y[:6], mean_fn, kernel, noise[:6],
-                homoscedastic=False, noise_learned=False,
+                homoscedastic=False,
             )
             full = exact_gp.build_model(
-                X, Y, mean_fn, kernel, noise, homoscedastic=False, noise_learned=False
+                X, Y, mean_fn, kernel, noise, homoscedastic=False
             )
             _, var_small = exact_gp.predict_exact(small, Xstar)
             _, var_full = exact_gp.predict_exact(full, Xstar)
@@ -476,10 +476,10 @@ class TestPredict:
         sigma2 = 0.07
         het = exact_gp.build_model(
             X, Y, mean_fn, kernel, np.full(8, sigma2),
-            homoscedastic=False, noise_learned=False,
+            homoscedastic=False,
         )
         hom = exact_gp.build_model(
-            X, Y, mean_fn, kernel, sigma2, homoscedastic=True, noise_learned=False
+            X, Y, mean_fn, kernel, sigma2, homoscedastic=True
         )
         Xstar = rng.normal(size=(20, 2))
         m1, v1 = exact_gp.predict_exact(het, Xstar)
@@ -496,7 +496,7 @@ class TestPredict:
         noise = np.exp(rng.normal(size=20) * 0.3 - 2)
         model = exact_gp.build_model(
             X, rng.normal(size=20), ConstantMean(0.4, learnable=True), kernel, noise,
-            homoscedastic=False, noise_learned=False,
+            homoscedastic=False,
         )
         Xstar = rng.normal(size=(exact_gp._PREDICT_CHUNK + 37, 2))
         mean = model.predict_mean(Xstar)
@@ -520,7 +520,7 @@ class TestPredict:
             noise = np.exp(rng.normal(size=n) * 0.3 - 2)
         model = exact_gp.build_model(
             X, rng.normal(size=n), ConstantMean(0.3, False), kernel, noise,
-            homoscedastic=False, noise_learned=False,
+            homoscedastic=False,
         )
         if jittered and family not in (2, 3):  # the two exponential kernels' need none
             assert model.jitter > 0.0
@@ -543,7 +543,7 @@ class TestPredict:
         kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=-0.5)
         model = exact_gp.build_model(
             X, rng.normal(size=n), ConstantMean(0.0, False), kernel, np.full(n, 0.05),
-            homoscedastic=True, noise_learned=False,
+            homoscedastic=True,
         )
         q = 3 * exact_gp._PREDICT_CHUNK
         Xstar = rng.uniform(-2.0, 2.0, size=(q, 2))
@@ -567,7 +567,7 @@ def rbf_field_model(rng, n=200):
     Y = np.sin(2.0 * X[:, 0]) * np.cos(X[:, 1]) + 0.1 * rng.normal(size=n)
     return exact_gp.build_model(
         X, Y, ConstantMean(-0.3, learnable=True), kernel, np.full(n, 0.05),
-        homoscedastic=True, noise_learned=True,
+        homoscedastic=True,
     )
 
 
@@ -683,7 +683,6 @@ class TestFitExact:
         )
         model = exact_gp.fit_exact(data, method, seed=0)
         np.testing.assert_allclose(model.noise_var, 0.123)
-        assert not model.noise_learned
 
     def test_loss_history_length_matches_epochs(self, rng):
         data = from_arrays(rng.normal(size=(10, 2)), rng.normal(size=10))

@@ -128,8 +128,8 @@ class TestModelRoundtrips:
         assert mid == "ours-exact"
         assert not loaded.variational
         pts = scene.truth.cell_centers()[:17]
-        a = two_stage.predict_terrain(model, pts)
-        b = two_stage.predict_terrain(loaded, pts)
+        a = two_stage.predict_terrain(model, data.stats, pts)
+        b = two_stage.predict_terrain(loaded, stats, pts)
         for x, y in zip(a, b):
             np.testing.assert_allclose(x, y, atol=1e-12)
         path2 = tmp_path / "t2.bin"
@@ -148,12 +148,41 @@ class TestModelRoundtrips:
         modelio.save_model(path, "ours-exact", model, data.stats)
         mid, loaded, stats = modelio.load_model(path)
         pts = scene.truth.cell_centers()
-        for a, b in zip(two_stage.predict_terrain(model, pts),
-                        two_stage.predict_terrain(loaded, pts)):
+        for a, b in zip(two_stage.predict_terrain(model, data.stats, pts),
+                        two_stage.predict_terrain(loaded, stats, pts)):
             np.testing.assert_array_equal(a, b)
         path2 = tmp_path / "t2.bin"
         modelio.save_model(path2, mid, loaded, stats)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("method_id", ["tomita", "ours-exact"])
+    def test_noise_learned_section_of_older_files_is_ignored(self, method_id):
+        """Exact GPs were once saved with a bool `noise_learned` section
+        after `homoscedastic`.  Loading reads only the sections it asks
+        for, so such a file loads and predicts bit for bit like the same
+        payload without it, and saving writes no such section."""
+        scene = small_scene()
+        method = with_overrides(method_defaults(method_id), epochs=2)
+        model, stats, _ = pipeline.fit_method(
+            method, scene.train, scene.uncertainty, scene.prior, seed=0
+        )
+        payload = modelio.model_payload(method_id, model, stats)
+        assert not any(key.endswith("noise_learned") for key in payload)
+        older = {}
+        for key, value in payload.items():
+            older[key] = value
+            if key.endswith("homoscedastic"):
+                older[key.replace("homoscedastic", "noise_learned")] = False
+        assert len(older) > len(payload)
+        points = scene.truth.cell_centers()[::5]
+        maps = []
+        for p in (payload, older):
+            _, loaded, loaded_stats = modelio.model_from_payload(
+                modelio.bytes_to_payload(modelio.payload_to_bytes(p))
+            )
+            maps.append(two_stage.predict_terrain(loaded, loaded_stats, points))
+        for a, b in zip(*maps, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_mean_function_kinds(self, tmp_path, rng):
         scene = small_scene()
@@ -167,7 +196,7 @@ class TestModelRoundtrips:
         ):
             model = exact_gp.build_model(
                 X, Y, mean_fn, kernel, np.full(6, 0.1),
-                homoscedastic=True, noise_learned=False,
+                homoscedastic=True,
             )
             path = tmp_path / "mean.bin"
             modelio.save_model(path, "tomita", model, data.stats)
@@ -362,6 +391,6 @@ class TestPayloadFuzz:
         points = small_scene().truth.cell_centers()[::9]
         try:
             _, model, stats = modelio.model_from_payload(payload)
-            two_stage.predict_points(model, stats, points)
+            two_stage.predict_terrain(model, stats, points)
         except TerraGpError:
             pass

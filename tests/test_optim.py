@@ -6,10 +6,9 @@ from terragp.datasets import from_arrays
 from terragp.errors import TrainingDivergedError
 from terragp.methods import LOG_NOISE_VARIANCE, NOISE_FLOOR, method_defaults, with_overrides
 from terragp.optim import (
-    AdamConfig,
+    EPSILON,
     adam_init,
     adam_step,
-    check_gradient,
     epoch_batches,
     flatten,
     label,
@@ -17,39 +16,41 @@ from terragp.optim import (
     unflatten,
 )
 
+from helpers import check_gradient
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        cfg = AdamConfig(learning_rate=0.1)
+        lr = 0.1
         params = np.array([1.0, -2.0])
         state = adam_init(2)
-        new, state = adam_step(state, params, np.zeros(2), cfg)
+        new, state = adam_step(state, params, np.zeros(2), lr)
         np.testing.assert_array_equal(new, params)
         assert state.step == 1
 
     def test_first_step_bias_corrected(self):
         # t=1: m_hat = g, v_hat = g^2, update = lr * g/(|g| + eps)
-        cfg = AdamConfig(learning_rate=0.1)
+        lr = 0.1
         params = np.array([0.5])
-        new, _ = adam_step(adam_init(1), params, np.array([1.0]), cfg)
-        expected_delta = 0.1 * 1.0 / (1.0 + cfg.epsilon)
+        new, _ = adam_step(adam_init(1), params, np.array([1.0]), lr)
+        expected_delta = 0.1 * 1.0 / (1.0 + EPSILON)
         assert params[0] - new[0] == pytest.approx(expected_delta, abs=1e-15)
 
     def test_arguments_left_as_they_are(self):
-        cfg = AdamConfig(learning_rate=0.1)
+        lr = 0.1
         rng = np.random.default_rng(3)
         params, grad = rng.normal(size=5), rng.normal(size=5)
         params0, grad0 = params.copy(), grad.copy()
         state = adam_init(5)
         for _ in range(3):
-            new, state = adam_step(state, params, grad, cfg)
+            new, state = adam_step(state, params, grad, lr)
             assert new is not params and not np.shares_memory(new, params)
             np.testing.assert_array_equal(params, params0)
             np.testing.assert_array_equal(grad, grad0)
         assert state.step == 3
 
     def test_deterministic_trajectories(self):
-        cfg = AdamConfig(learning_rate=0.05)
+        lr = 0.05
         rng = np.random.default_rng(0)
         grads = rng.normal(size=(30, 4))
 
@@ -57,31 +58,31 @@ class TestAdam:
             p = np.ones(4)
             st = adam_init(4)
             for g in grads:
-                p, st = adam_step(st, p, g, cfg)
+                p, st = adam_step(st, p, g, lr)
             return p
 
         np.testing.assert_array_equal(run(), run())
 
     def test_zero_learning_rate_freezes(self):
-        cfg = AdamConfig(learning_rate=0.0)
+        lr = 0.0
         p = np.array([3.0, -1.0])
         st = adam_init(2)
         for _ in range(10):
-            p, st = adam_step(st, p, np.array([1.0, -2.0]), cfg)
+            p, st = adam_step(st, p, np.array([1.0, -2.0]), lr)
         np.testing.assert_allclose(p, [3.0, -1.0], atol=1e-12)
 
     def test_nonfinite_gradient_raises_with_name(self):
-        cfg = AdamConfig()
+        lr = 0.1
         with pytest.raises(TrainingDivergedError, match="log_lengthscale"):
             adam_step(
                 adam_init(2),
                 np.zeros(2),
                 np.array([np.nan, 1.0]),
-                cfg,
+                lr,
                 name_of=lambda i: ["log_lengthscale", "log_outputscale"][i],
             )
         with pytest.raises(TrainingDivergedError, match="index 1"):
-            adam_step(adam_init(2), np.zeros(2), np.array([0.0, np.inf]), cfg)
+            adam_step(adam_init(2), np.zeros(2), np.array([0.0, np.inf]), lr)
 
 
 class TestBlocks:

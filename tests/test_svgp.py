@@ -13,6 +13,7 @@ from terragp.means import ConstantMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
 
 from conftest import all_family_configs, family_id, random_gp_problem
+from helpers import log_marginal_likelihood, pack_gradients, pack_state, unpack_state
 
 
 def random_state(rng, m=5, family=kernels.RATIONAL_QUADRATIC, homosc=True, mean_const=0.3):
@@ -342,11 +343,11 @@ class TestElbo:
                 else np.exp(rng.normal(size=b) * 0.3 - 2.0)
             )
             _, grads = elbo_fn(state, Xb, yb, 3 * b, noise)
-            gvec = svgp.pack_gradients(state, grads)
-            p0 = svgp.pack_state(state)
+            gvec = pack_gradients(state, grads)
+            p0 = pack_state(state)
 
             def f(p):
-                s2 = svgp.unpack_state(state, p)
+                s2 = unpack_state(state, p)
                 nv = np.exp(s2.log_noise_var) if homosc else noise
                 return elbo_fn(s2, Xb, yb, 3 * b, nv)[0]
 
@@ -364,7 +365,7 @@ class TestElbo:
             n, m = 12, 6
             X, Y, mean_fn, kernel, _ = random_gp_problem(rng, n=n)
             sigma2 = float(np.exp(rng.normal() * 0.3 - 1.5))
-            lml = exact_gp.log_marginal_likelihood(X, Y, mean_fn, kernel, sigma2)
+            lml = log_marginal_likelihood(X, Y, mean_fn, kernel, sigma2)
             state = random_state(rng, m=m)
             state = svgp.SvgpState(
                 Z=X[:m].copy(), mvec=state.mvec, L=state.L, kernel=kernel,
@@ -380,17 +381,17 @@ class TestElbo:
         n = 10
         X = rng.normal(size=(n, 2))
         y = rng.normal(size=n)
-        p = svgp.pack_state(state)
+        p = pack_state(state)
         prev = -np.inf
         increases = 0
         steps = 200
         for _ in range(steps):
-            st = svgp.unpack_state(state, p)
+            st = unpack_state(state, p)
             elbo, grads = svgp.elbo_minibatch(st, X, y, n, np.exp(st.log_noise_var))
             if elbo >= prev - 1e-12:
                 increases += 1
             prev = elbo
-            p = p + 1e-3 * svgp.pack_gradients(st, grads)
+            p = p + 1e-3 * pack_gradients(st, grads)
         assert increases >= 0.95 * steps
 
     @ELBO_ENTRY_POINTS
@@ -467,17 +468,17 @@ class TestCholBackward:
         Xb = rng.uniform(-6.0, 6.0, size=(b, 2))
         yb = rng.normal(size=b)
         _, grads = svgp.elbo_minibatch(state, Xb, yb, 4 * b, np.exp(state.log_noise_var))
-        p0 = svgp.pack_state(state)
+        p0 = pack_state(state)
         d = rng.normal(size=p0.size)
         d /= np.linalg.norm(d)
 
         def f(t):
-            moved = svgp.unpack_state(state, p0 + t * d)
+            moved = unpack_state(state, p0 + t * d)
             return svgp.elbo_minibatch(moved, Xb, yb, 4 * b, np.exp(moved.log_noise_var))[0]
 
         h = 1e-5
         numeric = (f(h) - f(-h)) / (2 * h)
-        analytic = svgp.pack_gradients(state, grads) @ d
+        analytic = pack_gradients(state, grads) @ d
         assert abs(analytic - numeric) / max(1.0, abs(numeric)) < 1e-4
 
 

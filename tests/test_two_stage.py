@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from terragp.datasets import grid_to_dataset
 from terragp.errors import InvalidInputError
 from terragp.grids import make_grid
 from terragp.means import GridInterpMean
-from terragp.methods import method_defaults, with_overrides
+from terragp.methods import NOISE_GP, method_defaults, with_overrides
 from terragp.synth import SynthParams
 
 
@@ -45,6 +47,14 @@ class TestFitNoiseGp:
         R[4] = 0.0
         with pytest.raises(InvalidInputError, match=r"r\[4\]"):
             two_stage.fit_noise_gp(X, R, seed=0)
+
+    def test_infinite_variance_names_index(self):
+        # a finite variance over a near-flat terrain can overflow to +inf
+        # when normalized by std(Y)^2
+        R = np.ones(9)
+        R[5] = np.inf
+        with pytest.raises(InvalidInputError, match=r"r\[5\] = inf"):
+            two_stage.fit_noise_gp(grid_points(3), R, seed=0)
 
     def test_clamped_extrapolation(self, rng):
         X = grid_points(6)
@@ -204,7 +214,7 @@ class TestTwoStage:
             data, method_defaults("ours-exact"), seed=0, mean_fn=mean_fn
         )
         pts = scene.train.cell_centers()
-        _, latent, pred = two_stage.predict_terrain(model, pts)
+        _, latent, pred = two_stage.predict_terrain(model, data.stats, pts)
         cols = scene.train.ncols
         half = (pts[:, 0] - scene.train.xllcorner) > cols * scene.train.cellsize / 2
         assert latent[half].mean() > latent[~half].mean()
@@ -217,7 +227,7 @@ class TestTwoStage:
         method = with_overrides(method_defaults("ours-exact"), epochs=5)
         model = two_stage.fit_two_stage(data, method, seed=0, mean_fn=mean_fn)
         pts = scene.truth.cell_centers()[::7]
-        mean, latent, pred = two_stage.predict_terrain(model, pts)
+        mean, latent, pred = two_stage.predict_terrain(model, data.stats, pts)
         noise = data.stats.denormalize_var(
             np.exp(model.noise.log_var_mean(data.stats.normalize_points(pts)))
         )
@@ -231,7 +241,7 @@ class TestTwoStage:
         method = with_overrides(method_defaults("ours-exact"), epochs=5)
         model = two_stage.fit_two_stage(data, method, seed=0, mean_fn=mean_fn)
         far = np.array([[1e5, 1e5]])
-        _, latent, pred = two_stage.predict_terrain(model, far)
+        _, latent, pred = two_stage.predict_terrain(model, data.stats, far)
         sigma_s2 = model.terrain.kernel.outputscale * data.stats.y_std**2
         assert latent[0] == pytest.approx(sigma_s2, rel=1e-6)
         noise_far = data.stats.denormalize_var(
@@ -250,9 +260,27 @@ class TestTwoStage:
         model = two_stage.fit_two_stage(data, method, seed=0, mean_fn=mean_fn)
         assert model.variational
         mean, latent, pred = two_stage.predict_terrain(
-            model, scene.train.cell_centers()[:10]
+            model, data.stats, scene.train.cell_centers()[:10]
         )
         assert np.all(np.isfinite(mean)) and np.all(pred >= latent)
+
+    def test_model_is_its_two_gps(self):
+        """A two-stage model holds only its two GPs: `fit_method` returns
+        the terrain GP's history, the stage-1 history stays on the noise
+        GP, and `predict_grid` maps are `predict_terrain`'s at the grid's
+        cell centers."""
+        assert [f.name for f in fields(two_stage.TwoStageModel)] == ["noise", "terrain"]
+        scene = self.scene(size=16)
+        method = with_overrides(method_defaults("ours-exact"), epochs=3)
+        model, stats, history = pipeline.fit_method(
+            method, scene.train, scene.uncertainty, scene.prior, seed=0
+        )
+        assert history == model.terrain.loss_history and len(history) == 3
+        assert len(model.noise.gp.loss_history) == NOISE_GP.epochs
+        grids = pipeline.predict_grid(model, stats, scene.truth)
+        maps = two_stage.predict_terrain(model, stats, scene.truth.cell_centers())
+        for grid, values in zip(grids, maps, strict=True):
+            assert grid.values.tobytes() == values.reshape(grid.values.shape).tobytes()
 
     def test_requires_variance_samples(self, rng):
         g = make_grid(rng.normal(size=(6, 6)))
