@@ -320,7 +320,8 @@ def main(argv=None) -> int:
         return getattr(exc, "exit_code", EXIT_IO)
     except MemoryError:
         print(
-            "error: out of memory; an exact GP needs n^2 memory for n training cells, "
+            "error: out of memory; an exact GP holds an n x n array of doubles "
+            "(8 n^2 bytes) for n training cells, "
             "so use a variational method (torroba, ours-variational) or a smaller grid",
             file=sys.stderr,
         )

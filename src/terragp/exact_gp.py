@@ -2,13 +2,18 @@
 
 Everything is computed through a Cholesky factor of K + diag(noise):
 the log marginal likelihood, its analytic gradients in log-parameter
-space, and the posterior predictive.  The gradients take their trace
-terms from one triangle of the inverse (LAPACK dpotri on the factor)
-and K with every dK/dtheta from one kernel pass, so a training epoch
-forms neither the full inverse nor a a^T.  One exception: a model with
-an RBF kernel, one constant noise and the points of a complete grid
-(hayner, and stage 1 on a raster) has K = s2 Ky (x) Kx for the 1-D
-Grams of the two axes (Saatci 2012, ch. 5; Wilson et al. 2014).  Its
+space, and the posterior predictive.  K is built on the one triangle
+the Cholesky reads (`kernels.sym_gram`) and factored in place, LAPACK
+dpotri overwrites the factor with one triangle of the inverse, and
+every dK/dtheta is recomputed a row panel at a time against that
+triangle (`kernels.sym_gradient_sums`).  So a training epoch holds one
+n x n array and forms neither the full inverse, a a^T nor a whole
+dK/dtheta; `build_model` holds one n x n array, the factor.
+
+One exception: a model with an RBF kernel, one constant noise and the
+points of a complete grid (hayner, and stage 1 on a raster) has
+K = s2 Ky (x) Kx for the 1-D Grams of the two axes (Saatci 2012, ch. 5;
+Wilson et al. 2014).  Its
 training epochs, its weights alpha and its predictive variance all come
 from the eigendecompositions of those Grams (`_grid_basis`), and it
 holds no Cholesky factor: no n x n array is formed in fit, build, load
@@ -83,10 +88,12 @@ class ExactGpModel:
 
 
 def _factorize(K, X, Y, mean_fn, noise_vec):
-    """(L, a, lml, jitter): L L^T = K + diag(noise), the noise added to K
-    in place, and a = (L L^T)^-1 (Y - m(X))."""
+    """(L, a, lml, jitter): L L^T = K + diag(noise) for a C-ordered
+    symmetric K (`kernels.sym_gram`), the noise added to K and the factor
+    written over it, and a = (L L^T)^-1 (Y - m(X))."""
     K.flat[:: K.shape[0] + 1] += noise_vec
-    # K is symmetric; its transpose spares LAPACK a C-to-Fortran copy
+    # the Fortran-ordered K.T is factored in place; `chol_with_jitter` is
+    # looked up at call time, so a tracer that rebinds it sees every call
     L, jitter = chol_with_jitter(K.T)
     resid = np.asarray(Y, dtype=float) - mean_fn(X)
     a = chol_solve(L, resid)
@@ -101,11 +108,14 @@ def lml_gradients(
     """LML and its gradients in log-parameter space.
 
     Each kernel hyperparameter gets 0.5 (a^T dK a - <Ky^-1, dK>), where
-    a = Ky^-1 (Y - m(X)).  dpotri gives only the lower triangle of Ky^-1,
-    and both matrices are symmetric, so the Frobenius product is twice
-    the sum over one triangle minus the diagonal's.  A learned noise
-    variance s2 gets 0.5 s2 (a^T a - tr Ky^-1), the learned-constant mean
-    sum(a).  K and every dK come from one kernel pass.
+    a = Ky^-1 (Y - m(X)).  K is built on one triangle, factored in place
+    and overwritten by the lower triangle of Ky^-1 (dpotri), so the
+    epoch holds one n x n array.  Both matrices of the Frobenius product
+    are symmetric, so it is twice the sum over that triangle minus the
+    diagonal's, where only dK/dlog(s2) = s2 is nonzero.  Those sums and
+    a^T dK a come from `kernels.sym_gradient_sums`, which recomputes
+    each dK one row panel at a time.  A learned noise variance s2n gets
+    0.5 s2n (a^T a - tr Ky^-1), the learned-constant mean sum(a).
 
     With an RBF kernel, one constant noise > 0 and X a complete grid
     (`datasets.grid_axes`), `_grid_lml_gradients` gives the same values
@@ -116,18 +126,17 @@ def lml_gradients(
     grid = _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned)
     if grid is not None:
         return grid
-    K, dKs = kernels.gram_and_gradients(kernel, kernels.sq_dists(X, X))
-    L, a, lml, _ = _factorize(K.copy(), X, Y, mean_fn, noise_vec)
-
-    Kinv = chol_inverse(L)  # Fortran-ordered lower triangle: Kinv.T is C-contiguous
-    Kinv_diag = Kinv.diagonal()
+    L, a, lml, _ = _factorize(kernels.sym_gram(kernel, X), X, Y, mean_fn, noise_vec)
+    Kinv = chol_inverse(L)  # Fortran-ordered lower triangle: Kinv.T is C-ordered upper
+    trace = float(Kinv.diagonal().sum())
+    sums, quad = kernels.sym_gradient_sums(kernel, X, Kinv.T, a)
     grads: dict[str, float] = {}
-    for name, dK in dKs.items():
-        frobenius = 2.0 * np.vdot(Kinv.T, dK) - Kinv_diag @ dK.diagonal()
-        grads[name] = 0.5 * float(a @ (dK @ a) - frobenius)
+    for name, tri in sums.items():
+        diagonal = kernel.outputscale * trace if name == kernels.LOG_OUTPUTSCALE else 0.0
+        grads[name] = 0.5 * (quad[name] - (2.0 * tri - diagonal))
     if noise_learned:
         # homoscedastic: dKy/d(log s2) = s2 * I
-        grads[LOG_NOISE_VARIANCE] = 0.5 * float(noise_vec[0] * (a @ a - Kinv_diag.sum()))
+        grads[LOG_NOISE_VARIANCE] = 0.5 * float(noise_vec[0] * (a @ a - trace))
     if getattr(mean_fn, "learnable", False):
         grads[MEAN_CONSTANT] = float(np.sum(a))
     return lml, grads
@@ -225,7 +234,7 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic) -> ExactGpModel
     noise_vec = check_noise(noise_var, X.shape[0])
     basis = _grid_basis(X, kernel, noise_vec)
     if basis is None:
-        L, a, _, jitter = _factorize(kernels.gram(kernel, X, X), X, Y, mean_fn, noise_vec)
+        L, a, _, jitter = _factorize(kernels.sym_gram(kernel, X), X, Y, mean_fn, noise_vec)
     else:
         L, a, jitter = None, _grid_solve(basis, Y - mean_fn(X))[2].ravel(), 0.0
     return ExactGpModel(
@@ -278,7 +287,8 @@ def _predict(kernel, mean_fn, centres, weights, L, Xstar, Lw=None):
     the SVGP's Lz), the variance is k** - |L^-1 K*|^2 per column, L^-1
     inverted once per call and multiplied into each chunk's K* in place by
     dtrmm.  With the SVGP's whitened factor `Lw` it adds
-    |(L^-1 K*)^T Lw|^2.  Variances are clamped at zero after roundoff.
+    |(L^-1 K*)^T Lw|^2, that product written over L^-1 K* once its norms
+    are taken.  Variances are clamped at zero after roundoff.
     Queries are processed in chunks so dense grids do not blow up memory.
     """
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
@@ -290,14 +300,31 @@ def _predict(kernel, mean_fn, centres, weights, L, Xstar, Lw=None):
         mean[sl] = mean_sl
         # (L^-1 K*)^T = K*^T L^-T, written over K*, which is not read again
         Vt = tri_matmul(Ks.T, Linv, trans=True, overwrite_m=True)
-        VL = None if Lw is None else tri_matmul(Vt, Lw)
-        Vt *= Vt
-        var[sl] = kernels.gram_diag(kernel, Xstar[sl]) - np.sum(Vt, axis=1)
-        if VL is not None:
-            VL *= VL
-            var[sl] += np.sum(VL, axis=1)
-        del Ks, Vt, VL
+        if Lw is None:
+            Vt *= Vt
+            var[sl] = kernels.gram_diag(kernel, Xstar[sl]) - np.sum(Vt, axis=1)
+        else:
+            var[sl] = kernels.gram_diag(kernel, Xstar[sl]) - _sq_row_norms(Vt)
+            # (L^-1 K*)^T Lw, written over Vt: the chunk holds one q x m array
+            Vt = tri_matmul(Vt, Lw, overwrite_m=True)
+            Vt *= Vt
+            var[sl] += np.sum(Vt, axis=1)
+        del Ks, Vt
     return mean, np.maximum(var, 0.0)
+
+
+# rows per block of `_sq_row_norms`
+_ROW_BLOCK = 256
+
+
+def _sq_row_norms(V: np.ndarray) -> np.ndarray:
+    """|V_i|^2 per row of a C-ordered V, bitwise np.sum(V * V, axis=1),
+    with a block of rows squared at a time."""
+    out = np.empty(V.shape[0])
+    for i in range(0, V.shape[0], _ROW_BLOCK):
+        W = V[i : i + _ROW_BLOCK]
+        out[i : i + _ROW_BLOCK] = np.sum(W * W, axis=1)
+    return out
 
 
 def _grid_variance(basis: _GridBasis, kernel, Xstar) -> np.ndarray:

@@ -19,6 +19,15 @@ u = r2 / (2 alpha ell^2), all of it comes from one log1p(u) per entry:
 The last is kept in that form: the equal 1 - 1/(1 + u) - log(1 + u)
 cancels catastrophically at small u.
 
+A symmetric Gram K(X, X) is evaluated on one triangle only, a row panel
+at a time (`sym_gram`): the upper triangle of the C-ordered K, which is
+the lower triangle of the Fortran-ordered K.T that LAPACK factors.
+Gradients against one triangle of an adjoint (the inverse of the exact
+model's covariance, or the SVGP's Kzz adjoint) come from
+`sym_gradient_sums`, which recomputes each panel's K, slope and RQ shape
+derivative, so no n x n dK/dtheta is ever stored.  `gram_and_gradients`
+serves the rectangular cross-covariances and the 1-D grid axes.
+
 Every family is wrapped by an output scale, k(x, x') = s2 * k_base, and
 all positive hyperparameters are stored as logarithms so unconstrained
 gradient steps can never produce an invalid kernel.  Distances are
@@ -127,7 +136,8 @@ def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
 
     The one place the families differ; in-place updates spare the hot
     loops full-size temporaries.  Without `with_slope` the RBF, RQ and
-    abs-exp profiles overwrite r2 with k, so `gram` holds one q x n array.
+    abs-exp profiles overwrite r2 with k, so `gram` holds one q x n array,
+    and the Matern profiles hold two (3/2) or three (5/2).
     """
     ell = cfg.lengthscale
     ell2 = ell**2
@@ -162,24 +172,38 @@ def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):
             slope = np.divide(k, r, out=np.zeros_like(r), where=r > 0.0)
             slope *= -0.5 / ell
     else:  # matern 3/2 or 5/2
-        s = np.sqrt(2.0 * cfg.nu) * np.sqrt(r2) / ell
-        e = np.exp(-s)
+        s = np.sqrt(r2, out=out)
+        np.multiply(np.sqrt(2.0 * cfg.nu), s, out=s)
+        s /= ell
+        e = np.negative(s)
+        np.exp(e, out=e)
         if cfg.nu == 1.5:
-            k = (1.0 + s) * e
+            k = np.add(1.0, s, out=s)
+            k *= e
             if with_slope:
-                slope = e * (-1.5 / ell2)
+                slope = np.multiply(e, -1.5 / ell2, out=e)
         else:
-            k = (1.0 + s + s**2 / 3.0) * e
+            k = np.square(s)
+            k /= 3.0
+            one_s = np.add(1.0, s, out=s)
+            k = np.add(one_s, k, out=k)
+            k *= e
             if with_slope:
-                slope = (-5.0 / (6.0 * ell2)) * (1.0 + s) * e
+                slope = np.multiply(-5.0 / (6.0 * ell2), one_s, out=one_s)
+                slope *= e
     return k, slope, dalpha
+
+
+def _scaled_gram(cfg: KernelConfig, r2: np.ndarray) -> np.ndarray:
+    """s2 * k_base(r2), written over r2."""
+    k, _, _ = _profile(cfg, r2)
+    k *= cfg.outputscale
+    return k
 
 
 def gram(cfg: KernelConfig, a, b) -> np.ndarray:
     """Covariance matrix with entries s2 * k_base(a_i, b_j)."""
-    k, _, _ = _profile(cfg, sq_dists(a, b))
-    k *= cfg.outputscale
-    return k
+    return _scaled_gram(cfg, sq_dists(a, b))
 
 
 def eval_kernel(cfg: KernelConfig, x, xp) -> float:
@@ -224,3 +248,65 @@ def gram_dr2(cfg: KernelConfig, a, b) -> np.ndarray:
     _, slope, _ = _profile(cfg, sq_dists(a, b), with_slope=True)
     slope *= cfg.outputscale
     return slope
+
+
+# Rows per panel of the one-triangle passes over a symmetric Gram.  Each
+# panel's temporaries are _PANEL x n; the diagonal blocks, evaluated
+# whole, repeat n * _PANEL / 2 entries of the lower triangle.
+_PANEL = 128
+
+
+def _row_panels(n: int):
+    for i in range(0, n, _PANEL):
+        yield i, min(n, i + _PANEL)
+
+
+def sym_gram(cfg: KernelConfig, X) -> np.ndarray:
+    """K(X, X), C-ordered, each entry of its upper triangle evaluated once.
+
+    Row panel [i, k) is evaluated against the points from i on: the
+    upper triangle, which is the lower triangle of the Fortran-ordered
+    K.T that LAPACK's Cholesky reads.  The strict lower triangle is
+    copied from it, so K is exactly symmetric; `linalg.chol_with_jitter`
+    restores a failed attempt from that copy.  Every entry equals
+    `gram(cfg, X, X)`'s bitwise.
+    """
+    X = _as_points(X)
+    n = X.shape[0]
+    if n <= _PANEL:  # one panel: the whole square
+        return _scaled_gram(cfg, sq_dists(X, X))
+    K = np.empty((n, n))
+    for i, k in _row_panels(n):
+        panel = _scaled_gram(cfg, sq_dists(X[i:k], X[i:]))
+        K[i:k, i:] = panel
+        K[k:, i:k] = panel[:, k - i :].T
+    return K
+
+
+def sym_gradient_sums(cfg: KernelConfig, X, T: np.ndarray, a=None):
+    """(sums, quad): per hyperparameter, sums[name] = sum over i <= j of
+    T_ij dK_ij/dtheta for the upper triangle of T, and, given `a`,
+    quad[name] = a^T (dK/dtheta) a (else None), with K = K(X, X).
+
+    T's strict lower triangle must be zero within each diagonal block
+    of _PANEL rows; it is not read elsewhere.  Each panel's K, slope and
+    RQ shape derivative are evaluated by `gram_and_gradients` from the
+    panel's squared distances and dropped before the next: no n x n
+    dK/dtheta is formed.  Off the diagonal a symmetric sum counts each
+    term twice; on it only dK/dlog(s2) is nonzero, and equals s2.
+    """
+    X = _as_points(X)
+    sums = dict.fromkeys(param_names(cfg), 0.0)
+    quad = None if a is None else dict(sums)
+    for i, k in _row_panels(X.shape[0]):
+        _, grads = gram_and_gradients(cfg, sq_dists(X[i:k], X[i:]))
+        Tp = np.ascontiguousarray(T[i:k, i:])
+        for name, dK in grads.items():
+            sums[name] += float(np.vdot(Tp, dK))
+            if quad is not None:
+                # the diagonal block once, the block right of it for both triangles
+                ai = a[i:k]
+                w = dK[:, : k - i] @ ai
+                w += 2.0 * (dK[:, k - i :] @ a[k:])
+                quad[name] += float(ai @ w)
+    return sums, quad

@@ -25,16 +25,19 @@ reached 1e16.  With cond(Lz) bounded, prediction runs through Lz^-1 in
 the exact model's loop (`exact_gp._predict`, `exact_gp.predict_mean`).
 
 All ELBO gradients are analytic and come from one reverse-mode pass,
-`elbo_minibatch`, the trainer's own step.  It evaluates Kzz and Kxz
-once each, with every dK/dtheta, through which the kernel-matrix
-adjoints reach the hyperparameters; the adjoint of Kzz comes from a
-blocked reverse of its Cholesky factor.  That adjoint is one triangle:
-the Cholesky reads only Kzz's lower triangle, so dF/dKzz_ij for i >= j
-is all there is, and each dKzz/dtheta, symmetric, is contracted with it
-by a plain `vdot`.  The products whose upper triangles nothing reads
-(the Lz adjoint fed to that reverse, and the Lw adjoint, whose strict
-lower triangle and diagonal are the gradient blocks) are formed on and
-below the diagonal only.
+`elbo_minibatch`, the trainer's own step.  It evaluates Kxz once, with
+every dKxz/dtheta; Kzz is built on the one triangle its Cholesky reads
+and factored in place (`_kzz_factor`).  The kernel-matrix adjoints
+reach the hyperparameters through those derivatives; the adjoint of
+Kzz comes from a blocked reverse of its Cholesky factor.  That adjoint
+is one triangle: the Cholesky reads only one triangle of Kzz, so
+dF/dKzz_ij for i >= j is all there is, and each dKzz/dtheta, symmetric,
+is recomputed a row panel at a time on one triangle and contracted with
+it (`kernels.sym_gradient_sums`), so no whole dKzz/dtheta is stored.
+The products whose upper triangles nothing reads (the Lz adjoint fed to
+that reverse, and the Lw adjoint, whose strict lower triangle and
+diagonal are the gradient blocks) are formed on and below the diagonal
+only.  A step holds at most two m x m arrays at a time.
 
 The inducing locations Z are not trained; they stay at their seeded
 draw from the training inputs.  On terrain domains the data barely
@@ -46,7 +49,6 @@ close to optimized ones (Burt, Rasmussen & van der Wilk, JMLR 21, 2020).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -55,7 +57,9 @@ from scipy.linalg.blas import dsyrk
 from . import exact_gp, kernels
 from .datasets import Dataset
 from .errors import InvalidConfigError, InvalidInputError
-from .linalg import chol_with_jitter, tri_inverse, tri_matmul, tri_solve
+from .linalg import (
+    chol_with_jitter, mirror_strict_lower, strict_lower_mask, tri_inverse, tri_matmul, tri_solve,
+)
 from .means import default_mean
 from .methods import (
     LOG_NOISE_VARIANCE, MethodConfig, check_noise, init_kernel, noise_plan,
@@ -125,15 +129,16 @@ def expected_loglik(qf_mean, qf_var, y, noise_var):
 KZZ_FLOOR = 1e-6
 
 
-def _kzz_factor(Kzz: np.ndarray, outputscale: float) -> np.ndarray:
+def _kzz_factor(kernel: kernels.KernelConfig, Z: np.ndarray) -> np.ndarray:
     """Lz = chol(Kzz + KZZ_FLOOR s2 I), the one factor of the inducing
-    prior covariance; the floor is added to Kzz in place.
+    prior covariance.
 
-    Where Kzz is also the kernel's d/dlog s2, the floored array stays the
-    exact derivative of s2 (k + KZZ_FLOOR).  Kzz is symmetric; its
-    transpose spares LAPACK a C-to-Fortran copy.  `chol_with_jitter` is
-    looked up at call time, so a tracer that rebinds it sees every call."""
-    Kzz.flat[:: Kzz.shape[0] + 1] += KZZ_FLOOR * outputscale
+    Kzz is built on one triangle (`kernels.sym_gram`), floored and
+    factored in place, so the factor is the one m x m array it holds.
+    `chol_with_jitter` is looked up at call time, so a tracer that
+    rebinds it sees every call."""
+    Kzz = kernels.sym_gram(kernel, Z)
+    Kzz.flat[:: Kzz.shape[0] + 1] += KZZ_FLOOR * kernel.outputscale
     Lz, _ = chol_with_jitter(Kzz.T)
     return Lz
 
@@ -163,7 +168,7 @@ def kl_term(state: SvgpState) -> float:
 
 def _mean_weights(state: SvgpState) -> tuple[np.ndarray, np.ndarray]:
     """(Lz, c) with c = Lz^-T mw: the q(f) mean is m(x) + K(x, Z) c."""
-    Lz = _kzz_factor(kernels.gram(state.kernel, state.Z, state.Z), state.kernel.outputscale)
+    Lz = _kzz_factor(state.kernel, state.Z)
     return Lz, solve_triangular(Lz, state.mvec, lower=True, trans="T", check_finite=False)
 
 
@@ -299,10 +304,10 @@ def _elbo_whitened(
         v = np.full(b, float(v))
     w = n_total / b
 
-    # K and every dK/dtheta of each point pair from one kernel pass
-    Kzz, dKzz = kernels.gram_and_gradients(kernel, kernels.sq_dists(Z, Z))
+    # Kxz and every dKxz/dtheta from one kernel pass; each dKzz/dtheta is
+    # recomputed a row panel at a time against Kzz's adjoint below
     Kxz, dKxz = kernels.gram_and_gradients(kernel, kernels.sq_dists(Xb, Z))
-    Lz = _kzz_factor(Kzz, kernel.outputscale)
+    Lz = _kzz_factor(kernel, Z)
     B = _project(Lz, Kxz)
     kxx = kernels.gram_diag(kernel, Xb)
     # q(f) at the batch: mean m + B mw, variance kxx - |B_i|^2 + |(B Lw)_i|^2
@@ -325,20 +330,26 @@ def _elbo_whitened(
         Lz, B_bar.T, lower=True, trans="T", overwrite_b=True, check_finite=False
     ).T
     Kzz_bar = _chol_backward(Lz, _lower_product(-Kxz_bar, B))
+    del Lz  # at most two m x m arrays at a time: Lz with Kzz_bar, then Lw_bar
+    # Kzz_bar (one lower triangle, the upper one of Kzz_bar^T) and Kxz_bar
+    # into the kernel hyperparameters
+    kzz_sums, _ = kernels.sym_gradient_sums(kernel, Z, Kzz_bar.T)
+    kern_grads: dict[str, float] = {}
+    for name, g in kzz_sums.items():
+        g += float(np.vdot(Kxz_bar, dKxz[name]))
+        if name == kernels.LOG_OUTPUTSCALE:
+            # the floor's KZZ_FLOOR s2 on Kzz's diagonal is part of dKzz/dlog(s2)
+            g += KZZ_FLOOR * kernel.outputscale * float(np.trace(Kzz_bar))
+            g += float(np.sum(ubar * kxx))
+        kern_grads[name] = g
+    del Kzz_bar
+
     mw_bar = B.T @ ebar - mw
     # 2 B^T diag(ubar) B Lw - Lw; only its strict lower triangle and its
     # diagonal are read
     Lw_bar = _lower_product(B, (2.0 * ubar)[:, None] * BL)
     Lw_bar -= Lw
     _log_diag(Lw_bar, Lw)
-
-    # Kzz_bar (one triangle) and Kxz_bar into the kernel hyperparameters
-    kern_grads: dict[str, float] = {}
-    for name in kernels.param_names(kernel):
-        g = float(np.vdot(Kzz_bar, dKzz[name])) + float(np.vdot(Kxz_bar, dKxz[name]))
-        if name == kernels.LOG_OUTPUTSCALE:
-            g += float(np.sum(ubar * kxx))
-        kern_grads[name] = g
 
     noise_grad = None
     if state.log_noise_var is not None:
@@ -367,7 +378,7 @@ def _optimal_whitened_q(
     prior's small eigendirections and bounded per-coordinate steps take
     thousands of iterations to reach it.
     """
-    Lz = _kzz_factor(kernels.gram(kernel, Z, Z), kernel.outputscale)
+    Lz = _kzz_factor(kernel, Z)
     B = _project(Lz, kernels.gram(kernel, X, Z))
     root_v = np.sqrt(check_noise(noise_var, X.shape[0], variational=True))
     B /= root_v[:, None]  # V^-1/2 B
@@ -376,7 +387,10 @@ def _optimal_whitened_q(
     # With J the index reversal and U = chol(J M J), M = R R^T for the
     # upper-triangular R = J U J, so S_w = M^-1 = Lw Lw^T with the lower
     # factor Lw = R^-T = J U^-T J: one Cholesky and one triangular inverse.
-    # The lower triangle of J M J that the Cholesky reads is M's upper.
+    # The lower triangle of J M J that the Cholesky reads is M's upper; M's
+    # lower is its mirror, from which a failed attempt is restored, and
+    # the reversed view is factored in one contiguous copy.
+    mirror_strict_lower(M.T)
     U, _ = chol_with_jitter(M[::-1, ::-1])
     Lw = np.ascontiguousarray(tri_inverse(U)[::-1, ::-1].T)
     resid = np.asarray(Y, dtype=float) - mean_fn(X)
@@ -389,15 +403,6 @@ def _optimal_whitened_q(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _strict_lower(m: int) -> np.ndarray:
-    """Read-only boolean mask of the strict lower triangle of an m x m
-    array; indexing with it walks the entries in row-major order."""
-    mask = np.tri(m, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def _blocks(mvec, chol, chol_logdiag, kernel_params: dict, log_noise_var) -> dict:
     """The one parameter layout, of the state and of its gradients alike:
     variational mean, the strict lower triangle of the variational
@@ -406,7 +411,7 @@ def _blocks(mvec, chol, chol_logdiag, kernel_params: dict, log_noise_var) -> dic
     locations are fixed, so they have no block."""
     blocks = {
         "variational_mean": mvec,
-        "variational_chol": chol[_strict_lower(mvec.size)],
+        "variational_chol": chol[strict_lower_mask(mvec.size)],
         "variational_chol_logdiag": chol_logdiag,
         **kernel_params,
     }
@@ -426,7 +431,7 @@ def _from_blocks(state: SvgpState, blocks: dict) -> SvgpState:
     block the state keeps its own noise."""
     m = state.num_inducing
     L = np.zeros((m, m))
-    L[_strict_lower(m)] = blocks["variational_chol"]
+    L[strict_lower_mask(m)] = blocks["variational_chol"]
     L[np.diag_indices(m)] = np.exp(blocks["variational_chol_logdiag"])
     names = kernels.param_names(state.kernel)
     return replace(

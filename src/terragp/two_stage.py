@@ -34,10 +34,12 @@ LOG_VAR_CLAMP = 20.0
 
 # above this size stage 1 switches from the exact GP to a sparse one.
 # Stage 1 is an RBF GP with a learned noise and a fixed mean.  Measured at
-# n = 4096 (one BLAS thread, 2-core VM): 2.6 s CPU per LML epoch and a
-# 4.1 n^2-double (0.55 GB) allocation peak.  Projected to n = 10 000
-# (n^3 time, n^2 memory): about 38 s per epoch, 25 min for 40 epochs,
-# and 3.3 GB.  These figures hold for scattered inputs.  A complete-grid
+# n = 4096 (one BLAS thread, 2-core VM): 1.7 s CPU per LML epoch and a
+# 1.18 n^2-double (0.16 GB) allocation peak: K, factored and inverted in
+# place, the finite scan's n x n booleans and row-panel temporaries.
+# Projected to n = 10 000 (n^3 time, n^2 memory): about 25 s per epoch,
+# 17 min for 40 epochs, and 0.9 GB.  These figures hold for scattered
+# inputs.  A complete-grid
 # stage 1 trains, builds and holds its weights through the axis
 # eigenbases of `exact_gp._grid_basis`, with no n x n array, and its
 # noise field on a complete query grid holds only (nx + ny) x n kernel

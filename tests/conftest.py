@@ -12,6 +12,9 @@ import pytest  # noqa: E402
 from terragp import kernels
 from terragp.means import ConstantMean
 
+# sizes that straddle the row panels of the one-triangle kernel passes
+PANEL_EDGES = [1, kernels._PANEL - 1, kernels._PANEL, kernels._PANEL + 1, 2 * kernels._PANEL + 3]
+
 
 def all_family_configs(rng=None, jitter_params=False):
     """One config per kernel family/nu combination, optionally with

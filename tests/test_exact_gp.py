@@ -16,6 +16,7 @@ from terragp.pipeline import fit_method, make_scene, predict_grid
 from terragp.synth import SynthParams
 
 from conftest import (
+    PANEL_EDGES,
     all_family_configs,
     brute_force_lml,
     brute_force_posterior,
@@ -90,6 +91,32 @@ class TestLmlGradients:
                 )
 
             assert check_gradient(f, x0, analytic) < 1e-5
+
+    @pytest.mark.parametrize("n", PANEL_EDGES)
+    @pytest.mark.parametrize("family", range(6))
+    def test_matches_finite_differences_across_panels(self, rng, n, family):
+        """Against central differences where the gradient sums cross the
+        row panels of `kernels.sym_gradient_sums`."""
+        kernel = all_family_configs(rng, jitter_params=True)[family]
+        X = rng.uniform(-2.0, 2.0, size=(n, 2))
+        Y = np.sin(2.0 * X[:, 0]) + 0.3 * rng.normal(size=n)
+        mean = ConstantMean(0.2, learnable=True)
+        sigma2 = 0.1
+        _, grads = exact_gp.lml_gradients(X, Y, mean, kernel, np.full(n, sigma2), True)
+        names = kernels.param_names(kernel)
+        x0 = np.concatenate([kernels.get_params(kernel), [mean.constant, np.log(sigma2)]])
+        analytic = np.array(
+            [grads[nm] for nm in names]
+            + [grads[exact_gp.MEAN_CONSTANT], grads[exact_gp.LOG_NOISE_VARIANCE]]
+        )
+
+        def f(v):
+            k2 = kernels.with_params(kernel, v[: len(names)])
+            return log_marginal_likelihood(
+                X, Y, ConstantMean(v[-2], False), k2, np.full(n, np.exp(v[-1]))
+            )
+
+        assert check_gradient(f, x0, analytic) < 1e-5
 
     def test_noise_gradient_vanishes_at_optimum(self, rng):
         # optimize only log sigma^2 for a fixed kernel, then the gradient
@@ -168,19 +195,22 @@ def test_lml_gradients_match_explicit_inverse(rng, family):
 
 
 @pytest.mark.parametrize(
-    "family, doubles, grid",
+    "family, panels, grid",
     [
-        (kernels.RBF, 5.5, False),
+        (kernels.RBF, 5, False),
         (kernels.RATIONAL_QUADRATIC, 7.5, False),
-        (kernels.RBF, 0.05, True),
+        (kernels.ABS_EXP, 6, False),
+        (kernels.RBF, None, True),
     ],
-    ids=["rbf-5.5", "rq-7.5", "rbf-grid-0.05"],
+    ids=["rbf", "rq", "abs_exp", "rbf-grid-0.05"],
 )
-def test_lml_gradients_peak_memory(rng, family, doubles, grid):
-    """One epoch allocates at most `doubles` n x n float64 arrays at once;
-    the explicit inverse and a x a^T of the dense form took 6 (RBF) and
-    10 (RQ).  On a complete 32 x 32 grid (n = 1024) the RBF epoch holds
-    only 1-D Grams and n-vectors."""
+def test_lml_gradients_peak_memory(rng, family, panels, grid):
+    """A dense epoch holds one n x n float64 array, K and then its factor
+    and the inverse's triangle in its place, beside the finite scan's
+    n x n booleans and `panels` arrays of `kernels._PANEL` x n: K.copy(),
+    scipy's copy inside the Cholesky and every whole dK/dtheta took 4.13
+    n^2 doubles (RBF) and 5.13 (RQ) at n = 512.  On a complete 32 x 32 grid
+    (n = 1024) the RBF epoch holds only 1-D Grams and n-vectors."""
     X = complete_grid(32, 32) if grid else rng.uniform(-2.0, 2.0, size=(512, 2))
     n = X.shape[0]
     Y = rng.normal(size=n)
@@ -193,7 +223,29 @@ def test_lml_gradients_peak_memory(rng, family, doubles, grid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= doubles * n * n * 8
+    if grid:
+        assert peak <= 0.05 * n * n * 8
+    else:
+        assert peak <= n * n * 9 + panels * kernels._PANEL * n * 8
+
+
+@pytest.mark.parametrize("family", [kernels.RBF, kernels.RATIONAL_QUADRATIC, kernels.ABS_EXP])
+def test_build_model_peak_memory(rng, family):
+    """`build_model` holds one n x n array, K and then the factor in its
+    place, beside the finite scan's booleans and panel-sized temporaries;
+    scipy's copy inside the Cholesky made it 2.13 n^2 doubles."""
+    n = 512
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    args = (X, rng.normal(size=n), ConstantMean(0.0, False),
+            kernels.KernelConfig(family, log_lengthscale=-1.0), np.full(n, 0.05), False)
+    exact_gp.build_model(*args)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        exact_gp.build_model(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 9 + 2 * kernels._PANEL * n * 8
 
 
 def complete_grid(nx, ny):
@@ -217,7 +269,10 @@ def gradient_term_sizes(X, Y, mean_fn, kernel, noise_vec):
     return sizes
 
 
-@pytest.mark.parametrize("nx, ny", [(32, 32), (20, 45), (1, 30), (2, 2)])
+# n = 1, panel - 1, panel, panel + 1 and 2 panel + 3 for a panel of 128
+@pytest.mark.parametrize(
+    "nx, ny", [(32, 32), (20, 45), (1, 30), (2, 2), (1, 1), (1, 127), (8, 16), (3, 43), (7, 37)]
+)
 def test_grid_lml_gradients_match_dense(rng, nx, ny):
     """The Kronecker branch against the dense path on the same points in
     shuffled order (the LML does not depend on row order), with a learned

@@ -8,7 +8,7 @@ from terragp import kernels
 from terragp.errors import InvalidConfigError, InvalidInputError
 from terragp.linalg import chol_with_jitter
 
-from conftest import all_family_configs, family_id
+from conftest import PANEL_EDGES, all_family_configs, family_id
 
 FAMILY_CONFIGS = all_family_configs()
 
@@ -285,3 +285,52 @@ class TestGradients:
                 ) / (2 * h)
                 analytic = g * 2 * (b[0, d] - a[0, d])
                 assert abs(analytic - numeric) < 1e-6
+
+
+class TestOneTrianglePasses:
+    """`sym_gram` evaluates each entry of K(X, X) once, a row panel at a
+    time, and `sym_gradient_sums` recomputes every dK/dtheta the same way
+    against one triangle of an adjoint; sizes straddle the panel edges."""
+
+    @pytest.mark.parametrize("n", PANEL_EDGES)
+    @pytest.mark.parametrize("cfg", FAMILY_CONFIGS, ids=family_id)
+    def test_sym_gram_is_gram_bitwise(self, rng, cfg, n):
+        cfg = replace(cfg, log_lengthscale=0.4, log_outputscale=0.3, log_alpha=0.2)
+        X = rng.normal(size=(n, 2))
+        K = kernels.sym_gram(cfg, X)
+        assert K.flags.c_contiguous
+        np.testing.assert_array_equal(K, kernels.gram(cfg, X, X))
+
+    @pytest.mark.parametrize("n", PANEL_EDGES)
+    @pytest.mark.parametrize("cfg", FAMILY_CONFIGS, ids=family_id)
+    def test_gradient_sums_match_full_square(self, rng, cfg, n):
+        cfg = replace(cfg, log_lengthscale=0.4, log_outputscale=0.3, log_alpha=0.2)
+        X = rng.normal(size=(n, 2))
+        a = rng.normal(size=n)
+        # an upper-triangular T, C- and Fortran-ordered, its strict lower zero
+        T = np.triu(rng.normal(size=(n, n)))
+        want = kernels.gram_gradients(cfg, X, X)
+        for layout in (T, np.asfortranarray(T)):
+            sums, quad = kernels.sym_gradient_sums(cfg, X, layout, a)
+            assert list(sums) == list(quad) == kernels.param_names(cfg)
+            for name, dK in want.items():
+                scale = np.vdot(np.abs(T), np.abs(dK))
+                assert abs(sums[name] - np.vdot(T, dK)) <= 1e-13 * scale, name
+                quad_scale = np.abs(a) @ np.abs(dK) @ np.abs(a)
+                assert abs(quad[name] - a @ dK @ a) <= 1e-13 * quad_scale, name
+        assert kernels.sym_gradient_sums(cfg, X, T)[1] is None
+
+    def test_gradient_sums_hold_panel_sized_temporaries(self, rng):
+        n = 4 * kernels._PANEL
+        X = rng.normal(size=(n, 2))
+        T = np.triu(rng.normal(size=(n, n)))
+        cfg = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=-1.0)
+        kernels.sym_gradient_sums(cfg, X, T, np.ones(n))  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            kernels.sym_gradient_sums(cfg, X, T, np.ones(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the squared distances, the RQ profile's four arrays and T's panel
+        assert peak <= 7 * kernels._PANEL * n * 8

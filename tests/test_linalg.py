@@ -1,17 +1,33 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
+from terragp import linalg
 from terragp.errors import IllConditionedKernelError
 from terragp.linalg import (
     chol_inverse, chol_solve, chol_with_jitter, tri_inverse, tri_matmul, tri_solve,
 )
 
 
+def reference_jitter(M):
+    """The jitter the escalation policy settles on, by scipy's copying
+    `cholesky` of M + jitter I."""
+    jitter = 0.0
+    while True:
+        try:
+            cholesky(M + jitter * np.eye(M.shape[0]), lower=True)
+            return jitter
+        except np.linalg.LinAlgError:
+            jitter = 1e-8 if jitter == 0.0 else jitter * 10.0
+
+
 class TestCholWithJitter:
     def test_pd_matrix_uses_no_jitter(self, rng):
         A = rng.normal(size=(6, 6))
         M = A @ A.T + 6 * np.eye(6)
-        L, jitter = chol_with_jitter(M)
+        L, jitter = chol_with_jitter(M.copy())
         assert jitter == 0.0
         np.testing.assert_allclose(L @ L.T, M, atol=1e-10)
 
@@ -19,13 +35,13 @@ class TestCholWithJitter:
         # rank-1 PSD matrix: exact Cholesky fails, jitter rescues it
         v = np.array([1.0, 2.0, 3.0])
         M = np.outer(v, v)
-        L, jitter = chol_with_jitter(M)
+        L, jitter = chol_with_jitter(M.copy())
         assert 0.0 < jitter <= 1e-3
         np.testing.assert_allclose(L @ L.T, M + jitter * np.eye(3), atol=1e-9)
 
     def test_indefinite_matrix_fails_past_ceiling(self):
         M = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(IllConditionedKernelError):
+        with pytest.raises(IllConditionedKernelError, match="ceiling"):
             chol_with_jitter(M)
 
     def test_non_finite_matrix_rejected(self):
@@ -37,16 +53,78 @@ class TestCholWithJitter:
         A = rng.normal(size=(5, 5))
         M = A @ A.T + 5 * np.eye(5)
         b = rng.normal(size=5)
-        L, _ = chol_with_jitter(M)
+        L, _ = chol_with_jitter(M.copy())
         np.testing.assert_allclose(chol_solve(L, b), np.linalg.solve(M, b), atol=1e-10)
         np.testing.assert_allclose(tri_solve(L, b), np.linalg.solve(L, b), atol=1e-10)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300])
+    def test_factor_is_written_over_the_input(self, rng, n, order):
+        A = rng.normal(size=(n, n))
+        M = np.asarray(A @ A.T / n + np.eye(n), order=order)
+        before = M.copy()
+        L, jitter = chol_with_jitter(M)
+        assert jitter == 0.0 and np.shares_memory(L, M)
+        assert np.all(np.triu(L, 1) == 0.0)
+        # bitwise scipy's copying factor of the same triangle
+        np.testing.assert_array_equal(L, cholesky(before.T, lower=True))
+        np.testing.assert_allclose(L @ L.T, before, rtol=1e-13, atol=1e-13)
+
+    def test_non_contiguous_input_is_copied_and_left_as_it_is(self, rng):
+        A = rng.normal(size=(9, 9))
+        M = A @ A.T + 9 * np.eye(9)
+        before = M.copy()
+        L, _ = chol_with_jitter(M[::-1, ::-1])
+        np.testing.assert_array_equal(M, before)
+        np.testing.assert_allclose(L @ L.T, before[::-1, ::-1], rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_rank_one_restores_the_input_before_each_retry(self, n, monkeypatch):
+        v = np.linspace(1.0, 3.0, n)
+        M = np.outer(v, v)
+        before = M.copy()
+        seen = []
+        real = linalg.dpotrf
+
+        def recording(a, **kwargs):
+            seen.append(a.copy())
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(linalg, "dpotrf", recording)
+        L, jitter = chol_with_jitter(M)
+        assert jitter == reference_jitter(before) > 0.0
+        # attempt k saw the input plus the k-th jitter of the ladder, bitwise
+        ladder = [0.0] + [1e-8 * 10.0**k for k in range(len(seen) - 1)]
+        assert ladder[-1] == jitter
+        for attempt, step in zip(seen, ladder):
+            want = before.copy()
+            want[np.diag_indices(n)] += step
+            np.testing.assert_array_equal(attempt, want.T)
+        np.testing.assert_allclose(L @ L.T, before + jitter * np.eye(n), atol=1e-9)
+
+    def test_retry_allocates_no_n_by_n_array(self):
+        # the scipy-copy form held the copy, the identity and the shifted
+        # matrix; the restore from the mirror takes panel-sized temporaries,
+        # beside the finite scan's n x n booleans
+        n = 256
+        v = np.linspace(1.0, 3.0, n)
+        M = np.outer(v, v)
+        chol_with_jitter(M.copy())  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            _, jitter = chol_with_jitter(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert jitter > 0.0
+        assert peak < n * n * 8
 
 
 class TestCholInverse:
     def test_lower_triangle_of_the_inverse(self, rng):
         A = rng.normal(size=(6, 6))
         M = A @ A.T + 6 * np.eye(6)
-        L, _ = chol_with_jitter(M)
+        L, _ = chol_with_jitter(M.copy())
         inv = chol_inverse(L)
         np.testing.assert_allclose(np.tril(inv), np.tril(np.linalg.inv(M)), atol=1e-12)
         assert np.all(np.triu(inv, 1) == 0.0)

@@ -12,7 +12,7 @@ from terragp.linalg import chol_with_jitter
 from terragp.means import ConstantMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
 
-from conftest import all_family_configs, family_id, random_gp_problem
+from conftest import PANEL_EDGES, all_family_configs, family_id, random_gp_problem
 from helpers import log_marginal_likelihood, pack_gradients, pack_state, unpack_state
 
 
@@ -171,10 +171,10 @@ class TestPredictive:
         np.testing.assert_allclose(var, ref_var, rtol=1e-10)
 
     def test_peak_memory_is_one_chunk(self, rng):
-        """Three chunks of queries hold one chunk's B = K*z Lz^-T and
-        B Lw at a time, next to the m x m factors: the Gram is multiplied
-        by Lz^-1 in place, and the previous chunk's B and B Lw are
-        released before the next Gram is built."""
+        """Three chunks of queries hold one chunk x m array at a time, next
+        to the m x m factors: the Gram is multiplied by Lz^-1 in place, B Lw
+        is written over B once its row norms are taken, and the previous
+        chunk's array is released before the next Gram is built."""
         m = 32
         state = random_state(rng, m=m)
         q = 3 * exact_gp._PREDICT_CHUNK
@@ -187,9 +187,9 @@ class TestPredictive:
         finally:
             tracemalloc.stop()
         chunk = exact_gp._PREDICT_CHUNK * m * 8
-        # B and B Lw, the m x m Gram and factor, q-sized outputs and
-        # chunk-sized vectors
-        assert peak <= 2 * chunk + 2 * m * m * 8 + 8 * q * 8
+        # B, with B Lw written over it, the m x m factor and its inverse,
+        # q-sized outputs and chunk-sized vectors
+        assert peak <= chunk + 2 * m * m * 8 + 8 * q * 8
 
     def test_variance_nonnegative(self, rng):
         state = random_state(rng, m=8)
@@ -298,7 +298,7 @@ class TestKzzFloor:
             return L, jitter
 
         monkeypatch.setattr(svgp, "chol_with_jitter", recording)
-        Lz = svgp._kzz_factor(kernels.gram(kernel, Z, Z), kernel.outputscale)
+        Lz = svgp._kzz_factor(kernel, Z)
         assert jitters == [0.0]
         assert np.linalg.cond(Lz) <= np.sqrt(1.0 + m / svgp.KZZ_FLOOR)
         np.testing.assert_allclose(Lz @ Lz.T, prior_kzz(kernel, Z), rtol=0, atol=1e-14)
@@ -313,6 +313,58 @@ ELBO_ENTRY_POINTS = pytest.mark.parametrize(
 
 
 class TestElbo:
+    def test_peak_memory_above_the_inputs(self, rng):
+        """At m = 512, b = 256 a step holds two m x m arrays at a time (Lz
+        with Kzz's adjoint, then Lw's), b x m arrays and the panel-sized
+        temporaries of the Kzz passes; the full-square Kzz with every
+        dKzz/dtheta, the factor's copy and three adjoints took 19.0 MiB."""
+        m, b = 512, 256
+        state = random_state(rng, m=m, family=kernels.RATIONAL_QUADRATIC)
+        state = replace(state, Z=rng.uniform(-3.0, 3.0, size=(m, 2)))
+        Xb, yb = rng.uniform(-3.0, 3.0, size=(b, 2)), rng.normal(size=b)
+        step = lambda: svgp.elbo_minibatch(state, Xb, yb, 4 * b, 0.05)  # noqa: E731
+        step()  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * m * m + 7 * b * m + 7 * kernels._PANEL * m) * 8
+
+    @pytest.mark.parametrize("m", PANEL_EDGES)
+    def test_gradients_match_finite_differences_across_panels(self, rng, m):
+        """Where Kzz's gradient sums cross the row panels of
+        `kernels.sym_gradient_sums`: each kernel hyperparameter and the
+        noise against central differences, and every block along one
+        random direction."""
+        b = 40
+        state = random_state(rng, m=m, family=kernels.RATIONAL_QUADRATIC)
+        state = replace(
+            state, Z=rng.uniform(-3.0, 3.0, size=(m, 2)),
+            kernel=replace(state.kernel, log_lengthscale=np.log(0.8)),
+        )
+        Xb = rng.uniform(-3.0, 3.0, size=(b, 2))
+        yb = rng.normal(size=b)
+        _, grads = svgp.elbo_minibatch(state, Xb, yb, 4 * b, np.exp(state.log_noise_var))
+        p0 = pack_state(state)
+
+        def f(p):
+            moved = unpack_state(state, p)
+            return svgp.elbo_minibatch(moved, Xb, yb, 4 * b, np.exp(moved.log_noise_var))[0]
+
+        h = 1e-5
+        gvec = pack_gradients(state, grads)
+        # the last blocks are the three kernel hyperparameters and the noise
+        directions = [np.zeros(p0.size) for _ in range(4)]
+        for k, d in enumerate(directions):
+            d[p0.size - 4 + k] = 1.0
+        d = rng.normal(size=p0.size)
+        directions.append(d / np.linalg.norm(d))
+        for d in directions:
+            numeric = (f(p0 + h * d) - f(p0 - h * d)) / (2 * h)
+            assert abs(gvec @ d - numeric) / max(1.0, abs(numeric)) < 1e-4
+
     def test_public_name_is_the_training_step(self):
         assert svgp.elbo_minibatch is svgp._elbo_whitened
 
