@@ -3,10 +3,11 @@
 Everything is computed through a Cholesky factor of K + diag(noise):
 the log marginal likelihood, its analytic gradients in log-parameter
 space, and the posterior predictive.  K is built on the one triangle
-the Cholesky reads (`kernels.sym_gram`) and factored in place, LAPACK
-dpotri overwrites the factor with one triangle of the inverse, and
-every dK/dtheta is recomputed a row panel at a time against that
-triangle (`kernels.sym_gradient_sums`).  So a training epoch holds one
+the Cholesky reads (`kernels.sym_gram`) and factored in place,
+`linalg.chol_inverse` (a recursive blocked L^-1, then LAPACK dlauum)
+overwrites the factor with one triangle of the inverse, and every
+dK/dtheta is recomputed a row panel at a time against that triangle
+(`kernels.sym_gradient_sums`).  So a training epoch holds one
 n x n array and forms neither the full inverse, a a^T nor a whole
 dK/dtheta; `build_model` holds one n x n array, the factor.
 
@@ -21,9 +22,9 @@ or predict.  Likewise `predict_mean` with an RBF kernel on a complete
 query grid takes the mean from two 1-D cross-Grams.
 
 Off the grid, `predict_exact` forms the latent variance k** - |L^-1 K*|^2
-from an explicit L^-1 (LAPACK dtrtri, once per call), multiplied into
-each query chunk's K* in place by BLAS dtrmm: the same n^2 q flops as a
-triangular solve, at about twice its speed.  An inverse's error grows
+from an explicit L^-1 (`linalg.tri_inverse`, once per call), multiplied
+into each query chunk's K* in place by BLAS dtrmm: the same n^2 q flops
+as a triangular solve, at about twice its speed.  An inverse's error grows
 with cond(L) (Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 8 and 14), and here the noise, its floor and the jitter bound it:
 cond(L) was 37 to 162 on the Table-1 scenes' exact models.  On the grid
@@ -109,8 +110,8 @@ def lml_gradients(
 
     Each kernel hyperparameter gets 0.5 (a^T dK a - <Ky^-1, dK>), where
     a = Ky^-1 (Y - m(X)).  K is built on one triangle, factored in place
-    and overwritten by the lower triangle of Ky^-1 (dpotri), so the
-    epoch holds one n x n array.  Both matrices of the Frobenius product
+    and overwritten by the lower triangle of Ky^-1 (`chol_inverse`), so
+    the epoch holds one n x n array.  Both matrices of the Frobenius product
     are symmetric, so it is twice the sum over that triangle minus the
     diagonal's, where only dK/dlog(s2) = s2 is nonzero.  Those sums and
     a^T dK a come from `kernels.sym_gradient_sums`, which recomputes

@@ -206,8 +206,8 @@ def test_lml_gradients_match_explicit_inverse(rng, family):
 )
 def test_lml_gradients_peak_memory(rng, family, panels, grid):
     """A dense epoch holds one n x n float64 array, K and then its factor
-    and the inverse's triangle in its place, beside the finite scan's
-    n x n booleans and `panels` arrays of `kernels._PANEL` x n: K.copy(),
+    and the inverse's triangle in its place, beside `panels` arrays of
+    `kernels._PANEL` x n (the recursive inverse takes no scratch): K.copy(),
     scipy's copy inside the Cholesky and every whole dK/dtheta took 4.13
     n^2 doubles (RBF) and 5.13 (RQ) at n = 512.  On a complete 32 x 32 grid
     (n = 1024) the RBF epoch holds only 1-D Grams and n-vectors."""
@@ -226,14 +226,15 @@ def test_lml_gradients_peak_memory(rng, family, panels, grid):
     if grid:
         assert peak <= 0.05 * n * n * 8
     else:
-        assert peak <= n * n * 9 + panels * kernels._PANEL * n * 8
+        assert peak <= n * n * 8 + panels * kernels._PANEL * n * 8
 
 
 @pytest.mark.parametrize("family", [kernels.RBF, kernels.RATIONAL_QUADRATIC, kernels.ABS_EXP])
 def test_build_model_peak_memory(rng, family):
     """`build_model` holds one n x n array, K and then the factor in its
-    place, beside the finite scan's booleans and panel-sized temporaries;
-    scipy's copy inside the Cholesky made it 2.13 n^2 doubles."""
+    place, beside panel-sized temporaries; scipy's copy inside the
+    Cholesky made it 2.13 n^2 doubles, and the finite scan's n x n
+    booleans added n^2 / 8."""
     n = 512
     X = rng.uniform(-2.0, 2.0, size=(n, 2))
     args = (X, rng.normal(size=n), ConstantMean(0.0, False),
@@ -245,7 +246,7 @@ def test_build_model_peak_memory(rng, family):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= n * n * 9 + 2 * kernels._PANEL * n * 8
+    assert peak <= n * n * 8 + 2 * kernels._PANEL * n * 8
 
 
 def complete_grid(nx, ny):

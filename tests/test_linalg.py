@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cholesky
+from scipy.linalg.lapack import dpotri, dtrtri
 
 from terragp import linalg
 from terragp.errors import IllConditionedKernelError
@@ -104,8 +107,7 @@ class TestCholWithJitter:
 
     def test_retry_allocates_no_n_by_n_array(self):
         # the scipy-copy form held the copy, the identity and the shifted
-        # matrix; the restore from the mirror takes panel-sized temporaries,
-        # beside the finite scan's n x n booleans
+        # matrix; the restore from the mirror takes panel-sized temporaries
         n = 256
         v = np.linspace(1.0, 3.0, n)
         M = np.outer(v, v)
@@ -118,6 +120,61 @@ class TestCholWithJitter:
             tracemalloc.stop()
         assert jitter > 0.0
         assert peak < n * n * 8
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_finite_scan_is_panel_sized(self, rng, order):
+        # the whole-matrix np.isfinite held n x n booleans, n^2 / 8 doubles
+        n = 1024
+        A = rng.normal(size=(n, n))
+        M = np.asarray(A @ A.T / n + np.eye(n), order=order)
+        chol_with_jitter(M.copy(order="A"))  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            chol_with_jitter(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * linalg._PANEL * n
+
+    def test_non_finite_entry_in_a_later_panel_rejected(self, rng):
+        n = 2 * linalg._PANEL + 3
+        M = np.eye(n)
+        M[n - 1, n - 2] = M[n - 2, n - 1] = np.inf
+        with pytest.raises(IllConditionedKernelError, match="non-finite"):
+            chol_with_jitter(M)
+
+
+# around the leaves of the recursive inverse, which are 64 rows
+INVERSE_SIZES = [1, 63, 64, 65, 127, 129, 300]
+
+
+def lower_factor(rng, m):
+    return np.tril(rng.normal(size=(m, m)) * 0.3, -1) + np.diag(1.0 + rng.random(m))
+
+
+def well_conditioned_factor(rng, n):
+    """A Fortran-ordered Cholesky factor of A A^T / n + I (cond(L) below
+    about 3), with random entries in its strict upper triangle, which no
+    inverse may read or change."""
+    A = rng.normal(size=(n, n))
+    L = cholesky(A @ A.T / n + np.eye(n), lower=True)
+    return np.asfortranarray(L + np.triu(rng.normal(size=(n, n)), 1))
+
+
+def as_layout(M, layout):
+    if layout == "strided":
+        big = np.zeros((2 * M.shape[0], 2 * M.shape[1]))
+        big[::2, ::2] = M
+        return big[::2, ::2]
+    return np.asarray(M, order=layout)
+
+
+def check_inverse(inv, L):
+    """inv L = I to 1e-13 on the lower triangles, and the strict upper
+    triangle as in L."""
+    n = L.shape[0]
+    assert np.abs(np.tril(inv) @ np.tril(L) - np.eye(n)).max() <= 1e-13
+    np.testing.assert_array_equal(np.triu(inv, 1), np.triu(L, 1))
 
 
 class TestCholInverse:
@@ -134,9 +191,47 @@ class TestCholInverse:
         with pytest.raises(IllConditionedKernelError, match="inverting"):
             chol_inverse(L)
 
+    @pytest.mark.parametrize("n", INVERSE_SIZES)
+    def test_matches_lapack_dpotri_in_place(self, rng, n):
+        L = well_conditioned_factor(rng, n)
+        want, info = dpotri(L, lower=1)
+        assert info == 0
+        F = L.copy(order="F")
+        got = chol_inverse(F)
+        assert np.shares_memory(got, F)
+        assert np.abs(np.tril(got - want)).max() <= 1e-13 * np.abs(want).max()
+        np.testing.assert_array_equal(np.triu(got, 1), np.triu(L, 1))
 
-def lower_factor(rng, m):
-    return np.tril(rng.normal(size=(m, m)) * 0.3, -1) + np.diag(1.0 + rng.random(m))
+
+class TestRecursiveInverse:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", INVERSE_SIZES)
+    def test_tri_inverse(self, rng, n, layout):
+        L0 = well_conditioned_factor(rng, n)
+        L = as_layout(L0, layout)
+        inv = tri_inverse(L)
+        assert not np.shares_memory(inv, L)
+        np.testing.assert_array_equal(L, L0)
+        check_inverse(inv, L0)
+        # LAPACK dtrtri on the whole triangle, to rounding
+        want, _ = dtrtri(L0, lower=1)
+        assert np.abs(np.tril(inv - want)).max() <= 1e-13 * np.abs(want).max()
+
+    def test_zero_pivot_reported_at_its_index_in_the_whole_matrix(self, rng):
+        # index 100 of 130 lies in the leaf of rows 98..130
+        L = well_conditioned_factor(rng, 130)
+        L[99, 99] = 0.0
+        message = r"inverting the {} factor failed \(info 100\)"
+        with pytest.raises(IllConditionedKernelError, match=message.format("triangular")):
+            tri_inverse(L)
+        with pytest.raises(IllConditionedKernelError, match=message.format("Cholesky")):
+            chol_inverse(L.copy(order="F"))
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_property(self, n, seed):
+        L = well_conditioned_factor(np.random.default_rng(seed), n)
+        check_inverse(tri_inverse(L), L)
 
 
 class TestTriangularHelpers:
