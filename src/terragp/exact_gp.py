@@ -23,20 +23,23 @@ query grid takes the mean from two 1-D cross-Grams.
 
 Off the grid, `predict_exact` forms the latent variance k** - |L^-1 K*|^2
 from an explicit L^-1 (`linalg.tri_inverse`, once per call), multiplied
-into each query chunk's K* in place by BLAS dtrmm: the same n^2 q flops
-as a triangular solve, at about twice its speed.  An inverse's error grows
-with cond(L) (Higham, Accuracy and Stability of Numerical Algorithms,
-ch. 8 and 14), and here the noise, its floor and the jitter bound it:
-cond(L) was 37 to 162 on the Table-1 scenes' exact models.  On the grid
-the variance takes O(q n) flops from the query cross-Grams
+into each query panel's K* in place by BLAS dtrmm: the same n^2 q flops
+as a triangular solve, at about twice its speed.  An inverse's error
+grows with cond(L) (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 8 and 14), and here the noise, its floor and the jitter
+bound it: cond(L) was 37 to 162 on the Table-1 scenes' exact models.  On
+the grid the variance takes O(q n) flops from the query cross-Grams
 rotated into the eigenbasis (`_grid_variance`).  The SVGP predicts
-through the same loop, `_predict`, with its factor Lz of the floored
-inducing prior Kzz + 1e-6 s2 I (`svgp.KZZ_FLOOR`), which bounds cond(Lz)
-by sqrt(1 + m / 1e-6), and `predict_mean` serves the means of both
-model kinds.  The noise term is either a single learned variance
-(constant across space) or a fixed per-point variance vector supplied by
-a noise model; both flow through the same vector code path so the
-constant case is a strict special case of the general one.
+through the same loop, `_predict`, with the inverse of its factor Lz of
+the floored inducing prior Kzz + 1e-6 s2 I (`svgp.KZZ_FLOOR`), which
+bounds cond(Lz) by sqrt(1 + m / 1e-6), and `predict_mean` serves the
+means of both model kinds.  Every query pass takes its rows a panel at a
+time, sized in bytes (`_PANEL_BYTES` for the panel's widest array), so
+a prediction holds L^-1, one panel and q-vectors, whatever q and n.  The
+noise term is either a single learned variance (constant across space)
+or a fixed per-point variance vector supplied by a noise model; both
+flow through the same vector code path so the constant case is a strict
+special case of the general one.
 """
 
 from __future__ import annotations
@@ -60,7 +63,33 @@ from .seeding import INIT, stream_rng
 
 MEAN_CONSTANT = "mean_constant"
 
-_PREDICT_CHUNK = 4096
+# Bytes of the widest array one query panel holds: the panel takes
+# _PANEL_BYTES // (8 width) rows for a width of n centres (or axis cells),
+# rounded down to a multiple of _PANEL_ALIGN.  Small panels cost time:
+# each dtrmm call packs the whole n x n triangle for its few rows.  On a
+# 1-thread OpenBLAS 0.3.31 (RQ, CPU ms, medians of 9, interleaved) panels
+# of 0.5, 1, 2, 4, 8 and 32 MiB took 534, 454, 446, 439, 436 and 458 to
+# predict 16 384 queries of an exact n = 1024 model, and 418, 376, 355,
+# 328, 324 and 328 for 6400 of an m = 1024 SVGP.  32 MiB is 4096 rows
+# there; 4 MiB holds that speed at an eighth of the memory.
+_PANEL_BYTES = 4 << 20
+
+# Panel rows are a multiple of this.  OpenBLAS's kernels take query rows
+# in fixed groups and send a panel's leftover rows through another kernel
+# that rounds differently: dgemv_t, the mean's K* w, takes four rows at a
+# time (on OpenBLAS 0.3.31), so panels of other sizes moved the last bits
+# of the mean.  With panels a multiple of the group, every group falls
+# where one pass over all the queries would put it.  dtrmm, the
+# variance's L^-1 K*, takes twelve at a time; its leftover kernel rounded
+# alike wherever n was a multiple of 8, and at other n it moved a few
+# variances by up to 8e-16 of the outputscale.
+_PANEL_ALIGN = 64
+
+# Largest nx + ny of a query grid whose mean `_grid_mean` takes from its
+# axis factors, which hold (nx + ny) n doubles: at most a 4096-row Gram.
+# It is not a panel size; a bound of one panel would send a 128 x 128
+# raster against n = 1024 centres (2 MiB of factors) to the dense path.
+_GRID_MEAN_MAX_AXES = 4096
 
 
 @dataclass
@@ -213,12 +242,12 @@ def _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
 
 def _grid_mean(kernel, mean_fn, centres, weights, Xstar):
     """`predict_mean` for an RBF kernel and a complete query grid (xs, ys)
-    with nx + ny <= `_PREDICT_CHUNK` (so within one dense chunk's memory),
-    else None.  With the unit-scale Ex = k1(xs, C[:, 0]) and Ey = k1(ys,
-    C[:, 1]) for the centres C, the ny x nx mean is m + Ey (s2 w (.) Ex)^T:
-    (nx + ny) c kernel entries and one gemm instead of q c entries."""
+    with nx + ny <= `_GRID_MEAN_MAX_AXES`, else None.  With the unit-scale
+    Ex = k1(xs, C[:, 0]) and Ey = k1(ys, C[:, 1]) for the centres C, the
+    ny x nx mean is m + Ey (s2 w (.) Ex)^T: (nx + ny) c kernel entries and
+    one gemm instead of q c entries."""
     axes = grid_axes(Xstar) if kernel.family == kernels.RBF else None
-    if axes is None or axes[0].size + axes[1].size > _PREDICT_CHUNK:
+    if axes is None or axes[0].size + axes[1].size > _GRID_MEAN_MAX_AXES:
         return None
     unit = replace(kernel, log_outputscale=0.0)
     Ex, Ey = (kernels.gram(unit, v[:, None], centres[:, d : d + 1]) for d, v in enumerate(axes))
@@ -251,14 +280,29 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic) -> ExactGpModel
     )
 
 
-def _chunks(kernel, mean_fn, centres, weights, Xstar):
-    """(slice, K(centres, chunk), posterior mean m + K*^T w) per query chunk.
+def _panel_slices(q: int, width: int):
+    """Slices of q query rows, one per panel of at most `_PANEL_BYTES` at
+    `width` doubles per row, in a multiple of `_PANEL_ALIGN` rows (and at
+    least that many).  A lone last row joins the panel before it: numpy
+    hands a one-row product to dot, which rounds it unlike dgemv_t."""
+    rows = _PANEL_BYTES // (8 * max(width, 1)) // _PANEL_ALIGN * _PANEL_ALIGN
+    rows = max(rows, _PANEL_ALIGN)
+    start = 0
+    while start < q:
+        stop = min(start + rows, q)
+        if stop == q - 1:
+            stop = q
+        yield slice(start, stop)
+        start = stop
 
-    The generator drops its K(centres, chunk) before it builds the next
-    one, so a caller that drops its own holds one chunk at a time."""
-    for start in range(0, Xstar.shape[0], _PREDICT_CHUNK):
-        sl = slice(start, min(start + _PREDICT_CHUNK, Xstar.shape[0]))
-        # K(chunk, C)^T is K(C, chunk), Fortran-ordered, so BLAS reads it in place
+
+def _panels(kernel, mean_fn, centres, weights, Xstar):
+    """(slice, K(centres, panel), posterior mean m + K*^T w) per query panel.
+
+    The generator drops its K(centres, panel) before it builds the next
+    one, so a caller that drops its own holds one panel at a time."""
+    for sl in _panel_slices(Xstar.shape[0], centres.shape[0]):
+        # K(panel, C)^T is K(C, panel), Fortran-ordered, so BLAS reads it in place
         Ks = kernels.gram(kernel, Xstar[sl], centres).T
         yield sl, Ks, mean_fn(Xstar[sl]) + Ks.T @ weights
         del Ks
@@ -274,30 +318,30 @@ def predict_mean(kernel, mean_fn, centres, weights, Xstar) -> np.ndarray:
     if grid is not None:
         return grid
     means = []
-    for _, Ks, mean in _chunks(kernel, mean_fn, centres, weights, Xstar):
+    for _, Ks, mean in _panels(kernel, mean_fn, centres, weights, Xstar):
         del Ks
         means.append(mean)
     return np.concatenate(means) if means else np.empty(0)
 
 
-def _predict(kernel, mean_fn, centres, weights, L, Xstar, Lw=None):
+def _predict(kernel, mean_fn, centres, weights, Linv, Xstar, Lw=None):
     """Posterior mean and latent variance (observation noise excluded) of
     either GP kind.
 
-    With L the lower triangular factor (the exact model's Cholesky factor,
-    the SVGP's Lz), the variance is k** - |L^-1 K*|^2 per column, L^-1
-    inverted once per call and multiplied into each chunk's K* in place by
-    dtrmm.  With the SVGP's whitened factor `Lw` it adds
+    With Linv the inverse of the lower triangular factor L (the exact
+    model's Cholesky factor, the SVGP's Lz), the variance is
+    k** - |L^-1 K*|^2 per column, Linv multiplied into each panel's K* in
+    place by dtrmm.  With the SVGP's whitened factor `Lw` it adds
     |(L^-1 K*)^T Lw|^2, that product written over L^-1 K* once its norms
-    are taken.  Variances are clamped at zero after roundoff.
-    Queries are processed in chunks so dense grids do not blow up memory.
+    are taken.  Variances are clamped at zero after roundoff.  Queries go
+    a panel at a time (`_panel_slices`), so the call holds Linv, one
+    panel of K* and q-vectors.
     """
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     q = Xstar.shape[0]
     mean = np.empty(q)
     var = np.empty(q)
-    Linv = tri_inverse(L) if q else None
-    for sl, Ks, mean_sl in _chunks(kernel, mean_fn, centres, weights, Xstar):
+    for sl, Ks, mean_sl in _panels(kernel, mean_fn, centres, weights, Xstar):
         mean[sl] = mean_sl
         # (L^-1 K*)^T = K*^T L^-T, written over K*, which is not read again
         Vt = tri_matmul(Ks.T, Linv, trans=True, overwrite_m=True)
@@ -306,7 +350,7 @@ def _predict(kernel, mean_fn, centres, weights, L, Xstar, Lw=None):
             var[sl] = kernels.gram_diag(kernel, Xstar[sl]) - np.sum(Vt, axis=1)
         else:
             var[sl] = kernels.gram_diag(kernel, Xstar[sl]) - _sq_row_norms(Vt)
-            # (L^-1 K*)^T Lw, written over Vt: the chunk holds one q x m array
+            # (L^-1 K*)^T Lw, written over Vt: the panel holds one array
             Vt = tri_matmul(Vt, Lw, overwrite_m=True)
             Vt *= Vt
             var[sl] += np.sum(Vt, axis=1)
@@ -332,14 +376,13 @@ def _grid_variance(basis: _GridBasis, kernel, Xstar) -> np.ndarray:
     """Latent variance at any query points of a model on `_grid_basis`'s
     inputs: s2 - s2^2 sum_ij Py[k, i]^2 Px[k, j]^2 / lam_ij, with the
     unit-scale cross-Grams against the training axes rotated into the
-    eigenbasis, Px = k1(x*, xs) Qx and Py = k1(y*, ys) Qy.  Each chunk of
-    queries holds a few chunk x (nx + ny) arrays."""
+    eigenbasis, Px = k1(x*, xs) Qx and Py = k1(y*, ys) Qy.  A panel of
+    queries holds at most three arrays of up to max(nx, ny) columns."""
     s2 = kernel.outputscale
     unit = replace(kernel, log_outputscale=0.0)
     inv_lam = 1.0 / basis.lam
     var = np.empty(Xstar.shape[0])
-    for start in range(0, Xstar.shape[0], _PREDICT_CHUNK):
-        sl = slice(start, min(start + _PREDICT_CHUNK, Xstar.shape[0]))
+    for sl in _panel_slices(Xstar.shape[0], 3 * max(basis.xs.size, basis.ys.size)):
         Px, Py = (
             kernels.gram(unit, Xstar[sl, d : d + 1], v[:, None]) @ Q
             for d, (v, Q) in enumerate(((basis.xs, basis.Qx), (basis.ys, basis.Qy)))
@@ -355,10 +398,12 @@ def _grid_variance(basis: _GridBasis, kernel, Xstar) -> np.ndarray:
 
 def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and latent variance of an exact model: `_predict`
-    through its Cholesky factor, or, when it has none, `predict_mean`'s
-    mean and `_grid_variance` from the eigenbasis of its training grid."""
+    through the inverse of its Cholesky factor, inverted on a copy, or,
+    when it has none, `predict_mean`'s mean and `_grid_variance` from the
+    eigenbasis of its training grid."""
     if model.chol is not None:
-        return _predict(model.kernel, model.mean_fn, model.X, model.alpha, model.chol, Xstar)
+        Linv = tri_inverse(model.chol)
+        return _predict(model.kernel, model.mean_fn, model.X, model.alpha, Linv, Xstar)
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     basis = _grid_basis(model.X, model.kernel, model.noise_var)
     return model.predict_mean(Xstar), _grid_variance(basis, model.kernel, Xstar)

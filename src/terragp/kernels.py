@@ -125,8 +125,8 @@ def sq_dists(a, b) -> np.ndarray:
     a, b = _as_points(a), _as_points(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    r2 = cdist(a, b, metric="sqeuclidean")
-    return np.maximum(r2, 0.0, out=r2)
+    # cdist sums squared differences, so no entry is negative
+    return cdist(a, b, metric="sqeuclidean")
 
 
 def _profile(cfg: KernelConfig, r2: np.ndarray, with_slope: bool = False):

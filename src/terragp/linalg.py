@@ -213,10 +213,11 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
     return L
 
 
-def tri_inverse(L: np.ndarray) -> np.ndarray:
-    """L^-1 of a lower-triangular L by `_invert_lower` on a copy: a new
-    Fortran-ordered array whose strict upper triangle is as in `L`."""
-    inv = np.array(L, order="F")
+def tri_inverse(L: np.ndarray, overwrite_l: bool = False) -> np.ndarray:
+    """L^-1 of a lower-triangular L by `_invert_lower`: a new
+    Fortran-ordered array whose strict upper triangle is as in `L`, or,
+    with `overwrite_l`, the Fortran-ordered `L` itself, inverted in place."""
+    inv = L if overwrite_l else np.array(L, order="F")
     info = _invert_lower(inv)
     if info != 0:
         raise IllConditionedKernelError(f"inverting the triangular factor failed (info {info})")

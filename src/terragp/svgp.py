@@ -43,7 +43,8 @@ Kxz_bar = B_bar Lz^-1, are BLAS dtrmm products with one explicit
 inverse (`linalg.tri_inverse`), not dtrsm solves: on a 1-thread OpenBLAS
 a solve with b = 256 right-hand sides ran at 16 Gflop/s at m = 256, and
 the product of the same shape took 0.35 of its time.  A step holds at
-most two m x m arrays at a time.
+most two m x m arrays at a time.  The initial q(u) forms its B the same
+way, written over Kxz, so no SVGP path makes a dtrsm solve.
 
 The inducing locations Z are not trained; they stay at their seeded
 draw from the training inputs.  On terrain domains the data barely
@@ -58,13 +59,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dswap, dsyrk
 
 from . import exact_gp, kernels
 from .datasets import Dataset
 from .errors import InvalidConfigError, InvalidInputError
 from .linalg import (
-    chol_with_jitter, mirror_strict_lower, strict_lower_mask, tri_inverse, tri_matmul, tri_solve,
+    chol_with_jitter, mirror_strict_lower, strict_lower_mask, tri_inverse, tri_matmul,
 )
 from .means import default_mean
 from .methods import (
@@ -176,9 +177,11 @@ def _mean_weights(state: SvgpState) -> tuple[np.ndarray, np.ndarray]:
 def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:
     """Marginal q(f*) at query points: the sparse-GP mean m(x*) + K*z c and
     variance k** - |B_i|^2 + |(B Lw)_i|^2 with B = K*z Lz^-T, clamped at
-    zero, from the exact model's loop with Lz as its factor."""
+    zero, from the exact model's loop with Lz^-1.  Lz is this call's own,
+    so it is inverted in place: the call holds one m x m array."""
     Lz, c = _mean_weights(state)
-    return exact_gp._predict(state.kernel, state.mean_fn, state.Z, c, Lz, Xstar, Lw=state.L)
+    Lz_inv = tri_inverse(Lz, overwrite_l=True)
+    return exact_gp._predict(state.kernel, state.mean_fn, state.Z, c, Lz_inv, Xstar, Lw=state.L)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +389,11 @@ def _optimal_whitened_q(
     prior's small eigendirections and bounded per-coordinate steps take
     thousands of iterations to reach it.
     """
-    Lz = _kzz_factor(kernel, Z)
-    B = tri_solve(Lz, kernels.gram(kernel, X, Z).T).T  # B = Kxz Lz^-T
+    # B = Kxz Lz^-T by dtrmm over the C-ordered Kxz, with Lz inverted in
+    # place; neither Kxz nor Lz outlives the product
+    Lz_inv = tri_inverse(_kzz_factor(kernel, Z), overwrite_l=True)
+    B = tri_matmul(kernels.gram(kernel, X, Z), Lz_inv, trans=True, overwrite_m=True)
+    del Lz_inv
     root_v = np.sqrt(check_noise(noise_var, X.shape[0], variational=True))
     B /= root_v[:, None]  # V^-1/2 B
     # the upper triangle of M = I + B^T V^-1 B by one rank-n update (dsyrk)
@@ -396,14 +402,30 @@ def _optimal_whitened_q(
     # upper-triangular R = J U J, so S_w = M^-1 = Lw Lw^T with the lower
     # factor Lw = R^-T = J U^-T J: one Cholesky and one triangular inverse.
     # The lower triangle of J M J that the Cholesky reads is M's upper; M's
-    # lower is its mirror, from which a failed attempt is restored, and
-    # the reversed view is factored in one contiguous copy.
+    # lower is its mirror, from which a failed attempt is restored.  All
+    # of it happens in M's buffer: reversed, a Fortran-ordered J M J; its
+    # factor U and U^-1 in place; U^-1 reversed, read C-ordered, is Lw.
     mirror_strict_lower(M.T)
-    U, _ = chol_with_jitter(M[::-1, ::-1])
-    Lw = np.ascontiguousarray(tri_inverse(U)[::-1, ::-1].T)
+    _reverse_entries(M)
+    U, _ = chol_with_jitter(M)
+    U_inv = tri_inverse(U, overwrite_l=True)
+    _reverse_entries(U_inv)
+    Lw = U_inv.T
     resid = np.asarray(Y, dtype=float) - mean_fn(X)
     mw = Lw @ (Lw.T @ (B.T @ (resid / root_v)))
     return mw, Lw
+
+
+def _reverse_entries(A: np.ndarray) -> None:
+    """Reverse the order of the entries of the Fortran-ordered A in
+    place, which turns a square A into J A J for the index reversal J,
+    with no scratch: one BLAS dswap of the first half of the entries
+    with the last half read backwards."""
+    flat = A.ravel(order="F")
+    if not np.shares_memory(flat, A):
+        raise ValueError("expected a Fortran-ordered array")
+    half = flat.size // 2
+    dswap(flat[:half], flat[flat.size - half :], incy=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,9 @@ LOG_VAR_CLAMP = 20.0
 # stage 1 trains, builds and holds its weights through the axis
 # eigenbases of `exact_gp._grid_basis`, with no n x n array, and its
 # noise field on a complete query grid holds only (nx + ny) x n kernel
-# factors.  What limits it is the field at scattered queries: each
-# chunk of 4096 queries forms a 4096 x n Gram, 0.33 GB at n = 10 000.
+# factors.  At scattered queries the field forms its Gram one panel of
+# queries at a time (`exact_gp._PANEL_BYTES`): at n = 10 000, 64 x n
+# doubles (5 MB) beside the fit's n^2.
 STAGE1_EXACT_MAX_N = 10_000
 
 

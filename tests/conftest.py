@@ -9,7 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from terragp import kernels
+from terragp import exact_gp, kernels
 from terragp.means import ConstantMean
 
 # sizes that straddle the row panels of the one-triangle kernel passes
@@ -79,6 +79,15 @@ def brute_force_lml(X, Y, mean_fn, kernel, noise_vec):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def small_panels(monkeypatch):
+    """Query panels of `exact_gp._PANEL_ALIGN` rows, the fewest a panel
+    takes, so that a few hundred queries cross several panel boundaries;
+    the fixture's value is that row count."""
+    monkeypatch.setattr(exact_gp, "_PANEL_BYTES", 1)
+    return exact_gp._PANEL_ALIGN
 
 
 def random_gp_problem(rng, n=8, kernel=None, mean_const=0.3):

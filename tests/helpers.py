@@ -1,6 +1,8 @@
 """Reference computations that only the tests use: a direct exact LML, a
-central-difference gradient checker, and the SVGP state flattened in
-its trainer's block order."""
+central-difference gradient checker, the SVGP state flattened in its
+trainer's block order, and a traced peak of memory."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -46,3 +48,17 @@ def unpack_state(state: svgp.SvgpState, vec: np.ndarray) -> svgp.SvgpState:
 
 def pack_gradients(state: svgp.SvgpState, grads: dict) -> np.ndarray:
     return flatten(grads, svgp._state_blocks(state))
+
+
+def peak_bytes(fn, *args) -> int:
+    """Peak bytes tracemalloc sees during fn(*args), after one untraced
+    warm call for any lazy set-up.  The warm call takes copies of the
+    array arguments, so a function that overwrites its input is traced
+    on the input as given."""
+    fn(*(a.copy(order="K") if isinstance(a, np.ndarray) else a for a in args))
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

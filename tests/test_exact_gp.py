@@ -1,11 +1,10 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from terragp import exact_gp, kernels
+from terragp import exact_gp, kernels, svgp
 from terragp.datasets import from_arrays, grid_to_dataset
 from terragp.errors import InvalidConfigError, InvalidInputError
 from terragp.grids import make_grid
@@ -22,7 +21,7 @@ from conftest import (
     brute_force_posterior,
     random_gp_problem,
 )
-from helpers import check_gradient, log_marginal_likelihood
+from helpers import check_gradient, log_marginal_likelihood, peak_bytes
 
 
 class TestLogMarginalLikelihood:
@@ -216,13 +215,7 @@ def test_lml_gradients_peak_memory(rng, family, panels, grid):
     Y = rng.normal(size=n)
     kernel = kernels.KernelConfig(family, log_lengthscale=-1.0)
     args = (X, Y, ConstantMean(0.0, learnable=True), kernel, np.full(n, 0.05), True)
-    exact_gp.lml_gradients(*args)  # warm any lazy set-up
-    tracemalloc.start()
-    try:
-        exact_gp.lml_gradients(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(exact_gp.lml_gradients, *args)
     if grid:
         assert peak <= 0.05 * n * n * 8
     else:
@@ -239,14 +232,7 @@ def test_build_model_peak_memory(rng, family):
     X = rng.uniform(-2.0, 2.0, size=(n, 2))
     args = (X, rng.normal(size=n), ConstantMean(0.0, False),
             kernels.KernelConfig(family, log_lengthscale=-1.0), np.full(n, 0.05), False)
-    exact_gp.build_model(*args)  # warm any lazy set-up
-    tracemalloc.start()
-    try:
-        exact_gp.build_model(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= n * n * 8 + 2 * kernels._PANEL * n * 8
+    assert peak_bytes(exact_gp.build_model, *args) <= n * n * 8 + 2 * kernels._PANEL * n * 8
 
 
 def complete_grid(nx, ny):
@@ -403,10 +389,10 @@ def dense_posterior(X, Y, mean_fn, kernel, noise, Xstar):
 
 
 @pytest.mark.parametrize("nx, ny", [(7, 5), (40, 48), (1, 30), (16, 16)])
-def test_grid_posterior_matches_dense_oracle(rng, nx, ny):
+def test_grid_posterior_matches_dense_oracle(rng, small_panels, nx, ny):
     """An RBF model with one constant noise on a complete grid holds no
     Cholesky factor.  Its alpha, and `predict_exact`'s mean and variance
-    on a query grid and on scattered queries across a chunk boundary,
+    on a query grid and on scattered queries across panel boundaries,
     agree with a dense Cholesky.  The largest drifts seen were 7e-13 of
     max |alpha|, 4e-13 of max |mean| and 4e-14 of the outputscale."""
     X = complete_grid(nx, ny)
@@ -425,7 +411,7 @@ def test_grid_posterior_matches_dense_oracle(rng, nx, ny):
         assert model.chol is None and model.jitter == 0.0
         queries = {
             "grid": complete_grid(2 * nx + 1, ny + 3) * 1.2,
-            "scattered": rng.uniform(-2.0, 2.0, size=(exact_gp._PREDICT_CHUNK + 37, 2)),
+            "scattered": rng.uniform(-2.0, 2.0, size=(3 * small_panels + 37, 2)),
         }
         for case, Xstar in queries.items():
             alpha, want_mean, want_var = dense_posterior(X, Y, mean_fn, kernel, noise, Xstar)
@@ -438,9 +424,9 @@ def test_grid_posterior_matches_dense_oracle(rng, nx, ny):
 
 def test_grid_predict_peak_memory(rng):
     """On a 48 x 48 training grid (n = 2304) and a 96 x 128 query grid
-    (three chunks), prediction holds no n x n array and no chunk x n
-    Gram: the mean's (96 + 128) x n axis factors, one chunk's
-    chunk x (nx + ny) cross-Grams and q-sized vectors."""
+    (four panels of the variance), prediction holds no n x n array and no
+    q x n Gram: first the mean's (96 + 128) x n axis factors, then one
+    panel of cross-Grams, beside q-sized vectors."""
     X = complete_grid(48, 48)
     n = X.shape[0]
     kernel = kernels.KernelConfig(kernels.RBF, log_lengthscale=-1.0)
@@ -450,18 +436,17 @@ def test_grid_predict_peak_memory(rng):
     )
     Xstar = complete_grid(96, 128)
     q = Xstar.shape[0]
-    assert q == 3 * exact_gp._PREDICT_CHUNK
-    exact_gp.predict_exact(model, Xstar)  # warm any lazy set-up
-    tracemalloc.start()
-    try:
-        exact_gp.predict_exact(model, Xstar)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert q > 3 * exact_gp._PANEL_BYTES // (8 * 3 * 48)
+    peak = peak_bytes(exact_gp.predict_exact, model, Xstar)
     factors = (96 + 128) * n * 8
-    chunk = 3 * exact_gp._PREDICT_CHUNK * (48 + 48) * 8
-    assert peak <= factors + chunk + 8 * q * 8
+    assert peak <= max(factors, exact_gp._PANEL_BYTES) + 8 * q * 8
     assert peak <= n * n * 8 / 4
+
+
+PREDICTORS = pytest.mark.parametrize(
+    "predict", [exact_gp.predict_exact, exact_gp.ExactGpModel.predict_mean],
+    ids=["predict_exact", "predict_mean"],
+)
 
 
 class TestPredict:
@@ -544,8 +529,8 @@ class TestPredict:
         np.testing.assert_allclose(v1, v2, atol=1e-12)
 
     @pytest.mark.parametrize("family", range(6))
-    def test_predict_mean_is_predict_exact_mean(self, rng, family):
-        """Bitwise, across a chunk boundary: the noise field reads this
+    def test_predict_mean_is_predict_exact_mean(self, rng, small_panels, family):
+        """Bitwise, across panel boundaries: the noise field reads this
         mean where it once read `predict_exact`'s."""
         kernel = all_family_configs(rng, jitter_params=True)[family]
         X = rng.normal(size=(20, 2))
@@ -554,16 +539,16 @@ class TestPredict:
             X, rng.normal(size=20), ConstantMean(0.4, learnable=True), kernel, noise,
             homoscedastic=False,
         )
-        Xstar = rng.normal(size=(exact_gp._PREDICT_CHUNK + 37, 2))
+        Xstar = rng.normal(size=(3 * small_panels + 37, 2))
         mean = model.predict_mean(Xstar)
         assert mean.tobytes() == exact_gp.predict_exact(model, Xstar)[0].tobytes()
 
     @pytest.mark.parametrize("jittered", [False, True], ids=["noisy", "jittered"])
     @pytest.mark.parametrize("family", range(6))
-    def test_variance_matches_triangular_solve(self, rng, family, jittered):
+    def test_variance_matches_triangular_solve(self, rng, small_panels, family, jittered):
         """`predict_exact` forms L^-1 K* from an explicit inverse; an
         independent solve on the same factor gives the same variances to
-        1e-12 of the outputscale, across a chunk boundary.  The jittered
+        1e-12 of the outputscale, across panel boundaries.  The jittered
         factor (zero noise, near-duplicate points) has cond(L) ~ 1e5 and
         drifts most, up to about 7e-13; the noisy ones about 3e-15."""
         n = 200
@@ -580,39 +565,110 @@ class TestPredict:
         )
         if jittered and family not in (2, 3):  # the two exponential kernels' need none
             assert model.jitter > 0.0
-        Xstar = rng.uniform(-2.5, 2.5, size=(exact_gp._PREDICT_CHUNK + 37, 2))
+        Xstar = rng.uniform(-2.5, 2.5, size=(3 * small_panels + 37, 2))
         _, var = exact_gp.predict_exact(model, Xstar)
         V = solve_triangular(model.chol, kernels.gram(kernel, X, Xstar), lower=True)
         want = np.maximum(kernels.gram_diag(kernel, Xstar) - np.sum(V * V, axis=0), 0.0)
         assert np.max(np.abs(var - want)) <= 1e-12 * kernel.outputscale
 
-    @pytest.mark.parametrize(
-        "predict", [exact_gp.predict_exact, exact_gp.ExactGpModel.predict_mean],
-        ids=["predict_exact", "predict_mean"],
+    @PREDICTORS
+    def test_peak_memory_is_one_panel(self, rng, predict):
+        """Three panels of scattered queries hold one panel of the n x q
+        Gram at a time, next to the factor's inverse; the previous
+        panel's Gram once stayed referenced while the next was built."""
+        assert_peak_is_one_panel(rng, predict, 64, 3 * exact_gp._PANEL_BYTES // (8 * 64))
+
+    @PREDICTORS
+    def test_peak_memory_at_a_raster_shape(self, rng, predict):
+        """A 128 x 128 target against n = 512: 16 panels of 1024 rows at
+        4 MiB, where a 4096-row chunk held a 16 MiB Gram."""
+        assert_peak_is_one_panel(rng, predict, 512, 128 * 128)
+
+
+def assert_peak_is_one_panel(rng, predict, n, q):
+    """`predict` of a dense RQ model at q scattered queries holds L^-1,
+    one panel and q-vectors at most."""
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=-0.5)
+    model = exact_gp.build_model(
+        X, rng.normal(size=n), ConstantMean(0.0, False), kernel, np.full(n, 0.05),
+        homoscedastic=True,
     )
-    def test_peak_memory_is_one_chunk(self, rng, predict):
-        """Three chunks of scattered queries hold one n x chunk Gram at a
-        time, next to the factor and its inverse; the previous chunk's
-        Gram used to stay referenced while the next was built."""
-        n = 64
-        X = rng.uniform(-2.0, 2.0, size=(n, 2))
-        kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=-0.5)
-        model = exact_gp.build_model(
-            X, rng.normal(size=n), ConstantMean(0.0, False), kernel, np.full(n, 0.05),
-            homoscedastic=True,
-        )
-        q = 3 * exact_gp._PREDICT_CHUNK
-        Xstar = rng.uniform(-2.0, 2.0, size=(q, 2))
-        predict(model, Xstar)  # warm any lazy set-up
-        tracemalloc.start()
-        try:
-            predict(model, Xstar)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        chunk = exact_gp._PREDICT_CHUNK * n * 8
-        # one chunk, the inverse, and q-sized outputs and chunk-sized vectors
-        assert peak <= chunk + n * n * 8 + 8 * q * 8
+    peak = peak_bytes(predict, model, rng.uniform(-2.0, 2.0, size=(q, 2)))
+    assert peak <= n * n * 8 + exact_gp._PANEL_BYTES + 6 * q * 8
+
+
+def panel_cases(rng, n, q):
+    """name -> (model, queries): a dense exact RQ model on n scattered
+    points, an RBF model on a complete 24 x 20 grid (`_grid_basis`) and an
+    m = 64 SVGP, each with q scattered queries."""
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    rq = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=-0.5, log_alpha=0.3)
+    dense = exact_gp.build_model(
+        X, rng.normal(size=n), ConstantMean(0.2, False), rq, np.full(n, 0.05), True,
+    )
+    G = complete_grid(24, 20)
+    rbf = kernels.KernelConfig(kernels.RBF, log_lengthscale=-1.0)
+    grid = exact_gp.build_model(
+        G, rng.normal(size=G.shape[0]), ConstantMean(0.2, False), rbf, 0.05, True,
+    )
+    assert grid.chol is None
+    m = 64
+    Lw = np.tril(rng.normal(size=(m, m)) * 0.1, -1) + np.diag(rng.uniform(0.3, 1.0, size=m))
+    sparse = svgp.SvgpState(
+        Z=X[:m].copy(), mvec=rng.normal(size=m), L=Lw, kernel=rq,
+        mean_fn=ConstantMean(0.2, False), log_noise_var=None,
+    )
+    Xstar = rng.uniform(-2.2, 2.2, size=(q, 2))
+    return {"dense": (dense, Xstar), "grid": (grid, Xstar), "svgp": (sparse, Xstar)}
+
+
+def predictions_by_budget(monkeypatch, cases, budgets):
+    """Each case's predict and predict_mean outputs under each panel budget."""
+    out = []
+    for budget in budgets:
+        monkeypatch.setattr(exact_gp, "_PANEL_BYTES", budget)
+        out.append({
+            name: (*model.predict(Xs), model.predict_mean(Xs))
+            for name, (model, Xs) in cases.items()
+        })
+    return out
+
+
+@pytest.mark.parametrize("q", [5 * 64 + 37, 5 * 64 + 1], ids=["q-37", "q-1"])
+def test_panelling_leaves_every_bit(rng, monkeypatch, q):
+    """`predict_exact` on dense and grid models, `predictive_qf` and
+    `predict_mean` give bitwise the same arrays whatever the panel
+    budget: one row (raised to `_PANEL_ALIGN` rows), 211 rows (rounded
+    down to 192) and every query in one panel, with the queries no
+    multiple of any panel, and one past a multiple of 64, where a panel
+    of one row would be left over.  Here n = 96: see the next test for
+    other n."""
+    n = 96
+    cases = panel_cases(rng, n, q)
+    runs = predictions_by_budget(monkeypatch, cases, [8 * n, 8 * n * 211, 8 * n * q])
+    for run in runs[1:]:
+        for name, arrays in run.items():
+            for got, want in zip(arrays, runs[0][name]):
+                assert got.tobytes() == want.tobytes(), name
+
+
+def test_panelling_moves_only_the_last_bit_of_some_variances(rng, monkeypatch):
+    """OpenBLAS's dtrmm takes a panel's columns twelve at a time and,
+    where n is not a multiple of 8, rounds its leftover columns another
+    way: at n = 300, 12 to 14 of 357 dense variances differed from panel
+    to panel, by up to 8e-16 of the outputscale.  The means, the grid
+    model's variances and the m = 64 SVGP's stay bitwise."""
+    n, q = 300, 5 * 64 + 37
+    cases = panel_cases(rng, n, q)
+    runs = predictions_by_budget(monkeypatch, cases, [8 * n, 8 * n * 211, 8 * n * q])
+    for run in runs[1:]:
+        for name, (mean, var, mean_only) in run.items():
+            want_mean, want_var, _ = runs[0][name]
+            assert mean.tobytes() == want_mean.tobytes() == mean_only.tobytes(), name
+            assert np.abs(var - want_var).max() <= 2e-15, name
+            if name != "dense":
+                assert var.tobytes() == want_var.tobytes(), name
 
 
 def rbf_field_model(rng, n=200):
@@ -651,16 +707,16 @@ def test_grid_mean_matches_predict_exact_mean(rng, nx, ny):
 
 
 def test_off_grid_mean_is_bitwise_predict_exact_mean(rng):
-    """Every input outside the grid branch takes the dense chunks."""
+    """Every input outside the grid branch takes the dense panels."""
     model = rbf_field_model(rng, n=20)
     Xstar = complete_grid(6, 5)
     perm = rng.permutation(Xstar.shape[0])
-    wide = complete_grid(exact_gp._PREDICT_CHUNK, 1)  # nx + ny one past the bound
+    wide = complete_grid(exact_gp._GRID_MEAN_MAX_AXES, 1)  # nx + ny one past the bound
     cases = {
         "rows shuffled": (model, Xstar[perm]),
         "cell dropped": (model, Xstar[:-1]),
         "scattered": (model, rng.normal(size=(40, 2))),
-        "nx + ny > chunk": (model, wide),
+        "nx + ny > bound": (model, wide),
     }
     for kernel in all_family_configs(rng, jitter_params=True)[1:]:
         other = replace(model, kernel=kernel)

@@ -1,14 +1,16 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terragp import kernels
 from terragp.errors import InvalidConfigError, InvalidInputError
 from terragp.linalg import chol_with_jitter
 
 from conftest import PANEL_EDGES, all_family_configs, family_id
+from helpers import peak_bytes
 
 FAMILY_CONFIGS = all_family_configs()
 
@@ -96,14 +98,26 @@ def test_gram_peak_memory_is_one_matrix(rng, family):
     (three)."""
     A, B = rng.normal(size=(600, 2)), rng.normal(size=(500, 2))
     cfg = kernels.KernelConfig(family, log_lengthscale=0.3, log_alpha=0.2)
-    kernels.gram(cfg, A, B)  # warm any lazy set-up
-    tracemalloc.start()
-    try:
-        kernels.gram(cfg, A, B)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * A.shape[0] * B.shape[0] * 8
+    assert peak_bytes(kernels.gram, cfg, A, B) <= 1.1 * A.shape[0] * B.shape[0] * 8
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    log_scale=st.floats(-300.0, 150.0), seed=st.integers(0, 2**32 - 1),
+    near=st.sampled_from([None, 0.0, 1e-15, 1e-8]),
+)
+def test_sq_dists_has_nothing_to_clamp(log_scale, seed, near):
+    """cdist sums squared differences, so no squared distance is negative,
+    with coordinates from 1e-300 to 1e150 and with pairs that coincide or
+    nearly do (relative offsets `near`): clamping at zero is a no-op."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(9, 2)) * 10.0**log_scale
+    b = rng.normal(size=(7, 2)) * 10.0**log_scale if near is None else (
+        a * (1.0 + near * rng.normal(size=a.shape))
+    )
+    r2 = kernels.sq_dists(a, b)
+    assert np.all(np.isfinite(r2)) and np.all(r2 >= 0.0)
+    assert r2.tobytes() == np.maximum(r2, 0.0).tobytes()
 
 
 class TestInvariants:
@@ -325,12 +339,6 @@ class TestOneTrianglePasses:
         X = rng.normal(size=(n, 2))
         T = np.triu(rng.normal(size=(n, n)))
         cfg = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=-1.0)
-        kernels.sym_gradient_sums(cfg, X, T, np.ones(n))  # warm any lazy set-up
-        tracemalloc.start()
-        try:
-            kernels.sym_gradient_sums(cfg, X, T, np.ones(n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(kernels.sym_gradient_sums, cfg, X, T, np.ones(n))
         # the squared distances, the RQ profile's four arrays and T's panel
         assert peak <= 7 * kernels._PANEL * n * 8

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,8 @@ from terragp.errors import IllConditionedKernelError
 from terragp.linalg import (
     chol_inverse, chol_solve, chol_with_jitter, tri_inverse, tri_matmul, tri_solve,
 )
+
+from helpers import peak_bytes
 
 
 def reference_jitter(M):
@@ -111,15 +111,8 @@ class TestCholWithJitter:
         n = 256
         v = np.linspace(1.0, 3.0, n)
         M = np.outer(v, v)
-        chol_with_jitter(M.copy())  # warm any lazy set-up
-        tracemalloc.start()
-        try:
-            _, jitter = chol_with_jitter(M)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert jitter > 0.0
-        assert peak < n * n * 8
+        assert chol_with_jitter(M.copy())[1] > 0.0
+        assert peak_bytes(chol_with_jitter, M) < n * n * 8
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_finite_scan_is_panel_sized(self, rng, order):
@@ -127,14 +120,7 @@ class TestCholWithJitter:
         n = 1024
         A = rng.normal(size=(n, n))
         M = np.asarray(A @ A.T / n + np.eye(n), order=order)
-        chol_with_jitter(M.copy(order="A"))  # warm any lazy set-up
-        tracemalloc.start()
-        try:
-            chol_with_jitter(M)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * linalg._PANEL * n
+        assert peak_bytes(chol_with_jitter, M) <= 2 * linalg._PANEL * n
 
     def test_non_finite_entry_in_a_later_panel_rejected(self, rng):
         n = 2 * linalg._PANEL + 3
@@ -216,6 +202,18 @@ class TestRecursiveInverse:
         # LAPACK dtrtri on the whole triangle, to rounding
         want, _ = dtrtri(L0, lower=1)
         assert np.abs(np.tril(inv - want)).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 65, 300])
+    def test_overwrite_inverts_in_place(self, rng, n):
+        """With `overwrite_l` a Fortran-ordered L becomes its own inverse,
+        bitwise the copy's, with a few KiB of call overhead (the copy of
+        L at n = 300 is 703 KiB)."""
+        L = well_conditioned_factor(rng, n).copy(order="F")
+        want = tri_inverse(L)
+        assert peak_bytes(tri_inverse, L, True) <= 4096
+        np.testing.assert_array_equal(L, want)
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            tri_inverse(np.ascontiguousarray(want), overwrite_l=True)
 
     def test_zero_pivot_reported_at_its_index_in_the_whole_matrix(self, rng):
         # index 100 of 130 lies in the leaf of rows 98..130

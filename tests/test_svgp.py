@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,9 @@ from terragp.means import ConstantMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
 
 from conftest import PANEL_EDGES, all_family_configs, family_id, random_gp_problem
-from helpers import log_marginal_likelihood, pack_gradients, pack_state, unpack_state
+from helpers import (
+    log_marginal_likelihood, pack_gradients, pack_state, peak_bytes, unpack_state,
+)
 
 
 def random_state(rng, m=5, family=kernels.RATIONAL_QUADRATIC, homosc=True, mean_const=0.3):
@@ -160,36 +161,27 @@ class TestPredictive:
         assert var[0] == pytest.approx(state.kernel.outputscale, abs=1e-8)
 
     @pytest.mark.parametrize("kernel", all_family_configs(), ids=family_id)
-    def test_matches_dense_unwhitened_reference(self, rng, kernel):
-        # more query points than one prediction chunk, so a chunk boundary
-        # is crossed
+    def test_matches_dense_unwhitened_reference(self, rng, small_panels, kernel):
+        # queries across several panel boundaries
         state = replace(random_state(rng, m=8), Z=rng.normal(size=(8, 2)) * 2, kernel=kernel)
-        Xs = rng.normal(size=(exact_gp._PREDICT_CHUNK + 37, 2)) * 2
+        Xs = rng.normal(size=(3 * small_panels + 37, 2)) * 2
         mean, var = svgp.predictive_qf(state, Xs)
         ref_mean, ref_var = dense_unwhitened_qf(state, Xs)
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-10)
         np.testing.assert_allclose(var, ref_var, rtol=1e-10)
 
-    def test_peak_memory_is_one_chunk(self, rng):
-        """Three chunks of queries hold one chunk x m array at a time, next
-        to the m x m factors: the Gram is multiplied by Lz^-1 in place, B Lw
-        is written over B once its row norms are taken, and the previous
-        chunk's array is released before the next Gram is built."""
+    def test_peak_memory_is_one_panel(self, rng):
+        """Three panels of queries hold one panel x m array at a time, next
+        to one m x m array: Lz, inverted in place, the Gram multiplied by
+        Lz^-1 in place, B Lw written over B once its row norms are taken,
+        and the previous panel's array released before the next Gram is
+        built.  Lz beside a copy of its inverse was two m x m arrays."""
         m = 32
         state = random_state(rng, m=m)
-        q = 3 * exact_gp._PREDICT_CHUNK
-        Xs = rng.normal(size=(q, 2)) * 2
-        svgp.predictive_qf(state, Xs)  # warm any lazy set-up
-        tracemalloc.start()
-        try:
-            svgp.predictive_qf(state, Xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        chunk = exact_gp._PREDICT_CHUNK * m * 8
-        # B, with B Lw written over it, the m x m factor and its inverse,
-        # q-sized outputs and chunk-sized vectors
-        assert peak <= chunk + 2 * m * m * 8 + 8 * q * 8
+        q = 3 * exact_gp._PANEL_BYTES // (8 * m)
+        peak = peak_bytes(svgp.predictive_qf, state, rng.normal(size=(q, 2)) * 2)
+        # B, Lz^-1, q-sized outputs and panel-sized vectors
+        assert peak <= exact_gp._PANEL_BYTES + m * m * 8 + 6 * q * 8
 
     def test_variance_nonnegative(self, rng):
         state = random_state(rng, m=8)
@@ -322,14 +314,7 @@ class TestElbo:
         state = random_state(rng, m=m, family=kernels.RATIONAL_QUADRATIC)
         state = replace(state, Z=rng.uniform(-3.0, 3.0, size=(m, 2)))
         Xb, yb = rng.uniform(-3.0, 3.0, size=(b, 2)), rng.normal(size=b)
-        step = lambda: svgp.elbo_minibatch(state, Xb, yb, 4 * b, 0.05)  # noqa: E731
-        step()  # warm any lazy set-up
-        tracemalloc.start()
-        try:
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(svgp.elbo_minibatch, state, Xb, yb, 4 * b, 0.05)
         assert peak <= (2 * m * m + 7 * b * m + 7 * kernels._PANEL * m) * 8
 
     def test_step_inverts_lz_once_and_makes_no_triangular_solve(self, rng, monkeypatch):
@@ -583,6 +568,24 @@ class TestInitialQ:
         S_w = np.linalg.inv(np.eye(m) + B.T @ (B / v[:, None]))
         assert max_rel(Lw @ Lw.T, S_w) < 1e-12
         assert max_rel(mw, S_w @ (B.T @ ((Y - mean_fn(X)) / v))) < 1e-10
+        assert Lw.flags.c_contiguous
+
+    def test_peak_memory_above_the_inputs(self, rng, monkeypatch):
+        """B = Kxz Lz^-T is written over Kxz by dtrmm with Lz inverted in
+        place, and M, J M J, its factor U, U^-1 and Lw share one buffer:
+        n x m plus one m x m array, beside the Kzz pass's panels and
+        vectors, and no triangular solve.  Lz kept beside Kxz, B, M's
+        reversed copy, U's inverse and Lw's contiguous copy took 2.6
+        times n m + m^2 at n = 768, m = 512."""
+        n, m = 768, 512
+        X = rng.uniform(-3.0, 3.0, size=(n, 2))
+        kernel = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=-1.0)
+        args = (X[:m].copy(), kernel, ConstantMean(0.0, False), X, rng.normal(size=n), 0.05)
+        for name in ("tri_solve", "solve_triangular"):
+            if hasattr(svgp, name):
+                monkeypatch.setattr(svgp, name, None)
+        peak = peak_bytes(svgp._optimal_whitened_q, *args)
+        assert peak <= (n * m + m * m + kernels._PANEL * m) * 8
 
 
 class TestFitSvgp:
