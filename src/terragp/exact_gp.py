@@ -105,8 +105,6 @@ class ExactGpModel:
     jitter: float
     loss_history: list = field(default_factory=list, repr=False, compare=False)
 
-    variational = False
-
     def predict(self, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return predict_exact(self, Xn)
 

@@ -225,9 +225,9 @@ def tri_inverse(L: np.ndarray, overwrite_l: bool = False) -> np.ndarray:
 
 
 def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for lower-triangular L; as in `chol_solve`, the
+    """Solve L^T x = b for lower-triangular L; as in `chol_solve`, the
     finite scan is skipped."""
-    return solve_triangular(L, b, lower=True, check_finite=False)
+    return solve_triangular(L, b, lower=True, trans="T", check_finite=False)
 
 
 def tri_matmul(

@@ -5,12 +5,31 @@ Layout: a 4-byte magic, one version byte, then length-prefixed sections
 float64/int64 bytes, so a save/load/save cycle is bitwise identical.
 Model caches (Cholesky factors, solve vectors) are not stored; they are
 rebuilt deterministically on load.
+
+The schema is one table per component: the kernel, each kind of mean
+(zero, constant, grid), the normalization stats, the exact GP and the
+SVGP.  A row names one section once: its key, its value type, the
+attribute it stores (or a function of the object) and a check that
+says what a read value must do.  Writing, the type and finiteness
+checks, the value checks and reading all come from the rows.  The kind
+of a GP or of a mean is a lookup: by class when writing, by the
+`model_kind` or `mean.kind` section when reading.  A GP's sections are
+its kind, its kernel's, its mean's and its own; a two-stage model's are
+its two GPs' under the `noise.` and `terrain.` prefixes, after
+`model_kind` = "two_stage".  Loading reads only the sections that a
+row names, so the sections that older files carried beyond these (a
+two-stage `variational` flag, an exact GP's `noise_learned`) are
+ignored, and saving the loaded model drops them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from collections.abc import Callable
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,64 +116,6 @@ def payload_to_bytes(payload: dict) -> bytes:
     return b"".join(out)
 
 
-# section value types by key without its noise./terrain. prefix; others are numbers
-_SECTION_TYPES = {
-    **dict.fromkeys("method_id model_kind kernel.family mean.kind".split(), str),
-    **dict.fromkeys("variational mean.learnable has_noise homoscedastic".split(), bool),
-    **dict.fromkeys(
-        "mean.grid_values stats.x_mean stats.x_std inducing whitened_mean "
-        "whitened_chol noise_var train_x train_y".split(),
-        np.ndarray,
-    ),
-}
-
-
-class _Sections(dict):
-    """Decoded sections; asking for a missing one, one holding the wrong
-    type of value or a numeric one that is not finite is a format error."""
-
-    prefix = ""
-
-    def __missing__(self, key):
-        raise DataFormatError(f"model file has no {self.prefix + key!r} section")
-
-    def __getitem__(self, key):
-        value = super().__getitem__(key)
-        want = _SECTION_TYPES.get(key, (int, float))
-        # a bool is an int, so it must be asked for by name
-        if isinstance(value, bool) != (want is bool) or not isinstance(value, want):
-            raise DataFormatError(
-                f"model file section {self.prefix + key!r} holds a {type(value).__name__}"
-            )
-        if want not in (str, bool) and not np.all(np.isfinite(value)):
-            raise DataFormatError(f"model file section {self.prefix + key!r} must be finite")
-        return value
-
-    def valid(self, key, ok, what: str):
-        """The section's value, if `ok(value)`; else a format error naming it."""
-        value = self[key]
-        if not ok(value):
-            raise DataFormatError(f"model file section {self.prefix + key!r} must {what}")
-        return value
-
-
-def _positive(value) -> bool:
-    return bool(np.all(np.isfinite(value) & (np.asarray(value) > 0)))
-
-
-def _pair(value: np.ndarray) -> bool:
-    return value.shape == (2,)
-
-
-def _two_columns(value: np.ndarray) -> bool:
-    return value.ndim == 2 and value.shape[0] > 0 and value.shape[1] == 2
-
-
-def _lower_factor(value: np.ndarray, m: int) -> bool:
-    """(m, m), lower triangular, with a positive diagonal."""
-    return value.shape == (m, m) and not np.triu(value, 1).any() and bool(np.all(np.diag(value) > 0))
-
-
 def bytes_to_payload(raw: bytes) -> dict:
     r = _Reader(raw)
     if r.take(4, "magic") != MAGIC:
@@ -175,151 +136,223 @@ def bytes_to_payload(raw: bytes) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Component payloads
+# The schema: one table of sections per component
 # ---------------------------------------------------------------------------
 
-
-def _kernel_payload(cfg: kernels.KernelConfig) -> dict:
-    return {
-        "kernel.family": cfg.family,
-        "kernel.log_lengthscale": cfg.log_lengthscale,
-        "kernel.log_outputscale": cfg.log_outputscale,
-        "kernel.log_alpha": cfg.log_alpha,
-        "kernel.nu": cfg.nu,
-    }
+_NUMBER = (int, float)
 
 
-def _kernel_from(payload: dict) -> kernels.KernelConfig:
+class _Row(NamedTuple):
+    """One section: its key, the type of its value, what it stores and
+    a check of the value read back.
+
+    `attr` names the stored attribute, dotted to reach into a member, or
+    is a function of the object; by default it is the key's last dotted
+    part.  The value is built back as the keyword of the attribute's
+    last name, or of the key for a function.  `check(value, before)`,
+    with `before` the values of the table read so far by keyword,
+    returns what the value must do when it fails it, else None."""
+
+    key: str
+    kind: type | tuple
+    attr: str | Callable | None = None
+    check: Callable | None = None
+
+    def get(self, obj):
+        return self.attr(obj) if callable(self.attr) else attrgetter(self.attr or self.arg)(obj)
+
+    @property
+    def arg(self) -> str:
+        return self.key if callable(self.attr) else (self.attr or self.key).rpartition(".")[2]
+
+
+class _Table(NamedTuple):
+    """A component's sections in file order: its kind (its `model_kind`
+    or `mean.kind` value), the class it stores, and `build`, which takes
+    each row's value by its `arg`, plus what the reader passes."""
+
+    kind: str
+    cls: type
+    build: Callable
+    rows: tuple = ()
+
+
+class _Sections(dict):
+    """Decoded sections; asking for a missing one is a format error."""
+
+    prefix = ""
+
+    def __missing__(self, key):
+        raise DataFormatError(f"model file has no {self.prefix + key!r} section")
+
+    def read(self, row: _Row, before: dict | None = None):
+        """The row's value, if it is of the row's type, finite where it is
+        numeric and passes the row's check; else a format error naming it."""
+        value, name = self[row.key], self.prefix + row.key
+        # a bool is an int, so it must be asked for by name
+        if isinstance(value, bool) != (row.kind is bool) or not isinstance(value, row.kind):
+            raise DataFormatError(f"model file section {name!r} holds a {type(value).__name__}")
+        if row.kind not in (str, bool) and not np.all(np.isfinite(value)):
+            raise DataFormatError(f"model file section {name!r} must be finite")
+        what = row.check and row.check(value, before)
+        if what:
+            raise DataFormatError(f"model file section {name!r} must {what}")
+        return value
+
+
+def _write(table: _Table, obj) -> dict:
+    return {row.key: row.get(obj) for row in table.rows}
+
+
+def _read(sections: _Sections, table: _Table, **context):
+    """The table's object from its sections, read in file order."""
+    values: dict = {}
+    for row in table.rows:
+        values[row.arg] = sections.read(row, values)
     try:
-        return kernels.KernelConfig(
-            family=payload["kernel.family"],
-            log_lengthscale=payload["kernel.log_lengthscale"],
-            log_outputscale=payload["kernel.log_outputscale"],
-            log_alpha=payload["kernel.log_alpha"],
-            nu=payload["kernel.nu"],
-        )
+        return table.build(**values, **context)
     except InvalidConfigError as exc:
-        raise DataFormatError(f"model file section {payload.prefix}kernel.*: {exc}") from None
+        # name the component's sections by the prefix their keys share
+        group = os.path.commonprefix([row.key for row in table.rows])
+        raise DataFormatError(f"model file section {sections.prefix}{group}*: {exc}") from None
 
 
-def _mean_payload(mean_fn) -> dict:
-    if isinstance(mean_fn, ZeroMean):
-        return {"mean.kind": "zero"}
-    if isinstance(mean_fn, ConstantMean):
-        return {
-            "mean.kind": "constant",
-            "mean.constant": mean_fn.constant,
-            "mean.learnable": mean_fn.learnable,
-        }
-    if isinstance(mean_fn, GridInterpMean):
-        g = mean_fn.grid
-        return {
-            "mean.kind": "grid",
-            "mean.grid_values": g.values,
-            "mean.grid_xll": g.xllcorner,
-            "mean.grid_yll": g.yllcorner,
-            "mean.grid_cellsize": g.cellsize,
-            "mean.grid_nodata": g.nodata,
-        }
-    raise TypeError(f"cannot serialize mean function {type(mean_fn)!r}")
+def _table_of(obj, tables: dict, what: str) -> _Table:
+    """The table of the kind whose class `obj` is."""
+    table = {t.cls: t for t in tables.values()}.get(type(obj))
+    if table is None:
+        raise TypeError(f"cannot serialize {what} {type(obj)!r}")
+    return table
 
 
-def _mean_from(payload: dict, stats: NormStats):
-    kind = payload["mean.kind"]
-    if kind == "zero":
-        return ZeroMean()
-    if kind == "constant":
-        return ConstantMean(payload["mean.constant"], payload["mean.learnable"])
-    if kind != "grid":
-        raise DataFormatError(f"unknown mean kind {kind!r}")
-    values = payload.valid("mean.grid_values", lambda v: v.ndim == 2, "be a 2-D array")
-    try:
-        grid = DemGrid(
-            ncols=values.shape[1],
-            nrows=values.shape[0],
-            xllcorner=payload["mean.grid_xll"],
-            yllcorner=payload["mean.grid_yll"],
-            cellsize=payload["mean.grid_cellsize"],
-            nodata=payload["mean.grid_nodata"],
-            values=values,
-        )
-    except InvalidConfigError as exc:
-        raise DataFormatError(f"model file section {payload.prefix}mean.grid_*: {exc}") from None
+def _must(what: str, ok: Callable) -> Callable:
+    """The check that fails with `what` where `ok(value)` is false."""
+    return lambda value, before: None if ok(value) else what
+
+
+def _positive(value) -> bool:
+    return bool(np.all(np.isfinite(value) & (np.asarray(value) > 0)))
+
+
+def _pair(value: np.ndarray) -> bool:
+    return value.shape == (2,)
+
+
+_TWO_COLUMNS = _must(
+    "have 2 columns and a row", lambda v: v.ndim == 2 and v.shape[0] > 0 and v.shape[1] == 2
+)
+
+
+def _one_per_inducing_point(mvec: np.ndarray, before: dict) -> str | None:
+    m = len(before["Z"])
+    return None if mvec.shape == (m,) else f"have shape ({m},)"
+
+
+def _lower_factor(L: np.ndarray, before: dict) -> str | None:
+    """(m, m), lower triangular, with a positive diagonal."""
+    m = len(before["Z"])
+    if L.shape == (m, m) and not np.triu(L, 1).any() and np.all(np.diag(L) > 0):
+        return None
+    return f"be an ({m}, {m}) lower-triangular factor with a positive diagonal"
+
+
+def _one_per_row(Y: np.ndarray, before: dict) -> str | None:
+    return None if Y.shape == before["X"].shape[:1] else "hold one value per train_x row"
+
+
+_METHOD_ID, _MODEL_KIND, _MEAN_KIND = (
+    _Row(key, str) for key in ("method_id", "model_kind", "mean.kind")
+)
+_TWO_STAGE = "two_stage"
+_NOISE, _TERRAIN = "noise.", "terrain."
+
+_KERNEL = _Table("", kernels.KernelConfig, kernels.KernelConfig, (
+    _Row("kernel.family", str),
+    *(
+        _Row("kernel." + name, _NUMBER)
+        for name in ("log_lengthscale", "log_outputscale", "log_alpha", "nu")
+    ),
+))
+
+_STATS = _Table("", NormStats, NormStats, (
+    _Row("stats.x_mean", np.ndarray, check=_must("hold 2 numbers", _pair)),
+    _Row("stats.x_std", np.ndarray, check=_must(
+        "hold 2 numbers, finite and > 0", lambda v: _pair(v) and _positive(v)
+    )),
+    _Row("stats.y_mean", _NUMBER),
+    _Row("stats.y_std", _NUMBER, check=_must("be finite and > 0", _positive)),
+))
+
+
+def _grid_mean(stats: NormStats, values: np.ndarray, **corners) -> GridInterpMean:
+    grid = DemGrid(ncols=values.shape[1], nrows=values.shape[0], values=values, **corners)
     return GridInterpMean(grid, stats)
 
 
-def _stats_payload(stats: NormStats) -> dict:
-    return {
-        "stats.x_mean": stats.x_mean,
-        "stats.x_std": stats.x_std,
-        "stats.y_mean": stats.y_mean,
-        "stats.y_std": stats.y_std,
-    }
+# mean kind -> table; the grid mean is built in the stats of its GP
+_MEANS = {t.kind: t for t in (
+    _Table("zero", ZeroMean, lambda stats: ZeroMean()),
+    _Table("constant", ConstantMean, lambda stats, **fields: ConstantMean(**fields), (
+        _Row("mean.constant", _NUMBER),
+        _Row("mean.learnable", bool),
+    )),
+    _Table("grid", GridInterpMean, _grid_mean, (
+        _Row("mean.grid_values", np.ndarray, "grid.values",
+             _must("be a 2-D array", lambda v: v.ndim == 2)),
+        _Row("mean.grid_xll", _NUMBER, "grid.xllcorner"),
+        _Row("mean.grid_yll", _NUMBER, "grid.yllcorner"),
+        _Row("mean.grid_cellsize", _NUMBER, "grid.cellsize"),
+        _Row("mean.grid_nodata", _NUMBER, "grid.nodata"),
+    )),
+)}
 
 
-def _stats_from(payload: dict) -> NormStats:
-    return NormStats(
-        x_mean=payload.valid("stats.x_mean", _pair, "hold 2 numbers"),
-        x_std=payload.valid(
-            "stats.x_std", lambda v: _pair(v) and _positive(v), "hold 2 numbers, finite and > 0"
-        ),
-        y_mean=payload["stats.y_mean"],
-        y_std=payload.valid("stats.y_std", _positive, "be finite and > 0"),
-    )
+def _svgp_state(has_noise: bool, log_noise_var: float, **fields) -> svgp.SvgpState:
+    return svgp.SvgpState(log_noise_var=log_noise_var if has_noise else None, **fields)
+
+
+# model kind -> table; each GP's sections follow its kernel's and its mean's
+_GPS = {t.kind: t for t in (
+    _Table("exact", exact_gp.ExactGpModel, exact_gp.build_model, (
+        _Row("noise_var", np.ndarray),
+        _Row("homoscedastic", bool),
+        _Row("train_x", np.ndarray, "X", _TWO_COLUMNS),
+        _Row("train_y", np.ndarray, "Y", _one_per_row),
+    )),
+    _Table("svgp", svgp.SvgpState, _svgp_state, (
+        _Row("inducing", np.ndarray, "Z", _TWO_COLUMNS),
+        _Row("whitened_mean", np.ndarray, "mvec", _one_per_inducing_point),
+        _Row("whitened_chol", np.ndarray, "L", _lower_factor),
+        # an external noise field is stored as no noise of its own
+        _Row("has_noise", bool, lambda gp: gp.log_noise_var is not None),
+        _Row("log_noise_var", _NUMBER,
+             lambda gp: 0.0 if gp.log_noise_var is None else gp.log_noise_var),
+    )),
+)}
 
 
 def _gp_payload(gp) -> dict:
-    if isinstance(gp, svgp.SvgpState):
-        kind, fields = "svgp", {
-            "inducing": gp.Z,
-            "whitened_mean": gp.mvec,
-            "whitened_chol": gp.L,
-            "has_noise": gp.log_noise_var is not None,
-            "log_noise_var": gp.log_noise_var if gp.log_noise_var is not None else 0.0,
-        }
-    elif isinstance(gp, exact_gp.ExactGpModel):
-        kind, fields = "exact", {
-            "noise_var": gp.noise_var,
-            "homoscedastic": gp.homoscedastic,
-            "train_x": gp.X,
-            "train_y": gp.Y,
-        }
-    else:
-        raise TypeError(f"cannot serialize model {type(gp)!r}")
-    head = {"model_kind": kind, **_kernel_payload(gp.kernel), **_mean_payload(gp.mean_fn)}
-    return {**head, **fields}
+    table = _table_of(gp, _GPS, "model")
+    mean = _table_of(gp.mean_fn, _MEANS, "mean function")
+    return {
+        _MODEL_KIND.key: table.kind,
+        **_write(_KERNEL, gp.kernel),
+        _MEAN_KIND.key: mean.kind,
+        **_write(mean, gp.mean_fn),
+        **_write(table, gp),
+    }
 
 
-def _gp_from(payload: dict, stats: NormStats):
-    kind = payload["model_kind"]
-    if kind == "svgp":
-        Z = payload.valid("inducing", _two_columns, "have 2 columns and a row")
-        m = Z.shape[0]
-        return svgp.SvgpState(
-            Z=Z,
-            mvec=payload.valid("whitened_mean", lambda v: v.shape == (m,), f"have shape ({m},)"),
-            L=payload.valid(
-                "whitened_chol", lambda c: _lower_factor(c, m),
-                f"be an ({m}, {m}) lower-triangular factor with a positive diagonal",
-            ),
-            kernel=_kernel_from(payload),
-            mean_fn=_mean_from(payload, stats),
-            log_noise_var=payload["log_noise_var"] if payload["has_noise"] else None,
-        )
-    if kind == "exact":
-        X = payload.valid("train_x", _two_columns, "have 2 columns and a row")
-        Y = payload.valid(
-            "train_y", lambda y: y.shape == X.shape[:1], "hold one value per train_x row"
-        )
-        return exact_gp.build_model(
-            X,
-            Y,
-            _mean_from(payload, stats),
-            _kernel_from(payload),
-            payload["noise_var"],
-            homoscedastic=payload["homoscedastic"],
-        )
-    raise DataFormatError(f"unknown model kind {payload.prefix}model_kind = {kind!r}")
+def _gp_from(sections: _Sections, stats: NormStats):
+    kind = sections.read(_MODEL_KIND)
+    if kind not in _GPS:
+        raise DataFormatError(f"unknown model kind {sections.prefix}{_MODEL_KIND.key} = {kind!r}")
+    kernel = _read(sections, _KERNEL)
+    mean_kind = sections.read(_MEAN_KIND)
+    if mean_kind not in _MEANS:
+        raise DataFormatError(f"unknown mean kind {mean_kind!r}")
+    mean_fn = _read(sections, _MEANS[mean_kind], stats=stats)
+    return _read(sections, _GPS[kind], kernel=kernel, mean_fn=mean_fn)
 
 
 def _prefixed(payload: dict, prefix: str) -> dict:
@@ -333,33 +366,30 @@ def _unprefixed(payload: dict, prefix: str) -> _Sections:
 
 
 def model_payload(method_id: str, model, stats: NormStats) -> dict:
-    payload: dict = {"method_id": method_id}
+    payload: dict = {_METHOD_ID.key: method_id}
     if isinstance(model, two_stage.TwoStageModel):
-        payload["model_kind"] = "two_stage"
-        payload["variational"] = model.variational
-        payload.update(_prefixed(_gp_payload(model.noise.gp), "noise."))
-        payload.update(_prefixed(_gp_payload(model.terrain), "terrain."))
+        payload[_MODEL_KIND.key] = _TWO_STAGE
+        payload.update(_prefixed(_gp_payload(model.noise.gp), _NOISE))
+        payload.update(_prefixed(_gp_payload(model.terrain), _TERRAIN))
     else:
         payload.update(_gp_payload(model))
-    payload.update(_stats_payload(stats))
+    payload.update(_write(_STATS, stats))
     return payload
 
 
 def model_from_payload(payload: dict):
     """(method_id, model, stats); any missing or inconsistent section
     raises DataFormatError."""
-    payload = _Sections(payload)
-    stats = _stats_from(payload)
-    method_id = payload["method_id"]
-    if payload["model_kind"] != "two_stage":
-        return method_id, _gp_from(payload, stats), stats
+    sections = _Sections(payload)
+    stats = _read(sections, _STATS)
+    method_id = sections.read(_METHOD_ID)
+    if sections.read(_MODEL_KIND) != _TWO_STAGE:
+        return method_id, _gp_from(sections, stats), stats
     identity = NormStats(np.zeros(2), np.ones(2), 0.0, 1.0)
     model = two_stage.TwoStageModel(
-        noise=two_stage.NoiseModel(gp=_gp_from(_unprefixed(payload, "noise."), identity)),
-        terrain=_gp_from(_unprefixed(payload, "terrain."), stats),
+        noise=two_stage.NoiseModel(gp=_gp_from(_unprefixed(sections, _NOISE), identity)),
+        terrain=_gp_from(_unprefixed(sections, _TERRAIN), stats),
     )
-    if payload["variational"] != model.variational:
-        raise DataFormatError(f"variational = {payload['variational']} disagrees with the terrain")
     return method_id, model, stats
 
 

@@ -58,14 +58,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dswap, dsyrk
 
 from . import exact_gp, kernels
 from .datasets import Dataset
 from .errors import InvalidConfigError, InvalidInputError
 from .linalg import (
-    chol_with_jitter, mirror_strict_lower, strict_lower_mask, tri_inverse, tri_matmul,
+    chol_with_jitter, mirror_strict_lower, strict_lower_mask, tri_inverse, tri_matmul, tri_solve,
 )
 from .means import default_mean
 from .methods import (
@@ -84,8 +83,6 @@ class SvgpState:
     mean_fn: object
     log_noise_var: float | None  # None when the noise is an external field
     loss_history: list = field(default_factory=list, repr=False, compare=False)
-
-    variational = True
 
     @property
     def num_inducing(self) -> int:
@@ -171,7 +168,7 @@ def kl_term(state: SvgpState) -> float:
 def _mean_weights(state: SvgpState) -> tuple[np.ndarray, np.ndarray]:
     """(Lz, c) with c = Lz^-T mw: the q(f) mean is m(x) + K(x, Z) c."""
     Lz = _kzz_factor(state.kernel, state.Z)
-    return Lz, solve_triangular(Lz, state.mvec, lower=True, trans="T", check_finite=False)
+    return Lz, tri_solve(Lz, state.mvec)
 
 
 def predictive_qf(state: SvgpState, Xstar) -> tuple[np.ndarray, np.ndarray]:

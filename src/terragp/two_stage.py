@@ -34,14 +34,16 @@ LOG_VAR_CLAMP = 20.0
 
 # above this size stage 1 switches from the exact GP to a sparse one.
 # Stage 1 is an RBF GP with a learned noise and a fixed mean.  Measured at
-# n = 4096 (one BLAS thread, 2-core VM): 1.7 s CPU per LML epoch and a
-# 1.18 n^2-double (0.16 GB) allocation peak: K, factored and inverted in
-# place, the finite scan's n x n booleans and row-panel temporaries.
-# Projected to n = 10 000 (n^3 time, n^2 memory): about 25 s per epoch,
-# 17 min for 40 epochs, and 0.9 GB.  These figures hold for scattered
-# inputs.  A complete-grid
-# stage 1 trains, builds and holds its weights through the axis
-# eigenbases of `exact_gp._grid_basis`, with no n x n array, and its
+# n = 4096 (tracemalloc, one BLAS thread, 2-core VM): 1.6 s CPU per LML
+# epoch and a 1.18 n^2-double (0.16 GB) allocation peak, which is K,
+# factored and inverted in place, plus about 730 n doubles of row-panel
+# temporaries (0.18 n^2 here; 0.34 n^2 at n = 2048, so the term is linear
+# in n).  The build peaks at 1.06 n^2 (0.14 GB): K and about 250 n
+# doubles.  Projected to n = 10 000 (n^3 time, n^2 plus those panels):
+# about 23 s per epoch, 15 min for 40 epochs, and 0.86 GB per epoch
+# (0.82 GB for the build).  These figures hold for scattered inputs.
+# A complete-grid stage 1 trains, builds and holds its weights through
+# the axis eigenbases of `exact_gp._grid_basis`, with no n x n array, and its
 # noise field on a complete query grid holds only (nx + ny) x n kernel
 # factors.  At scattered queries the field forms its Gram one panel of
 # queries at a time (`exact_gp._PANEL_BYTES`): at n = 10 000, 64 x n
@@ -70,10 +72,6 @@ class TwoStageModel:
 
     noise: NoiseModel
     terrain: exact_gp.ExactGpModel | svgp.SvgpState
-
-    @property
-    def variational(self) -> bool:
-        return self.terrain.variational
 
     def predict(self, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.terrain.predict(Xn)

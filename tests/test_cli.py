@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from terragp import modelio, pipeline
+from terragp import modelio, pipeline, svgp
 from terragp.cli import main
 from terragp.grids import make_grid, read_asc, write_asc
 from terragp.methods import method_defaults, with_overrides
@@ -132,7 +132,7 @@ class TestFitCommand:
         ])
         assert code == 0
         _, loaded, _ = modelio.load_model(model)
-        assert loaded.variational
+        assert isinstance(loaded.terrain, svgp.SvgpState)
         assert loaded.terrain.Z.shape == (16, 2)
 
     def test_missing_train_file_is_data_error(self, tmp_path):

@@ -58,7 +58,7 @@ class TestCholWithJitter:
         b = rng.normal(size=5)
         L, _ = chol_with_jitter(M.copy())
         np.testing.assert_allclose(chol_solve(L, b), np.linalg.solve(M, b), atol=1e-10)
-        np.testing.assert_allclose(tri_solve(L, b), np.linalg.solve(L, b), atol=1e-10)
+        np.testing.assert_allclose(tri_solve(L, b), np.linalg.solve(L.T, b), atol=1e-10)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300])

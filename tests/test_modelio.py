@@ -1,12 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terragp import exact_gp, kernels, modelio, pipeline, svgp, two_stage
-from terragp.datasets import grid_to_dataset
+from terragp.datasets import NormStats, grid_to_dataset
 from terragp.errors import DataFormatError, TerraGpError
-
+from terragp.grids import DemGrid
 from terragp.means import ConstantMean, GridInterpMean, ZeroMean
 from terragp.methods import method_defaults, with_overrides
 from terragp.pipeline import make_scene
@@ -126,7 +128,7 @@ class TestModelRoundtrips:
         modelio.save_model(path, "ours-exact", model, data.stats)
         mid, loaded, stats = modelio.load_model(path)
         assert mid == "ours-exact"
-        assert not loaded.variational
+        assert isinstance(loaded.terrain, exact_gp.ExactGpModel)
         pts = scene.truth.cell_centers()[:17]
         a = two_stage.predict_terrain(model, data.stats, pts)
         b = two_stage.predict_terrain(loaded, stats, pts)
@@ -143,7 +145,8 @@ class TestModelRoundtrips:
         method = with_overrides(method_defaults("ours-exact"), epochs=2)
         mean_fn = GridInterpMean(scene.prior, data.stats)
         model = two_stage.fit_two_stage(data, method, seed=0, mean_fn=mean_fn)
-        assert model.noise.gp.variational and not model.variational
+        assert isinstance(model.noise.gp, svgp.SvgpState)
+        assert isinstance(model.terrain, exact_gp.ExactGpModel)
         path = tmp_path / "t.bin"
         modelio.save_model(path, "ours-exact", model, data.stats)
         mid, loaded, stats = modelio.load_model(path)
@@ -262,7 +265,6 @@ class TestCorruptFiles:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("variational", True, "variational"),
             ("terrain.model_kind", "gp", "terrain.model_kind"),
             ("noise.model_kind", "svgp", "noise.inducing"),
             ("terrain.model_kind", None, "terrain.model_kind"),
@@ -355,6 +357,129 @@ class TestCorruptFiles:
         payload["variational_chol"] = payload.pop("whitened_chol")
         with pytest.raises(DataFormatError, match="whitened_mean"):
             modelio.model_from_payload(payload)
+
+
+def golden_models():
+    """name -> (model, stats): an exact model with a grid mean and an SVGP
+    with a constant mean and a noise of its own, both built from fixed
+    arrays without fitting."""
+    stats = NormStats(np.array([50.0, 40.0]), np.array([20.0, 25.0]), 3.5, 1.25)
+    t = np.arange(12.0)
+    X = np.column_stack([np.cos(t), np.sin(0.7 * t)])
+    grid = DemGrid(ncols=3, nrows=2, xllcorner=0.5, yllcorner=-1.0, cellsize=40.0,
+                   nodata=-9999.0, values=np.arange(6.0).reshape(2, 3) / 7.0)
+    exact = exact_gp.build_model(
+        X, np.sin(t) - 0.1 * t, GridInterpMean(grid, stats),
+        kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, -0.5, 0.25, 0.125),
+        0.01 + 0.001 * t, homoscedastic=False,
+    )
+    m = 4
+    state = svgp.SvgpState(
+        Z=X[:m].copy(), mvec=np.linspace(-0.3, 0.3, m),
+        L=np.tril(np.full((m, m), 0.05)) + np.diag(np.linspace(0.5, 0.8, m)),
+        kernel=kernels.KernelConfig(kernels.MATERN, -0.25, 0.5, nu=1.5),
+        mean_fn=ConstantMean(0.125, learnable=False), log_noise_var=-3.0,
+    )
+    return {"exact": (exact, stats), "svgp": (state, stats)}
+
+
+# SHA-256 of each golden model's file, as the per-component writers that
+# preceded the schema tables wrote it: the layout of version 1 files
+GOLDEN_SHA256 = {
+    "exact": "3275c36ac7e96ff6e9377c4ac61a76140b7bdbabc98c7091df383b48701022eb",
+    "svgp": "c71cc93e29e9f8bef81e5c34758d2f2a2edc85667b5da36930c51ef063f59413",
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_files_keep_their_bytes(self, tmp_path, name):
+        model, stats = golden_models()[name]
+        path = tmp_path / f"{name}.bin"
+        modelio.save_model(path, name, model, stats)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+        mid, loaded, loaded_stats = modelio.load_model(path)
+        again = tmp_path / "again.bin"
+        modelio.save_model(again, mid, loaded, loaded_stats)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("variational", [True, False])
+    @pytest.mark.parametrize("method_id", ["ours-exact", "ours-variational"])
+    def test_variational_section_of_older_files_is_ignored(
+        self, method_payloads, method_id, variational
+    ):
+        """Two-stage files once carried a bool `variational` section after
+        `model_kind`, a copy of whether the terrain GP is an SVGP.  Such a
+        file loads whether or not the copy agrees, predicts bit for bit
+        like the same payload without it, and is saved without it."""
+        payload = method_payloads[method_id]
+        assert "variational" not in payload
+        older = {}
+        for key, value in payload.items():
+            older[key] = value
+            if key == "model_kind":
+                older["variational"] = variational
+        raw = modelio.payload_to_bytes(payload)
+        older_raw = modelio.payload_to_bytes(older)
+        assert len(older_raw) == len(raw) + 23  # key length, key, tag, size, one byte
+        points = small_scene().truth.cell_centers()[::5]
+        maps = []
+        for r in (raw, older_raw):
+            mid, loaded, stats = modelio.model_from_payload(modelio.bytes_to_payload(r))
+            maps.append(two_stage.predict_terrain(loaded, stats, points))
+            assert modelio.payload_to_bytes(modelio.model_payload(mid, loaded, stats)) == raw
+        for a, b in zip(*maps, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_every_written_section_is_read(self, monkeypatch, method_payloads):
+        """Loading reads each section that saving writes, so no section is
+        written only to be skipped on load."""
+        read = set()
+
+        class Recording(modelio._Sections):
+            def __getitem__(self, key):
+                read.add(self.prefix + key)
+                return super().__getitem__(key)
+
+        payloads = list(method_payloads.values())
+        scene = small_scene()
+        monkeypatch.setattr(two_stage, "STAGE1_EXACT_MAX_N", 10)
+        method = with_overrides(method_defaults("ours-exact"), epochs=1)
+        sparse, stats, _ = pipeline.fit_method(
+            method, scene.train, scene.uncertainty, scene.prior, seed=1
+        )
+        assert isinstance(sparse.noise.gp, svgp.SvgpState)
+        payloads.append(modelio.model_payload("ours-exact", sparse, stats))
+        golden = golden_models()
+        for name, (model, stats) in golden.items():
+            payloads.append(modelio.model_payload(name, model, stats))
+        model, stats = golden["exact"]
+        model.mean_fn = ZeroMean()
+        payloads.append(modelio.model_payload("tomita", model, stats))
+        monkeypatch.setattr(modelio, "_Sections", Recording)
+        for payload in payloads:
+            read.clear()
+            modelio.model_from_payload(payload)
+            assert read == set(payload)
+
+    def test_unknown_types_cannot_be_saved(self, tmp_path):
+        """A model or a mean function of a class that no table stores, a
+        subclass of a stored one included, is refused by name before the
+        file is opened."""
+
+        class UnknownModel:
+            pass
+
+        class ShiftedMean(ConstantMean):
+            pass
+
+        exact, stats = golden_models()["exact"]
+        exact.mean_fn = ShiftedMean(1.0)
+        path = tmp_path / "m.bin"
+        for model, name in ((UnknownModel(), "UnknownModel"), (exact, "ShiftedMean")):
+            with pytest.raises(TypeError, match=f"cannot serialize .*{name}"):
+                modelio.save_model(path, "tomita", model, stats)
+            assert not path.exists()
 
 
 # a section edit: drop a row or a column, ravel, add an axis, or poison one entry
