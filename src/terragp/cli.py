@@ -1,9 +1,14 @@
 """Command-line harness.
 
-Verbs: synth, fit, predict, eval, sweep, heatmap, hillshade.  Exit
-codes: 0 success, 2 usage/config error (running out of memory counts as
-one: the problem is too big for the chosen method), 3 data/parse error,
-4 numerical failure.  Every seeded command is bitwise reproducible.
+Each verb is registered once, in `_VERBS`, with its help line, the
+function that adds its flags and the one that runs it.  A flag that
+sets a config field is declared once, in its verb's table, and stored
+under that field's name: `_SYNTH_FLAGS` (`SynthParams`), `_FIT_FLAGS`
+(`MethodConfig` overrides) and `_GEOMETRY_FLAGS` (the `DemGrid` that
+predict fills).  Exit codes: 0 success, 2 usage/config error (running
+out of memory counts as one: the problem is too big for the chosen
+method), 3 data/parse error, 4 numerical failure.  Every seeded command
+is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, modelio, pipeline
+from .datasets import grid_to_dataset
 from .errors import InvalidConfigError, TerraGpError
 from .grids import DEFAULT_NODATA, DemGrid, hillshade, read_asc, to_pgm_bytes, write_asc
 from .methods import METHOD_IDS, method_defaults, with_overrides
@@ -24,35 +30,66 @@ EXIT_OK = 0
 EXIT_IO = 3  # OSError; every TerraGpError carries its own exit_code
 
 
-# `synth` flag -> the SynthParams field it sets; each flag takes its type
-# and default from that field
+# Flag tables: flag -> (the config field it sets, argparse keywords).
+
+# SynthParams fields; each flag takes its type and default from its field
 _SYNTH_FLAGS = {
-    "--size": "size",
-    "--seed": "seed",
-    "--amplitude": "amplitude",
-    "--roughness": "roughness",
-    "--craters": "crater_count",
-    "--radius-min": "radius_min",
-    "--radius-max": "radius_max",
-    "--rim-fraction": "rim_fraction",
-    "--sun-azimuth": "sun_azimuth",
-    "--sun-elevation": "sun_elevation",
-    "--var-dark": "var_dark",
-    "--var-lit": "var_lit",
-    "--cellsize": "cellsize",
+    "--size": ("size", {"help": "truth grid side length"}),
+    "--seed": ("seed", {}),
+    "--amplitude": ("amplitude", {}),
+    "--roughness": ("roughness", {}),
+    "--craters": ("crater_count", {}),
+    "--radius-min": ("radius_min", {}),
+    "--radius-max": ("radius_max", {}),
+    "--rim-fraction": ("rim_fraction", {}),
+    "--sun-azimuth": ("sun_azimuth", {}),
+    "--sun-elevation": ("sun_elevation", {}),
+    "--var-dark": ("var_dark", {}),
+    "--var-lit": ("var_lit", {}),
+    "--cellsize": ("cellsize", {}),
+}
+
+# MethodConfig overrides; an unset flag keeps the method's default
+_FIT_FLAGS = {
+    "--epochs": ("epochs", {"type": int}),
+    "--lr": ("learning_rate", {"type": float}),
+    "--inducing": ("num_inducing", {"type": int}),
+    "--batch-size": ("batch_size", {"type": int}),
+    "--kernel": ("kernel_family", {"choices": kernels.FAMILIES}),
+    "--nu": ("nu", {"type": float, "choices": kernels.MATERN_NUS}),
+    "--mean": ("mean_kind", {"choices": ("constant", "zero", "prior")}),
+}
+
+# DemGrid fields of predict's explicit target geometry
+_GEOMETRY_FLAGS = {
+    "--ncols": ("ncols", {"type": int}),
+    "--nrows": ("nrows", {"type": int}),
+    "--xll": ("xllcorner", {"type": float}),
+    "--yll": ("yllcorner", {"type": float}),
+    "--cellsize": ("cellsize", {"type": float}),
 }
 
 
-def _add_synth(sub):
-    p = sub.add_parser("synth", help="generate a synthetic scene (five .asc files)")
+def _add_fields(p, table, defaults=None):
+    """Add a table's flags, each stored under its field's name.  With
+    `defaults`, each takes its type and default from that field.  The
+    usage line names a value after its flag, as argparse would."""
+    for flag, (field, kw) in table.items():
+        if defaults is not None:
+            default = getattr(defaults, field)
+            kw = {"type": type(default), "default": default, **kw}
+        metavar = None if "choices" in kw else flag[2:].replace("-", "_").upper()
+        p.add_argument(flag, dest=field, metavar=metavar, **kw)
+
+
+def _fields(args, table) -> dict:
+    """field -> parsed value, for each flag of a table."""
+    return {field: getattr(args, field) for field, _ in table.values()}
+
+
+def _add_synth(p):
     p.add_argument("--out-dir", required=True)
-    defaults = SynthParams()
-    for flag, name in _SYNTH_FLAGS.items():
-        default = getattr(defaults, name)
-        p.add_argument(
-            flag, type=type(default), default=default,
-            help="truth grid side length" if name == "size" else None,
-        )
+    _add_fields(p, _SYNTH_FLAGS, SynthParams())
     p.add_argument(
         "--noise-mode", choices=("shadow", "split"), default="shadow",
         help="shadow-derived variance map, or a left/right split field",
@@ -61,36 +98,25 @@ def _add_synth(sub):
 
 
 def _cmd_synth(args) -> int:
-    params = SynthParams(
-        **{name: getattr(args, flag[2:].replace("-", "_")) for flag, name in _SYNTH_FLAGS.items()}
-    )
+    params = SynthParams(**_fields(args, _SYNTH_FLAGS))
     scene = pipeline.make_scene(params, noise_mode=args.noise_mode, split_ratio=args.split_ratio)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_asc(scene.truth, out / "truth.asc")
-    write_asc(scene.dem, out / "dem.asc")
-    write_asc(scene.train, out / "train.asc")
-    write_asc(scene.prior, out / "prior.asc")
-    write_asc(scene.uncertainty, out / "uncertainty.asc")
-    print(f"wrote truth/dem/train/prior/uncertainty to {out}")
+    names = ("truth", "dem", "train", "prior", "uncertainty")
+    for name in names:
+        write_asc(getattr(scene, name), out / f"{name}.asc")
+    print(f"wrote {'/'.join(names)} to {out}")
     return EXIT_OK
 
 
-def _add_fit(sub):
-    p = sub.add_parser("fit", help="train a model on a training grid")
+def _add_fit(p):
     p.add_argument("--method", required=True, choices=METHOD_IDS)
     p.add_argument("--train", required=True, help="training .asc grid")
     p.add_argument("--noise", help="uncertainty .asc grid (variance, m^2)")
     p.add_argument("--prior", help="low-resolution prior .asc grid")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--inducing", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--kernel", choices=kernels.FAMILIES)
-    p.add_argument("--nu", type=float, choices=kernels.MATERN_NUS)
-    p.add_argument("--mean", choices=("constant", "zero", "prior"))
+    _add_fields(p, _FIT_FLAGS)
     p.add_argument(
         "--fixed-noise", type=float,
         help="pin the constant noise variance (m^2) instead of learning it",
@@ -107,24 +133,9 @@ def _cmd_fit(args) -> int:
     fixed = args.fixed_noise
     if fixed is not None:
         # convert m^2 to normalized units using the training grid stats
-        from .datasets import grid_to_dataset
-
-        stats = grid_to_dataset(train).stats
-        fixed = float(fixed) / stats.y_std**2
-    method = with_overrides(
-        method,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        num_inducing=args.inducing,
-        batch_size=args.batch_size,
-        kernel_family=args.kernel,
-        nu=args.nu,
-        mean_kind=args.mean,
-        fixed_noise_var=fixed,
-    )
-    model, stats, history = pipeline.fit_method(
-        method, train, uncertainty, prior, args.seed
-    )
+        fixed /= grid_to_dataset(train).stats.y_std**2
+    method = with_overrides(method, fixed_noise_var=fixed, **_fields(args, _FIT_FLAGS))
+    model, stats, history = pipeline.fit_method(method, train, uncertainty, prior, args.seed)
     modelio.save_model(args.out, method.method_id, model, stats)
     loss_path = args.loss_csv or (args.out + ".loss.csv")
     with open(loss_path, "w", encoding="utf-8") as fh:
@@ -135,40 +146,26 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _add_predict(sub):
-    p = sub.add_parser("predict", help="dense prediction on a target geometry")
+def _add_predict(p):
     p.add_argument("--model", required=True)
     p.add_argument("--target", help=".asc grid supplying the output geometry")
-    p.add_argument("--ncols", type=int)
-    p.add_argument("--nrows", type=int)
-    p.add_argument("--xll", type=float)
-    p.add_argument("--yll", type=float)
-    p.add_argument("--cellsize", type=float)
+    _add_fields(p, _GEOMETRY_FLAGS)
     p.add_argument("--out-dir", required=True)
 
 
 def _target_geometry(args) -> DemGrid:
-    explicit = (args.ncols, args.nrows, args.xll, args.yll, args.cellsize)
+    explicit = _fields(args, _GEOMETRY_FLAGS)
     if args.target:
-        if any(v is not None for v in explicit):
+        if any(v is not None for v in explicit.values()):
             raise InvalidConfigError("--target and explicit geometry flags conflict")
         return read_asc(args.target)
-    if any(v is None for v in explicit):
-        raise InvalidConfigError(
-            "predict needs --target or all of --ncols/--nrows/--xll/--yll/--cellsize"
-        )
-    for flag, count in (("--ncols", args.ncols), ("--nrows", args.nrows)):
-        if count < 1:
-            raise InvalidConfigError(f"{flag} must be a positive integer, got {count}")
-    return DemGrid(
-        ncols=args.ncols,
-        nrows=args.nrows,
-        xllcorner=args.xll,
-        yllcorner=args.yll,
-        cellsize=args.cellsize,
-        nodata=DEFAULT_NODATA,
-        values=np.zeros((args.nrows, args.ncols)),
-    )
+    if any(v is None for v in explicit.values()):
+        raise InvalidConfigError(f"predict needs --target or all of {'/'.join(_GEOMETRY_FLAGS)}")
+    for flag, (field, kw) in _GEOMETRY_FLAGS.items():
+        if kw["type"] is int and explicit[field] < 1:
+            raise InvalidConfigError(f"{flag} must be a positive integer, got {explicit[field]}")
+    shape = (explicit["nrows"], explicit["ncols"])
+    return DemGrid(**explicit, nodata=DEFAULT_NODATA, values=np.zeros(shape))
 
 
 def _cmd_predict(args) -> int:
@@ -177,15 +174,13 @@ def _cmd_predict(args) -> int:
     mean_g, latent_g, pred_g = pipeline.predict_grid(model, stats, geometry)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_asc(mean_g, out / "mean.asc")
-    write_asc(pred_g, out / "var.asc")
-    write_asc(latent_g, out / "latent_var.asc")
+    for grid, name in ((mean_g, "mean"), (pred_g, "var"), (latent_g, "latent_var")):
+        write_asc(grid, out / f"{name}.asc")
     print(f"predicted {geometry.nrows}x{geometry.ncols} grid with {method_id} -> {out}")
     return EXIT_OK
 
 
-def _add_eval(sub):
-    p = sub.add_parser("eval", help="compute RMSE/NLPD/AUSE against a truth grid")
+def _add_eval(p):
     p.add_argument("--mean", required=True)
     p.add_argument("--var", required=True)
     p.add_argument("--truth", required=True)
@@ -218,8 +213,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _add_sweep(sub):
-    p = sub.add_parser("sweep", help="inducing-count / dataset-size trade-off sweep")
+def _add_sweep(p):
     p.add_argument("--sizes", required=True, help="comma-separated dataset sizes")
     p.add_argument("--inducing", required=True, help="comma-separated inducing counts")
     p.add_argument("--out", required=True, help="output CSV")
@@ -254,8 +248,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_heatmap(sub):
-    p = sub.add_parser("heatmap", help="render a grid to an 8-bit .pgm graymap")
+def _add_heatmap(p):
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
 
@@ -268,8 +261,7 @@ def _cmd_heatmap(args) -> int:
     return EXIT_OK
 
 
-def _add_hillshade(sub):
-    p = sub.add_parser("hillshade", help="Lambertian shading of a DEM")
+def _add_hillshade(p):
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--azimuth", type=float, default=315.0)
@@ -283,14 +275,15 @@ def _cmd_hillshade(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "fit": _cmd_fit,
-    "predict": _cmd_predict,
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "heatmap": _cmd_heatmap,
-    "hillshade": _cmd_hillshade,
+# verb -> (its help line, the function adding its flags, the one running it)
+_VERBS = {
+    "synth": ("generate a synthetic scene (five .asc files)", _add_synth, _cmd_synth),
+    "fit": ("train a model on a training grid", _add_fit, _cmd_fit),
+    "predict": ("dense prediction on a target geometry", _add_predict, _cmd_predict),
+    "eval": ("compute RMSE/NLPD/AUSE against a truth grid", _add_eval, _cmd_eval),
+    "sweep": ("inducing-count / dataset-size trade-off sweep", _add_sweep, _cmd_sweep),
+    "heatmap": ("render a grid to an 8-bit .pgm graymap", _add_heatmap, _cmd_heatmap),
+    "hillshade": ("Lambertian shading of a DEM", _add_hillshade, _cmd_hillshade),
 }
 
 
@@ -300,21 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Heteroscedastic GP terrain mapping toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_synth(sub)
-    _add_fit(sub)
-    _add_predict(sub)
-    _add_eval(sub)
-    _add_sweep(sub)
-    _add_heatmap(sub)
-    _add_hillshade(sub)
+    for verb, (text, add, run) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        add(p)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (TerraGpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_IO)

@@ -53,7 +53,7 @@ import numpy as np
 from . import kernels
 from .datasets import Dataset, grid_axes
 from .errors import TrainingDivergedError
-from .linalg import chol_inverse, chol_solve, chol_with_jitter, tri_inverse, tri_matmul
+from .linalg import chol_inverse, chol_solve, chol_with_jitter, row_panels, tri_inverse, tri_matmul
 from .means import default_mean
 from .methods import (
     LOG_NOISE_VARIANCE, MethodConfig, check_noise, init_kernel, noise_plan,
@@ -356,17 +356,13 @@ def _predict(kernel, mean_fn, centres, weights, Linv, Xstar, Lw=None):
     return mean, np.maximum(var, 0.0)
 
 
-# rows per block of `_sq_row_norms`
-_ROW_BLOCK = 256
-
-
 def _sq_row_norms(V: np.ndarray) -> np.ndarray:
     """|V_i|^2 per row of a C-ordered V, bitwise np.sum(V * V, axis=1),
-    with a block of rows squared at a time."""
+    with a row panel squared at a time."""
     out = np.empty(V.shape[0])
-    for i in range(0, V.shape[0], _ROW_BLOCK):
-        W = V[i : i + _ROW_BLOCK]
-        out[i : i + _ROW_BLOCK] = np.sum(W * W, axis=1)
+    for i, k in row_panels(V.shape[0]):
+        W = V[i:k]
+        out[i:k] = np.sum(W * W, axis=1)
     return out
 
 

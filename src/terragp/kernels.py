@@ -20,8 +20,10 @@ The last is kept in that form: the equal 1 - 1/(1 + u) - log(1 + u)
 cancels catastrophically at small u.
 
 A symmetric Gram K(X, X) is evaluated on one triangle only, a row panel
-at a time (`sym_gram`): the upper triangle of the C-ordered K, which is
-the lower triangle of the Fortran-ordered K.T that LAPACK factors.
+(`linalg.row_panels`) at a time (`sym_gram`): the upper triangle of the
+C-ordered K, which is the lower triangle of the Fortran-ordered K.T that
+LAPACK factors.  The diagonal blocks, evaluated whole, repeat
+n * linalg.ROW_PANEL / 2 entries of the lower triangle.
 Gradients against one triangle of an adjoint (the inverse of the exact
 model's covariance, or the SVGP's Kzz adjoint) come from
 `sym_gradient_sums`, which recomputes each panel's K, slope and RQ shape
@@ -43,6 +45,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidConfigError, InvalidInputError
+from .linalg import row_panels
 
 RBF = "rbf"
 RATIONAL_QUADRATIC = "rq"
@@ -250,17 +253,6 @@ def gram_dr2(cfg: KernelConfig, a, b) -> np.ndarray:
     return slope
 
 
-# Rows per panel of the one-triangle passes over a symmetric Gram.  Each
-# panel's temporaries are _PANEL x n; the diagonal blocks, evaluated
-# whole, repeat n * _PANEL / 2 entries of the lower triangle.
-_PANEL = 128
-
-
-def _row_panels(n: int):
-    for i in range(0, n, _PANEL):
-        yield i, min(n, i + _PANEL)
-
-
 def sym_gram(cfg: KernelConfig, X) -> np.ndarray:
     """K(X, X), C-ordered, each entry of its upper triangle evaluated once.
 
@@ -273,10 +265,8 @@ def sym_gram(cfg: KernelConfig, X) -> np.ndarray:
     """
     X = _as_points(X)
     n = X.shape[0]
-    if n <= _PANEL:  # one panel: the whole square
-        return _scaled_gram(cfg, sq_dists(X, X))
     K = np.empty((n, n))
-    for i, k in _row_panels(n):
+    for i, k in row_panels(n):
         panel = _scaled_gram(cfg, sq_dists(X[i:k], X[i:]))
         K[i:k, i:] = panel
         K[k:, i:k] = panel[:, k - i :].T
@@ -289,16 +279,17 @@ def sym_gradient_sums(cfg: KernelConfig, X, T: np.ndarray, a=None):
     quad[name] = a^T (dK/dtheta) a (else None), with K = K(X, X).
 
     T's strict lower triangle must be zero within each diagonal block
-    of _PANEL rows; it is not read elsewhere.  Each panel's K, slope and
-    RQ shape derivative are evaluated by `gram_and_gradients` from the
-    panel's squared distances and dropped before the next: no n x n
-    dK/dtheta is formed.  Off the diagonal a symmetric sum counts each
-    term twice; on it only dK/dlog(s2) is nonzero, and equals s2.
+    of `linalg.ROW_PANEL` rows; it is not read elsewhere.  Each panel's
+    K, slope and RQ shape derivative are evaluated by
+    `gram_and_gradients` from the panel's squared distances and dropped
+    before the next: no n x n dK/dtheta is formed.  Off the diagonal a
+    symmetric sum counts each term twice; on it only dK/dlog(s2) is
+    nonzero, and equals s2.
     """
     X = _as_points(X)
     sums = dict.fromkeys(param_names(cfg), 0.0)
     quad = None if a is None else dict(sums)
-    for i, k in _row_panels(X.shape[0]):
+    for i, k in row_panels(X.shape[0]):
         _, grads = gram_and_gradients(cfg, sq_dists(X[i:k], X[i:]))
         Tp = np.ascontiguousarray(T[i:k, i:])
         for name, dK in grads.items():

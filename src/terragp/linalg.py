@@ -74,8 +74,18 @@ def chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
         mat[np.diag_indices_from(mat)] = diag + jitter
 
 
-# rows per panel of the triangle copies below
-_PANEL = 128
+# Rows per panel of every row-panel pass: the triangle copies below, the
+# one-triangle Gram passes of `kernels`, svgp's lower-triangle products
+# and exact_gp's row norms.  Each panel's temporaries are ROW_PANEL x n,
+# wide enough to keep its products at BLAS speed, narrow enough to skip
+# most of a triangle.
+ROW_PANEL = 128
+
+
+def row_panels(n: int):
+    """(i, k) bounds of consecutive panels of ROW_PANEL rows of n."""
+    for i in range(0, n, ROW_PANEL):
+        yield i, min(n, i + ROW_PANEL)
 
 
 @lru_cache(maxsize=8)
@@ -90,15 +100,13 @@ def strict_lower_mask(m: int) -> np.ndarray:
 def _all_finite(C: np.ndarray) -> bool:
     """Whether every entry of the C-ordered C is finite, scanned a row
     panel at a time, so the scan's booleans are panel-sized."""
-    return all(np.isfinite(C[i : i + _PANEL]).all() for i in range(0, C.shape[0], _PANEL))
+    return all(np.isfinite(C[i:k]).all() for i, k in row_panels(C.shape[0]))
 
 
 def _zero_strict_lower(C: np.ndarray) -> None:
     """Zero the strict lower triangle of a C-ordered square C, the strict
     upper one of the Fortran-ordered C.T, a row panel at a time."""
-    n = C.shape[0]
-    for i in range(0, n, _PANEL):
-        k = min(n, i + _PANEL)
+    for i, k in row_panels(C.shape[0]):
         C[i:k, :i] = 0.0
         np.copyto(C[i:k, i:k], 0.0, where=strict_lower_mask(k - i))
 
@@ -108,9 +116,7 @@ def mirror_strict_lower(C: np.ndarray) -> None:
     strict upper one: for the Fortran-ordered C.T, its strict upper
     triangle onto its lower one.  A row panel at a time, so the
     temporaries are panel-sized."""
-    n = C.shape[0]
-    for i in range(0, n, _PANEL):
-        k = min(n, i + _PANEL)
+    for i, k in row_panels(C.shape[0]):
         C[i:k, k:] = C[k:, i:k].T
         block = C[i:k, i:k]
         np.copyto(block, block.T, where=strict_lower_mask(k - i).T)

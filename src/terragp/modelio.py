@@ -47,16 +47,19 @@ _T_I64 = 1
 _T_STR = 2
 _T_ARR = 3
 _T_BOOL = 4
-_SCALAR_FORMATS = {_T_BOOL: "<B", _T_I64: "<q", _T_F64: "<d"}
+# scalar tag -> (its struct format, the Python types it holds), the bool
+# row first because a bool is also an int
+_SCALAR_FORMATS = {
+    _T_BOOL: ("<B", bool),
+    _T_I64: ("<q", (int, np.integer)),
+    _T_F64: ("<d", (float, np.floating)),
+}
 
 
 def _encode_value(value) -> tuple[int, bytes]:
-    if isinstance(value, bool):
-        return _T_BOOL, struct.pack("<B", 1 if value else 0)
-    if isinstance(value, (int, np.integer)):
-        return _T_I64, struct.pack("<q", int(value))
-    if isinstance(value, (float, np.floating)):
-        return _T_F64, struct.pack("<d", float(value))
+    for tag, (fmt, types) in _SCALAR_FORMATS.items():
+        if isinstance(value, types):
+            return tag, struct.pack(fmt, value)
     if isinstance(value, str):
         return _T_STR, value.encode("utf-8")
     if isinstance(value, np.ndarray):
@@ -87,7 +90,7 @@ class _Reader:
 
 def _decode_value(tag: int, raw: bytes):
     if tag in _SCALAR_FORMATS:
-        value = _Reader(raw).unpack(_SCALAR_FORMATS[tag], f"scalar of type tag {tag}")
+        value = _Reader(raw).unpack(_SCALAR_FORMATS[tag][0], f"scalar of type tag {tag}")
         return value != 0 if tag == _T_BOOL else value
     if tag == _T_STR:
         return raw.decode("utf-8")

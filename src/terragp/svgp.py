@@ -26,7 +26,7 @@ the exact model's loop (`exact_gp._predict`, `exact_gp.predict_mean`),
 and so does the ELBO step.
 
 All ELBO gradients are analytic and come from one reverse-mode pass,
-`elbo_minibatch`, the trainer's own step.  It evaluates Kxz once, with
+`_elbo_whitened`, the trainer's own step.  It evaluates Kxz once, with
 every dKxz/dtheta; Kzz is built on the one triangle its Cholesky reads
 and factored in place (`_kzz_factor`).  The kernel-matrix adjoints
 reach the hyperparameters through those derivatives; the adjoint of
@@ -64,7 +64,8 @@ from . import exact_gp, kernels
 from .datasets import Dataset
 from .errors import InvalidConfigError, InvalidInputError
 from .linalg import (
-    chol_with_jitter, mirror_strict_lower, strict_lower_mask, tri_inverse, tri_matmul, tri_solve,
+    chol_with_jitter, mirror_strict_lower, row_panels, strict_lower_mask, tri_inverse, tri_matmul,
+    tri_solve,
 )
 from .means import default_mean
 from .methods import (
@@ -264,14 +265,9 @@ def _chol_backward(Lz: np.ndarray, Lz_bar: np.ndarray) -> np.ndarray:
     return A
 
 
-# Row panel of `_lower_product`: wide enough to keep its products at BLAS
-# speed, narrow enough to skip most of the upper triangle.
-_PANEL = 128
-
-
 def _lower_product(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """X^T Y for X, Y of one shape (b, m), formed only on and below the
-    diagonal in row panels of _PANEL: about half the flops of the full
+    diagonal a row panel at a time: about half the flops of the full
     product.  The rest of the upper triangle is zero.  It is written
     over `out`, a C-ordered m x m array, when one is given."""
     m = X.shape[1]
@@ -279,8 +275,7 @@ def _lower_product(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) 
         out = np.zeros((m, m))
     else:
         out.fill(0.0)
-    for i in range(0, m, _PANEL):
-        k = min(m, i + _PANEL)
+    for i, k in row_panels(m):
         np.matmul(X[:, i:k].T, Y[:, :k], out=out[i:k, :k])
     return out
 
@@ -363,10 +358,6 @@ def _elbo_whitened(
     if state.log_noise_var is not None:
         noise_grad = float(w * np.sum(-0.5 + (resid**2 + s2) / (2.0 * v)))
     return elbo, _blocks(mw_bar, Lw_bar, np.diag(Lw_bar), kern_grads, noise_grad)
-
-
-# the public name of the trainer's step: one function object under two names
-elbo_minibatch = _elbo_whitened
 
 
 def _optimal_whitened_q(

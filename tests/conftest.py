@@ -9,11 +9,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from terragp import exact_gp, kernels
+from terragp import exact_gp, kernels, linalg
 from terragp.means import ConstantMean
 
 # sizes that straddle the row panels of the one-triangle kernel passes
-PANEL_EDGES = [1, kernels._PANEL - 1, kernels._PANEL, kernels._PANEL + 1, 2 * kernels._PANEL + 3]
+PANEL_EDGES = [
+    1, linalg.ROW_PANEL - 1, linalg.ROW_PANEL, linalg.ROW_PANEL + 1, 2 * linalg.ROW_PANEL + 3,
+]
 
 
 def all_family_configs(rng=None, jitter_params=False):

@@ -144,14 +144,14 @@ def test_criterion_2_gradient_suite(rng):
             if homosc
             else np.exp(rng.normal(size=b) * 0.3 - 2.0)
         )
-        _, grads = svgp.elbo_minibatch(state, Xb, yb, 3 * b, noise)
+        _, grads = svgp._elbo_whitened(state, Xb, yb, 3 * b, noise)
         gvec = pack_gradients(state, grads)
         p0 = pack_state(state)
 
         def f(p):
             st = unpack_state(state, p)
             nv = np.exp(st.log_noise_var) if homosc else noise
-            return svgp.elbo_minibatch(st, Xb, yb, 3 * b, nv)[0]
+            return svgp._elbo_whitened(st, Xb, yb, 3 * b, nv)[0]
 
         for i in range(p0.size):
             pp, pm = p0.copy(), p0.copy()
@@ -190,7 +190,7 @@ def test_criterion_3_elbo_bound(rng):
             Z=X[:m].copy(), mvec=rng.normal(size=m) * 0.4, L=L,
             kernel=kernel, mean_fn=mean_fn, log_noise_var=np.log(sigma2),
         )
-        elbo, _ = svgp.elbo_minibatch(state, X, Y, n, sigma2)
+        elbo, _ = svgp._elbo_whitened(state, X, Y, n, sigma2)
         if elbo > lml + 1e-6:
             violations += 1
 
@@ -217,10 +217,10 @@ def test_criterion_3_elbo_bound(rng):
     opt = adam_init(p.size)
     for _ in range(500):
         st = unpack_state(state, p)
-        elbo, grads = svgp.elbo_minibatch(st, X, Y, n, sigma2)
+        elbo, grads = svgp._elbo_whitened(st, X, Y, n, sigma2)
         pn, opt = adam_step(opt, p, -pack_gradients(st, grads) * mask, 0.1)
         p = p + (pn - p) * mask
-    final_elbo, _ = svgp.elbo_minibatch(unpack_state(state, p), X, Y, n, sigma2)
+    final_elbo, _ = svgp._elbo_whitened(unpack_state(state, p), X, Y, n, sigma2)
     gap = lml - final_elbo
     _report(
         3,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from terragp import exact_gp, kernels, svgp
+from terragp import exact_gp, kernels, linalg, svgp
 from terragp.datasets import from_arrays, grid_to_dataset
 from terragp.errors import InvalidConfigError, InvalidInputError
 from terragp.grids import make_grid
@@ -206,7 +206,7 @@ def test_lml_gradients_match_explicit_inverse(rng, family):
 def test_lml_gradients_peak_memory(rng, family, panels, grid):
     """A dense epoch holds one n x n float64 array, K and then its factor
     and the inverse's triangle in its place, beside `panels` arrays of
-    `kernels._PANEL` x n (the recursive inverse takes no scratch): K.copy(),
+    `linalg.ROW_PANEL` x n (the recursive inverse takes no scratch): K.copy(),
     scipy's copy inside the Cholesky and every whole dK/dtheta took 4.13
     n^2 doubles (RBF) and 5.13 (RQ) at n = 512.  On a complete 32 x 32 grid
     (n = 1024) the RBF epoch holds only 1-D Grams and n-vectors."""
@@ -219,7 +219,7 @@ def test_lml_gradients_peak_memory(rng, family, panels, grid):
     if grid:
         assert peak <= 0.05 * n * n * 8
     else:
-        assert peak <= n * n * 8 + panels * kernels._PANEL * n * 8
+        assert peak <= n * n * 8 + panels * linalg.ROW_PANEL * n * 8
 
 
 @pytest.mark.parametrize("family", [kernels.RBF, kernels.RATIONAL_QUADRATIC, kernels.ABS_EXP])
@@ -232,7 +232,7 @@ def test_build_model_peak_memory(rng, family):
     X = rng.uniform(-2.0, 2.0, size=(n, 2))
     args = (X, rng.normal(size=n), ConstantMean(0.0, False),
             kernels.KernelConfig(family, log_lengthscale=-1.0), np.full(n, 0.05), False)
-    assert peak_bytes(exact_gp.build_model, *args) <= n * n * 8 + 2 * kernels._PANEL * n * 8
+    assert peak_bytes(exact_gp.build_model, *args) <= n * n * 8 + 2 * linalg.ROW_PANEL * n * 8
 
 
 def complete_grid(nx, ny):

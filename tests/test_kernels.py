@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terragp import kernels
+from terragp import kernels, linalg
 from terragp.errors import InvalidConfigError, InvalidInputError
 from terragp.linalg import chol_with_jitter
 
@@ -335,10 +335,10 @@ class TestOneTrianglePasses:
         assert kernels.sym_gradient_sums(cfg, X, T)[1] is None
 
     def test_gradient_sums_hold_panel_sized_temporaries(self, rng):
-        n = 4 * kernels._PANEL
+        n = 4 * linalg.ROW_PANEL
         X = rng.normal(size=(n, 2))
         T = np.triu(rng.normal(size=(n, n)))
         cfg = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, log_lengthscale=-1.0)
         peak = peak_bytes(kernels.sym_gradient_sums, cfg, X, T, np.ones(n))
         # the squared distances, the RQ profile's four arrays and T's panel
-        assert peak <= 7 * kernels._PANEL * n * 8
+        assert peak <= 7 * linalg.ROW_PANEL * n * 8

@@ -120,10 +120,10 @@ class TestCholWithJitter:
         n = 1024
         A = rng.normal(size=(n, n))
         M = np.asarray(A @ A.T / n + np.eye(n), order=order)
-        assert peak_bytes(chol_with_jitter, M) <= 2 * linalg._PANEL * n
+        assert peak_bytes(chol_with_jitter, M) <= 2 * linalg.ROW_PANEL * n
 
     def test_non_finite_entry_in_a_later_panel_rejected(self, rng):
-        n = 2 * linalg._PANEL + 3
+        n = 2 * linalg.ROW_PANEL + 3
         M = np.eye(n)
         M[n - 1, n - 2] = M[n - 2, n - 1] = np.inf
         with pytest.raises(IllConditionedKernelError, match="non-finite"):

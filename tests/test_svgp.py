@@ -300,7 +300,7 @@ class TestKzzFloor:
 # blocks named and laid out as the state's own, which `pack_gradients`
 # flattens in `pack_state` order
 ELBO_ENTRY_POINTS = pytest.mark.parametrize(
-    "elbo_fn", [svgp.elbo_minibatch], ids=lambda f: f.__name__
+    "elbo_fn", [svgp._elbo_whitened], ids=lambda f: f.__name__
 )
 
 
@@ -314,8 +314,8 @@ class TestElbo:
         state = random_state(rng, m=m, family=kernels.RATIONAL_QUADRATIC)
         state = replace(state, Z=rng.uniform(-3.0, 3.0, size=(m, 2)))
         Xb, yb = rng.uniform(-3.0, 3.0, size=(b, 2)), rng.normal(size=b)
-        peak = peak_bytes(svgp.elbo_minibatch, state, Xb, yb, 4 * b, 0.05)
-        assert peak <= (2 * m * m + 7 * b * m + 7 * kernels._PANEL * m) * 8
+        peak = peak_bytes(svgp._elbo_whitened, state, Xb, yb, 4 * b, 0.05)
+        assert peak <= (2 * m * m + 7 * b * m + 7 * linalg.ROW_PANEL * m) * 8
 
     def test_step_inverts_lz_once_and_makes_no_triangular_solve(self, rng, monkeypatch):
         """The step's two projections through Lz, B = Kxz Lz^-T and
@@ -342,7 +342,7 @@ class TestElbo:
             for module in (linalg, svgp):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
-        svgp.elbo_minibatch(state, Xb, yb, 4 * b, 0.05)
+        svgp._elbo_whitened(state, Xb, yb, 4 * b, 0.05)
         blocks = [(svgp._CHOL_BLOCK, svgp._CHOL_BLOCK)] * (m // svgp._CHOL_BLOCK)
         assert calls == [("tri_inverse", (m, m))] + [("tri_inverse", s) for s in blocks]
 
@@ -360,12 +360,12 @@ class TestElbo:
         )
         Xb = rng.uniform(-3.0, 3.0, size=(b, 2))
         yb = rng.normal(size=b)
-        _, grads = svgp.elbo_minibatch(state, Xb, yb, 4 * b, np.exp(state.log_noise_var))
+        _, grads = svgp._elbo_whitened(state, Xb, yb, 4 * b, np.exp(state.log_noise_var))
         p0 = pack_state(state)
 
         def f(p):
             moved = unpack_state(state, p)
-            return svgp.elbo_minibatch(moved, Xb, yb, 4 * b, np.exp(moved.log_noise_var))[0]
+            return svgp._elbo_whitened(moved, Xb, yb, 4 * b, np.exp(moved.log_noise_var))[0]
 
         h = 1e-5
         gvec = pack_gradients(state, grads)
@@ -379,16 +379,13 @@ class TestElbo:
             numeric = (f(p0 + h * d) - f(p0 - h * d)) / (2 * h)
             assert abs(gvec @ d - numeric) / max(1.0, abs(numeric)) < 1e-4
 
-    def test_public_name_is_the_training_step(self):
-        assert svgp.elbo_minibatch is svgp._elbo_whitened
-
     def test_full_batch_scale_factor_one(self, rng):
         state = random_state(rng, m=4)
         n = 11
         X = rng.normal(size=(n, 2))
         y = rng.normal(size=n)
         v = np.exp(state.log_noise_var)
-        elbo, _ = svgp.elbo_minibatch(state, X, y, n, v)
+        elbo, _ = svgp._elbo_whitened(state, X, y, n, v)
         mean, s2 = dense_unwhitened_qf(state, X)
         manual = float(np.sum(svgp.expected_loglik(mean, s2, y, v))) - dense_unwhitened_kl(state)
         assert elbo == pytest.approx(manual, abs=1e-8)
@@ -437,7 +434,7 @@ class TestElbo:
                 Z=X[:m].copy(), mvec=state.mvec, L=state.L, kernel=kernel,
                 mean_fn=mean_fn, log_noise_var=np.log(sigma2),
             )
-            elbo, _ = svgp.elbo_minibatch(state, X, Y, n, sigma2)
+            elbo, _ = svgp._elbo_whitened(state, X, Y, n, sigma2)
             if elbo > lml + 1e-6:
                 violations += 1
         assert violations == 0
@@ -453,7 +450,7 @@ class TestElbo:
         steps = 200
         for _ in range(steps):
             st = unpack_state(state, p)
-            elbo, grads = svgp.elbo_minibatch(st, X, y, n, np.exp(st.log_noise_var))
+            elbo, grads = svgp._elbo_whitened(st, X, y, n, np.exp(st.log_noise_var))
             if elbo >= prev - 1e-12:
                 increases += 1
             prev = elbo
@@ -533,14 +530,14 @@ class TestCholBackward:
         )
         Xb = rng.uniform(-6.0, 6.0, size=(b, 2))
         yb = rng.normal(size=b)
-        _, grads = svgp.elbo_minibatch(state, Xb, yb, 4 * b, np.exp(state.log_noise_var))
+        _, grads = svgp._elbo_whitened(state, Xb, yb, 4 * b, np.exp(state.log_noise_var))
         p0 = pack_state(state)
         d = rng.normal(size=p0.size)
         d /= np.linalg.norm(d)
 
         def f(t):
             moved = unpack_state(state, p0 + t * d)
-            return svgp.elbo_minibatch(moved, Xb, yb, 4 * b, np.exp(moved.log_noise_var))[0]
+            return svgp._elbo_whitened(moved, Xb, yb, 4 * b, np.exp(moved.log_noise_var))[0]
 
         h = 1e-5
         numeric = (f(h) - f(-h)) / (2 * h)
@@ -585,7 +582,7 @@ class TestInitialQ:
             if hasattr(svgp, name):
                 monkeypatch.setattr(svgp, name, None)
         peak = peak_bytes(svgp._optimal_whitened_q, *args)
-        assert peak <= (n * m + m * m + kernels._PANEL * m) * 8
+        assert peak <= (n * m + m * m + linalg.ROW_PANEL * m) * 8
 
 
 class TestFitSvgp:
