@@ -121,6 +121,35 @@ def grid_axes(X) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
+def grid_cells(X) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """(xs, ys, cells) when the rows of X are distinct cells of the
+    product of xs and ys in row-major order (x fastest), as
+    `grid_to_dataset` yields a raster with nodata cells; None for any
+    other point set.  `cells` is None for the complete product
+    (`grid_axes`); otherwise xs is ascending and `cells` holds each row's
+    index iy nx + ix in the ny x nx grid.  A cell that appears twice,
+    a row of y that appears in two runs and a non-finite coordinate make
+    X no grid.  Every array here holds O(n) values, whatever nx ny is."""
+    axes = grid_axes(X)
+    if axes is not None:
+        return (*axes, None)
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != 2 or X.shape[0] == 0:
+        return None
+    x, y = X[:, 0], X[:, 1]
+    starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    xs, ys = np.unique(x), y[starts]
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()) or np.unique(ys).size < ys.size:
+        return None
+    cols = np.searchsorted(xs, x)
+    ascending = np.diff(cols) > 0
+    ascending[starts[1:] - 1] = True  # a row may begin at any column
+    if not ascending.all():
+        return None
+    rows = np.repeat(np.arange(ys.size), np.diff(np.append(starts, x.size)))
+    return xs, ys, rows * xs.size + cols
+
+
 def grid_to_dataset(dem: DemGrid, var_grid: DemGrid | None = None) -> Dataset:
     """One sample per non-nodata cell, located at the cell center."""
     if var_grid is not None and dem.values.shape != var_grid.values.shape:

@@ -12,14 +12,17 @@ n x n array and forms neither the full inverse, a a^T nor a whole
 dK/dtheta; `build_model` holds one n x n array, the factor.
 
 One exception: a model with an RBF kernel, one constant noise and the
-points of a complete grid (hayner, and stage 1 on a raster) has
-K = s2 Ky (x) Kx for the 1-D Grams of the two axes (Saatci 2012, ch. 5;
-Wilson et al. 2014).  Its
-training epochs, its weights alpha and its predictive variance all come
-from the eigendecompositions of those Grams (`_grid_basis`), and it
-holds no Cholesky factor: no n x n array is formed in fit, build, load
-or predict.  Likewise `predict_mean` with an RBF kernel on a complete
-query grid takes the mean from two 1-D cross-Grams.
+points of a grid (hayner, and stage 1 on a raster) has K = s2 Ky (x) Kx
+on the whole grid for the 1-D Grams of the two axes (Saatci 2012,
+ch. 5; Wilson et al. 2014).  Its training epochs, its weights alpha and
+its predictive variance all come from the eigendecompositions of those
+Grams (`_grid_basis`), and it holds no Cholesky factor: no n x n array
+is formed in fit, build, load or predict.  Where the grid has M
+missing cells (nodata in the raster), the same eigenbasis serves with
+an M x M Schur correction (`_Holes`), as long as `_holes_pay` finds it
+cheaper than the dense path.  Likewise `predict_mean` with an RBF
+kernel on a complete query grid takes the mean from two 1-D
+cross-Grams.
 
 Off the grid, `predict_exact` forms the latent variance k** - |L^-1 K*|^2
 from an explicit L^-1 (`linalg.tri_inverse`, once per call), multiplied
@@ -29,7 +32,8 @@ grows with cond(L) (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 8 and 14), and here the noise, its floor and the jitter
 bound it: cond(L) was 37 to 162 on the Table-1 scenes' exact models.  On
 the grid the variance takes O(q n) flops from the query cross-Grams
-rotated into the eigenbasis (`_grid_variance`).  The SVGP predicts
+rotated into the eigenbasis (`_grid_variance`), and O(q M N) more for
+M holes among N cells.  The SVGP predicts
 through the same loop, `_predict`, with the inverse of its factor Lz of
 the floored inducing prior Kzz + 1e-6 s2 I (`svgp.KZZ_FLOOR`), which
 bounds cond(Lz) by sqrt(1 + m / 1e-6), and `predict_mean` serves the
@@ -49,9 +53,11 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from . import kernels
-from .datasets import Dataset, grid_axes
+from .datasets import Dataset, grid_axes, grid_cells
 from .errors import TrainingDivergedError
 from .linalg import chol_inverse, chol_solve, chol_with_jitter, row_panels, tri_inverse, tri_matmul
 from .means import default_mean
@@ -145,9 +151,10 @@ def lml_gradients(
     each dK one row panel at a time.  A learned noise variance s2n gets
     0.5 s2n (a^T a - tr Ky^-1), the learned-constant mean sum(a).
 
-    With an RBF kernel, one constant noise > 0 and X a complete grid
-    (`datasets.grid_axes`), `_grid_lml_gradients` gives the same values
-    without an n x n matrix, unless the noise is too small for it.
+    With an RBF kernel, one constant noise > 0 and X a grid
+    (`datasets.grid_cells`) with few enough holes, `_grid_lml_gradients`
+    gives the same values without an n x n matrix, unless the noise is
+    too small for it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     noise_vec = check_noise(noise_var, X.shape[0])
@@ -170,69 +177,182 @@ def lml_gradients(
     return lml, grads
 
 
-# The Kronecker eigenbasis of K + s2n I on a complete grid (xs, ys): the
+# The Kronecker eigenbasis of K + s2n I on a product grid (xs, ys): the
 # unit-scale 1-D Grams of the axes with their d/dlog(ell), their
-# eigendecompositions, and the ny x nx eigenvalues lam of K + s2n I
-_GridBasis = namedtuple("_GridBasis", "xs ys Ky dKy Kx dKx ly Qy lx Qx lam")
+# eigendecompositions, the ny x nx eigenvalues lam of K + s2n I, and the
+# `_Holes` correction for the grid's missing cells (None on a complete grid)
+_GridBasis = namedtuple("_GridBasis", "xs ys Ky dKy Kx dKx ly Qy lx Qx lam holes")
+
+# The M missing cells of a holed grid.  With A = K + s2n I on the whole
+# grid, C = A^-1 E_m its columns at the missing cells and S = C_mm = L_S
+# L_S^T, the zero-padded inverse of the points' own K + s2n I is
+# A^-1 - C S^-1 C^T (Rasmussen & Williams, GPML, 2006, App. A.3).  `cells`
+# holds the points' flat indices in the ny x nx grid, `P` (M x nx ny) is
+# L_S^-1 C^T rotated into the eigenbasis, and `logdet` is log|S|, so that
+# log|K_oo + s2n I| = log|A| + log|S|.
+_Holes = namedtuple("_Holes", "cells P logdet")
+
+
+def _holes_pay(nx: int, ny: int, n: int) -> bool:
+    """Whether n points of an nx x ny grid train faster on the holed grid
+    path than on the dense one.
+
+    With N = nx ny cells and M = N - n holes, a holed epoch costs about
+    M N (M + nx + ny) flops (S, L_S^-1 C, and C's products with the axis
+    Grams' derivatives) against n^3 for the dense factor, inverse and
+    gradient sums.  On a 1-thread OpenBLAS 0.3.31 (shared 2-core Xeon,
+    RBF with a learned noise, CPU ms, medians of 5) the holed and the
+    dense epoch and build took:
+
+        grid, M      cost ratio  holed epoch, build  dense epoch, build
+        40 x 40, 64       0.004        4.0, 2.3          121, 56
+        64 x 64, 96       0.001         11, 6.9         1478, 611
+        40 x 40, 300      0.083         18, 15            74, 35
+        7 x 7, 9          0.16         0.5, 0.3          0.4, 0.2
+        16 x 16, 60       0.19         0.9, 0.7          1.8, 0.7
+        24 x 24, 150      0.22         3.8, 2.4          7.4, 2.6
+        64 x 64, 1200     0.27         413, 338          645, 268
+        40 x 40, 500      0.35          39, 33            49, 24
+        32 x 32, 384      0.67          18, 16            13, 6.0
+
+    Above a few hundred points an epoch's time ratio ran at 2.3 to 3
+    times the cost ratio and a build broke even near 0.25, so the path
+    is taken up to a cost ratio of 1/4; below, both paths take under a
+    millisecond.  That also bounds its memory: a holed epoch peaks at
+    about 2 M N doubles, under 1.2 n^2 by this rule, where a dense RBF
+    epoch peaks at 1.44 n^2.  The rule reads only nx, ny and n, so
+    scattered points, whose N can reach n^2, are refused before anything
+    of size N is formed.
+    """
+    N = nx * ny
+    M = N - n
+    return 4 * M * N * (M + nx + ny) <= n**3
+
+
+def _holes(cells, Qy, Qx, lam) -> _Holes | None:
+    """The `_Holes` correction for the points at `cells` of the grid with
+    eigenvectors Qy, Qx and eigenvalues lam, or None when S fails to
+    factor.  Missing cell k = (i, j) is e_k = Q (Qy[i] (x) Qx[j]) in the
+    eigenbasis Q = Qy (x) Qx, so Q^T C_k = (Qy[i] (x) Qx[j]) / lam and
+    S = V V^T for V_k = (Qy[i] (x) Qx[j]) / sqrt(lam).  V, and P in its
+    place, hold M N doubles; S and P take M^2 N flops each."""
+    missing = np.ones(lam.size, dtype=bool)
+    missing[cells] = False
+    i, j = np.divmod(np.flatnonzero(missing), lam.shape[1])
+    root = np.sqrt(lam)
+    V = Qy[i][:, :, None] * Qx[j][:, None, :]
+    V /= root
+    V = V.reshape(i.size, lam.size)
+    L, info = dpotrf(V @ V.T, lower=1)
+    if info != 0:
+        return None
+    V /= root.ravel()  # Q^T C, one row per missing cell
+    # P^T = V^T L_S^-T, solved in place in the Fortran-ordered V^T
+    P = dtrsm(1.0, L, V.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+    return _Holes(cells, P, 2.0 * float(np.log(np.diag(L)).sum()))
 
 
 def _grid_solve(basis: _GridBasis, resid):
-    """(Rt, At, A): the ny x nx residual in the eigenbasis, Rt = Qy^T R Qx,
-    At = Rt / lam, and A = Qy At Qx^T = (K + s2n I)^-1 R."""
+    """(Rt, At, A) for the residual r of the grid's points: Rt = Qy^T R Qx
+    for R the ny x nx residual (zero at missing cells), At the weights in
+    the eigenbasis and A = Qy At Qx^T the weights on the grid, zero (to
+    roundoff) at missing cells.  On a complete grid At = Rt / lam and A
+    = (K + s2n I)^-1 R; with holes At = Rt / lam - P^T P Rt, that is
+    Q^T (A^-1 - C S^-1 C^T) R."""
+    holes = basis.holes
+    if holes is not None:
+        padded = np.zeros(basis.lam.size)
+        padded[holes.cells] = resid
+        resid = padded
     Rt = basis.Qy.T @ resid.reshape(basis.lam.shape) @ basis.Qx
     At = Rt / basis.lam
+    if holes is not None:
+        At -= (holes.P.T @ (holes.P @ Rt.ravel())).reshape(At.shape)
     return Rt, At, basis.Qy @ At @ basis.Qx.T
 
 
 def _grid_basis(X, kernel, noise_vec) -> _GridBasis | None:
     """The eigenbasis of K + s2n I for an RBF kernel, one constant noise
-    s2n > 0 and a complete grid X, else None.  There K = s2 Ky (x) Kx for
-    the unit-scale 1-D Grams of the axes, so K + s2n I = Q (s2 ly (x) lx +
-    s2n) Q^T with Q = Qy (x) Qx from their eigendecompositions, and an
-    n-vector reshaped to ny x nx turns into that basis as Qy^T R Qx.
+    s2n > 0 and X a grid (`datasets.grid_cells`) with any holes in it
+    that `_holes_pay`, else None.  There K = s2 Ky (x) Kx on the whole
+    grid for the unit-scale 1-D Grams of the axes, so K + s2n I = Q (s2
+    ly (x) lx + s2n) Q^T with Q = Qy (x) Qx from their
+    eigendecompositions, and an n-vector reshaped to ny x nx turns into
+    that basis as Qy^T R Qx; missing cells add the `_Holes` correction.
     Below a smallest eigenvalue of n eps times the largest it returns None
     and the dense path, which owns the jitter policy, takes over; on RBF
     grids of 30 to 2304 points that path's Cholesky first needed jitter
-    300 times lower.
+    300 times lower.  It returns None too if the holes' S fails to factor.
     """
-    axes = grid_axes(X) if kernel.family == kernels.RBF else None  # None for no points
-    if axes is None or not noise_vec[0] > 0.0 or np.any(noise_vec != noise_vec[0]):
+    if kernel.family != kernels.RBF or not noise_vec[0] > 0.0 or np.any(noise_vec != noise_vec[0]):
+        return None
+    grid = grid_cells(X)  # None for no points
+    if grid is None:
+        return None
+    xs, ys, cells = grid
+    if cells is not None and not _holes_pay(xs.size, ys.size, cells.size):
         return None
     sigma2 = noise_vec[0]
     unit = replace(kernel, log_outputscale=0.0)
     (Ky, dy), (Kx, dx) = (
         kernels.gram_and_gradients(unit, kernels.sq_dists(v[:, None], v[:, None]))
-        for v in axes[::-1]  # ys index the rows of an ny x nx grid, xs its columns
+        for v in (ys, xs)  # ys index the rows of an ny x nx grid, xs its columns
     )
     (ly, Qy), (lx, Qx) = np.linalg.eigh(Ky), np.linalg.eigh(Kx)
     lam = kernel.outputscale * np.outer(ly, lx) + sigma2
     if lam.min() <= lam.size * np.finfo(float).eps * lam.max():
         return None
+    holes = None
+    if cells is not None:
+        holes = _holes(cells, Qy, Qx, lam)
+        if holes is None:
+            return None
     dKy, dKx = dy[kernels.LOG_LENGTHSCALE], dx[kernels.LOG_LENGTHSCALE]
-    return _GridBasis(*axes, Ky, dKy, Kx, dKx, ly, Qy, lx, Qx, lam)
+    return _GridBasis(xs, ys, Ky, dKy, Kx, dKx, ly, Qy, lx, Qx, lam, holes)
 
 
 def _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
-    """`lml_gradients` in the eigenbasis of `_grid_basis`, else None."""
+    """`lml_gradients` in the eigenbasis of `_grid_basis`, else None.
+    With holes each trace tr((K_oo + s2n I)^-1 dK) is the whole grid's
+    minus tr(S^-1 C^T dK C) = sum_k p_k^T (Q^T dK Q) p_k over the rows
+    p_k of P, and the log-determinant adds log|S|."""
     basis = _grid_basis(X, kernel, noise_vec)
     if basis is None:
         return None
-    _, _, Ky, dKy, Kx, dKx, ly, Qy, lx, Qx, lam = basis
-    s2, sigma2, n = kernel.outputscale, noise_vec[0], lam.size
+    _, _, Ky, dKy, Kx, dKx, ly, Qy, lx, Qx, lam, holes = basis
+    s2, sigma2, n = kernel.outputscale, noise_vec[0], X.shape[0]
     S = s2 * np.outer(ly, lx)  # eigenvalues of K, ny x nx
     Rt, At, A = _grid_solve(basis, np.asarray(Y, dtype=float) - mean_fn(X))
-    lml = float(-0.5 * np.vdot(At, Rt) - 0.5 * np.log(lam).sum() - 0.5 * n * np.log(2.0 * np.pi))
+    logdet = np.log(lam).sum()
     # dK/dlog(ell) = s2 (dKy (x) Kx + Ky (x) dKx); tr((K + s2n I)^-1 dK) from
     # the diagonals diag(Q^T dK1 Q) of the 1-D factors
     dly, dlx = (np.einsum("ij,ij->j", Q, dK @ Q) for Q, dK in ((Qy, dKy), (Qx, dKx)))
     quad = np.vdot(A, dKy @ A @ Kx) + np.vdot(A, Ky @ A @ dKx)
     trace = ((np.outer(dly, lx) + np.outer(ly, dlx)) / lam).sum()
+    scale_trace = (S / lam).sum()
+    noise_trace = (1.0 / lam).sum()
+    if holes is not None:
+        # Q^T dK Q / s2 = (Qy^T dKy Qy) (x) diag(lx) + diag(ly) (x) (Qx^T dKx Qx)
+        P = holes.P.reshape(-1, *lam.shape)
+        E = (Qy.T @ dKy @ Qy) @ P
+        E *= lx
+        trace -= np.vdot(P, E)
+        del E  # one M x N product at a time
+        E = P @ (Qx.T @ dKx @ Qx)
+        E *= ly[:, None]
+        trace -= np.vdot(P, E)
+        del E
+        weight = np.einsum("kij,kij->ij", P, P)  # diag(C S^-1 C^T) in the eigenbasis
+        scale_trace -= np.vdot(weight, S)
+        noise_trace -= weight.sum()
+        logdet += holes.logdet
+    lml = float(-0.5 * np.vdot(At, Rt) - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi))
     grads = {
         kernels.LOG_LENGTHSCALE: 0.5 * s2 * float(quad - trace),
-        kernels.LOG_OUTPUTSCALE: 0.5 * float(np.vdot(At * At, S) - (S / lam).sum()),
+        kernels.LOG_OUTPUTSCALE: 0.5 * float(np.vdot(At * At, S) - scale_trace),
     }
     if noise_learned:
-        grads[LOG_NOISE_VARIANCE] = 0.5 * float(sigma2 * (np.vdot(A, A) - (1.0 / lam).sum()))
+        grads[LOG_NOISE_VARIANCE] = 0.5 * float(sigma2 * (np.vdot(A, A) - noise_trace))
     if getattr(mean_fn, "learnable", False):
         grads[MEAN_CONSTANT] = float(np.sum(A))
     return lml, grads
@@ -264,7 +384,10 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic) -> ExactGpModel
     if basis is None:
         L, a, _, jitter = _factorize(kernels.sym_gram(kernel, X), X, Y, mean_fn, noise_vec)
     else:
-        L, a, jitter = None, _grid_solve(basis, Y - mean_fn(X))[2].ravel(), 0.0
+        a = _grid_solve(basis, Y - mean_fn(X))[2].ravel()
+        L, jitter = None, 0.0
+        if basis.holes is not None:
+            a = a[basis.holes.cells]
     return ExactGpModel(
         kernel=kernel,
         mean_fn=mean_fn,
@@ -370,22 +493,34 @@ def _grid_variance(basis: _GridBasis, kernel, Xstar) -> np.ndarray:
     """Latent variance at any query points of a model on `_grid_basis`'s
     inputs: s2 - s2^2 sum_ij Py[k, i]^2 Px[k, j]^2 / lam_ij, with the
     unit-scale cross-Grams against the training axes rotated into the
-    eigenbasis, Px = k1(x*, xs) Qx and Py = k1(y*, ys) Qy.  A panel of
-    queries holds at most three arrays of up to max(nx, ny) columns."""
+    eigenbasis, Px = k1(x*, xs) Qx and Py = k1(y*, ys) Qy.  With holes it
+    adds back s2^2 |P (Py[k] (x) Px[k])|^2, the C S^-1 C^T part, from M
+    ny products per query.  A panel of queries holds at most three arrays
+    of up to max(nx, ny) columns, and with holes one of M ny."""
     s2 = kernel.outputscale
     unit = replace(kernel, log_outputscale=0.0)
     inv_lam = 1.0 / basis.lam
+    holes = basis.holes
+    ny, nx = basis.lam.shape
+    M = 0 if holes is None else holes.P.shape[0]
     var = np.empty(Xstar.shape[0])
-    for sl in _panel_slices(Xstar.shape[0], 3 * max(basis.xs.size, basis.ys.size)):
+    for sl in _panel_slices(Xstar.shape[0], 3 * max(nx, ny) + M * ny):
         Px, Py = (
             kernels.gram(unit, Xstar[sl, d : d + 1], v[:, None]) @ Q
             for d, (v, Q) in enumerate(((basis.xs, basis.Qx), (basis.ys, basis.Qy)))
         )
+        if holes is not None:
+            # P_k (Py[k] (x) Px[k]) = Py[k] . (P_k Px[k]^T), P_k as ny x nx
+            H = (Px @ holes.P.reshape(M * ny, nx).T).reshape(-1, M, ny)
+            U = np.matmul(H, Py[:, :, None])[:, :, 0]
+            del H
         Px *= Px
         Py *= Py
         W = Py @ inv_lam
         W *= Px
         var[sl] = s2 - s2 * s2 * np.sum(W, axis=1)
+        if holes is not None:
+            var[sl] += s2 * s2 * np.sum(U * U, axis=1)
         del Px, Py, W
     return np.maximum(var, 0.0)
 

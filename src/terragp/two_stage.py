@@ -42,12 +42,16 @@ LOG_VAR_CLAMP = 20.0
 # doubles.  Projected to n = 10 000 (n^3 time, n^2 plus those panels):
 # about 23 s per epoch, 15 min for 40 epochs, and 0.86 GB per epoch
 # (0.82 GB for the build).  These figures hold for scattered inputs.
-# A complete-grid stage 1 trains, builds and holds its weights through
-# the axis eigenbases of `exact_gp._grid_basis`, with no n x n array, and its
-# noise field on a complete query grid holds only (nx + ny) x n kernel
-# factors.  At scattered queries the field forms its Gram one panel of
-# queries at a time (`exact_gp._PANEL_BYTES`): at n = 10 000, 64 x n
-# doubles (5 MB) beside the fit's n^2.
+# A stage 1 on a raster, complete or with nodata cells few enough for
+# `exact_gp._holes_pay`, trains, builds and holds its weights through the
+# axis eigenbases of `exact_gp._grid_basis`, with no n x n array (a
+# holed grid adds about 2 M N doubles for M of its N cells missing), and
+# its noise field on a complete query grid holds only (nx + ny) x n
+# kernel factors.  Such rasters still switch to the sparse GP above this
+# size, though the grid path would stay cheap there.  At scattered
+# queries the field forms its Gram one panel of queries at a time
+# (`exact_gp._PANEL_BYTES`): at n = 10 000, 64 x n doubles (5 MB) beside
+# the fit's n^2.
 STAGE1_EXACT_MAX_N = 10_000
 
 

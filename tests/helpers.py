@@ -1,6 +1,7 @@
 """Reference computations that only the tests use: a direct exact LML, a
 central-difference gradient checker, the SVGP state flattened in its
-trainer's block order, and a traced peak of memory."""
+trainer's block order, a traced peak of memory, and a raster with
+nodata cells."""
 
 import tracemalloc
 
@@ -62,3 +63,10 @@ def peak_bytes(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def with_nodata(grid, cells):
+    """`grid` with the cells at the flat indices `cells` set to nodata."""
+    values = grid.values.copy()
+    values.ravel()[list(cells)] = grid.nodata
+    return grid.with_values(values)

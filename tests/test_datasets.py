@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from terragp.datasets import from_arrays, grid_axes, grid_to_dataset
+from terragp.datasets import from_arrays, grid_axes, grid_cells, grid_to_dataset
 from terragp.errors import EmptyDatasetError, InvalidInputError
 from terragp.grids import make_grid
 
@@ -118,3 +118,38 @@ class TestGridAxes:
         moved[7, 0] = np.nextafter(moved[7, 0], np.inf)
         assert grid_axes(moved) is None
         assert grid_axes(X[:, :1]) is None
+
+
+class TestGridCells:
+    def test_complete_grid_has_no_cells(self, rng):
+        X = grid_to_dataset(make_grid(rng.normal(size=(4, 5)))).X
+        xs, ys, cells = grid_cells(X)
+        assert cells is None
+        assert [a.tobytes() for a in (xs, ys)] == [a.tobytes() for a in grid_axes(X)]
+
+    def test_nodata_cells_leave_the_others_indexed(self, rng):
+        values = rng.normal(size=(4, 5))
+        missing = [0, 7, 8, 19]
+        values.ravel()[missing] = -9999.0
+        X = grid_to_dataset(make_grid(values)).X
+        xs, ys, cells = grid_cells(X)
+        kept = np.setdiff1d(np.arange(20), missing)
+        assert np.array_equal(cells, kept)
+        xx, yy = np.meshgrid(xs, ys)
+        assert np.array_equal(xx.ravel()[cells], X[:, 0])
+        assert np.array_equal(yy.ravel()[cells], X[:, 1])
+
+    def test_other_point_sets_are_not_grids(self, rng):
+        values = rng.normal(size=(4, 5))
+        values[2, 3] = -9999.0
+        X = grid_to_dataset(make_grid(values)).X
+        assert grid_cells(X) is not None
+        assert grid_cells(X[rng.permutation(X.shape[0])]) is None
+        assert grid_cells(np.insert(X, 3, X[2], axis=0)) is None  # a cell twice, in its row
+        assert grid_cells(np.vstack([X, X[:1]])) is None  # a row of y in two runs
+        assert grid_cells(X[::-1]) is None  # x descending
+        for bad in (np.nan, np.inf):
+            moved = X.copy()
+            moved[7, 0] = bad
+            assert grid_cells(moved) is None
+        assert grid_cells(X[:, :1]) is None

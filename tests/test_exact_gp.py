@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from terragp import exact_gp, kernels, linalg, svgp
-from terragp.datasets import from_arrays, grid_to_dataset
+from terragp.datasets import from_arrays, grid_cells, grid_to_dataset
 from terragp.errors import InvalidConfigError, InvalidInputError
 from terragp.grids import make_grid
 from terragp.linalg import chol_with_jitter
@@ -21,7 +21,7 @@ from conftest import (
     brute_force_posterior,
     random_gp_problem,
 )
-from helpers import check_gradient, log_marginal_likelihood, peak_bytes
+from helpers import check_gradient, log_marginal_likelihood, peak_bytes, with_nodata
 
 
 class TestLogMarginalLikelihood:
@@ -240,6 +240,14 @@ def complete_grid(nx, ny):
     return grid_to_dataset(make_grid(np.zeros((ny, nx)))).X
 
 
+def holed_grid(nx, ny, missing):
+    """Normalized centers of the cells of an ny x nx raster but those at
+    the flat indices `missing`, which are nodata."""
+    values = np.zeros((ny, nx))
+    values.ravel()[missing] = -9999.0
+    return grid_to_dataset(make_grid(values)).X
+
+
 def gradient_term_sizes(X, Y, mean_fn, kernel, noise_vec):
     """Per gradient, the size of the terms it is the difference of:
     0.5 (|a^T dK a| + |<Ky^-1, dK>|) for a log-parameter and sum |a| for
@@ -310,11 +318,17 @@ def test_grid_branch_runs_only_on_its_inputs(rng, monkeypatch):
     rbf = kernels.KernelConfig(kernels.RBF)
     noise = np.full(n, 0.1)
     perm = rng.permutation(n)
+    # map-predict's stage 1: 1024 of the 4096 cells of a 64 x 64 grid
+    sparse = np.sort(rng.choice(64 * 64, 1024, replace=False))
+    twice = np.insert(np.arange(n), 8, 7)  # cell 7 appears twice, in its row
     dense = {
-        "cell dropped": (X[1:], Y[1:], rbf, noise[1:]),
         "rows shuffled": (X[perm], Y[perm], rbf, noise),
         "heteroscedastic": (X, Y, rbf, noise * rng.uniform(0.5, 2.0, size=n)),
         "zero noise": (X, Y, rbf, np.zeros(n)),
+        "scattered": (rng.uniform(-2.0, 2.0, size=(n, 2)), Y, rbf, noise),
+        "cell twice": (X[twice], Y[twice], rbf, noise[twice]),
+        "1024 of 64^2": (complete_grid(64, 64)[sparse], rng.normal(size=1024), rbf,
+                         np.full(1024, 0.1)),
     }
     for kernel in all_family_configs()[1:]:
         dense[f"{kernel.family} {kernel.nu}"] = (X, Y, kernel, noise)
@@ -324,7 +338,102 @@ def test_grid_branch_runs_only_on_its_inputs(rng, monkeypatch):
         assert len(calls) == 1, case
         calls.clear()
     exact_gp.lml_gradients(X, Y, mean, rbf, noise, noise_learned=True)
+    exact_gp.lml_gradients(X[1:], Y[1:], mean, rbf, noise[1:], noise_learned=True)  # cell dropped
     assert calls == []
+
+
+HOLES = {
+    "one hole": lambda nx, ny, rng: [nx * (ny // 2) + nx // 2],
+    "row": lambda nx, ny, rng: np.arange(nx) + nx * (ny // 3),
+    "column": lambda nx, ny, rng: np.arange(ny) * nx + nx // 2,
+    "row and hole": lambda nx, ny, rng: np.append(np.arange(nx), nx * ny - 1),
+    "corner block": lambda nx, ny, rng: (
+        np.arange(ny - ny // 4, ny)[:, None] * nx + np.arange(nx - nx // 4, nx)
+    ).ravel(),
+    "2 %": lambda nx, ny, rng: rng.choice(nx * ny, max(1, nx * ny // 50), replace=False),
+    "10 %": lambda nx, ny, rng: rng.choice(nx * ny, nx * ny // 10, replace=False),
+}
+
+
+@pytest.mark.parametrize("holes", sorted(HOLES))
+@pytest.mark.parametrize("nx, ny", [(24, 20), (12, 30)])
+def test_holed_grid_lml_gradients_match_dense(rng, holes, nx, ny):
+    """On a grid with cells missing, the Kronecker branch with its Schur
+    correction against the dense path on the same points in shuffled
+    order, with a learned noise and a learnable constant mean: the LML
+    to 1e-10 relative, every gradient to 1e-10 of its terms' sizes.  A
+    missing whole row or column leaves the complete product of the other
+    axes' cells, which the branch takes without a correction."""
+    X = holed_grid(nx, ny, HOLES[holes](nx, ny, rng))
+    assert_grid_matches_dense(rng, X)
+
+
+@pytest.mark.parametrize("edge", PANEL_EDGES)
+def test_holed_grid_at_panel_edges(rng, edge):
+    """Holed grids with an axis of each panel-edge length."""
+    for nx, ny in ((edge, 3), (2, edge)):
+        if nx * ny > 2:
+            X = holed_grid(nx, ny, rng.choice(nx * ny, 2, replace=False))
+            assert_grid_matches_dense(rng, X)
+
+
+def assert_grid_matches_dense(rng, X):
+    n = X.shape[0]
+    perm = rng.permutation(n)
+    Y = np.sin(2.0 * X[:, 0]) * np.cos(X[:, 1]) + 0.3 * rng.normal(size=n)
+    mean = ConstantMean(0.2, learnable=True)
+    # (log lengthscale, noise / outputscale, tolerance).  At a noise of
+    # 1e-3 s2 the roundoff of a cond(K + s2n I) near 1e6 shows: the paths
+    # differed by up to 2e-9 on a holed 259 x 3 grid, and by 1.5e-10 on
+    # the complete one, which takes no correction.
+    for log_ell, ratio, tol in [(-1.0, 1.0, 1e-10), (-0.5, 1e-1, 1e-10), (0.0, 1e-2, 1e-10),
+                                (0.3, 1e-3, 1e-8)]:
+        kernel = kernels.KernelConfig(
+            kernels.RBF, log_lengthscale=log_ell, log_outputscale=rng.normal() * 0.5
+        )
+        noise = np.full(n, ratio * kernel.outputscale)
+        got = exact_gp._grid_lml_gradients(X, Y, mean, kernel, noise, True)
+        assert got is not None, (log_ell, ratio)
+        lml, want = exact_gp.lml_gradients(X[perm], Y[perm], mean, kernel, noise, True)
+        assert abs(got[0] - lml) <= tol * abs(lml)
+        assert list(got[1]) == list(want)
+        sizes = gradient_term_sizes(X, Y, mean, kernel, noise)
+        for name in want:
+            assert abs(got[1][name] - want[name]) <= tol * sizes[name], (name, log_ell, ratio)
+
+
+def test_holed_grid_falls_back_when_its_schur_matrix_fails_to_factor(rng, monkeypatch):
+    """If S does not factor, the epoch and the build each take exactly one
+    dense factor and give the dense path's values."""
+    X = holed_grid(12, 10, rng.choice(120, 6, replace=False))
+    n = X.shape[0]
+    Y = rng.normal(size=n)
+    args = (X, Y, ConstantMean(0.0, learnable=True), kernels.KernelConfig(kernels.RBF),
+            np.full(n, 0.1))
+    assert exact_gp._grid_basis(X, args[3], args[4]).holes is not None
+    want = exact_gp._factorize(kernels.sym_gram(args[3], X), X, Y, args[2], args[4])
+    monkeypatch.setattr(exact_gp, "dpotrf", lambda S, lower: (S, 1))
+    calls = count_dense_factors(monkeypatch)
+    assert exact_gp.lml_gradients(*args)[0] == want[2]
+    assert calls == [n]
+    model = exact_gp.build_model(*args, homoscedastic=True)
+    assert calls == [n, n] and model.chol is not None
+    assert model.alpha.tobytes() == want[1].tobytes()
+
+
+def test_grid_detection_on_scattered_points_allocates_no_grid(rng):
+    """About 3000 scattered points sorted into rows are a 'grid' of 3000
+    rows of one cell each over 3000 columns: N = 9e6 cells, 72 MB of
+    doubles.  Detection and the cost rule refuse it holding O(n)."""
+    n = 3000
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    X = X[np.lexsort((X[:, 0], -X[:, 1]))]
+    xs, ys, cells = grid_cells(X)
+    assert xs.size * ys.size == n * n and cells.size == n
+    noise = np.full(n, 0.1)
+    rbf = kernels.KernelConfig(kernels.RBF)
+    assert exact_gp._grid_basis(X, rbf, noise) is None
+    assert peak_bytes(exact_gp._grid_basis, X, rbf, noise) <= 16 * n * 8
 
 
 def test_grid_branch_falls_back_before_the_dense_path_needs_jitter(rng, monkeypatch):
@@ -359,23 +468,27 @@ def test_grid_branch_falls_back_before_the_dense_path_needs_jitter(rng, monkeypa
 
 
 def test_hayner_on_a_scene_takes_no_dense_factor(monkeypatch):
-    """hayner (RBF, learned constant noise) on a complete training grid
-    trains every epoch on the grid branch, takes its alpha from the same
-    eigenbasis, and predicts its maps from it: neither the fit nor
-    `predict_grid` factors or inverts an n x n matrix."""
+    """hayner (RBF, learned constant noise) on a training grid, complete
+    or with nodata cells, trains every epoch on the grid branch, takes its
+    alpha from the same eigenbasis, and predicts its maps from it: neither
+    the fit nor `predict_grid` factors or inverts an n x n matrix."""
     scene = make_scene(SynthParams(size=16, seed=2), noise_mode="split")
     method = with_overrides(method_defaults("hayner"), epochs=4)
     calls = count_dense_factors(monkeypatch)
     inversions = []
     real = exact_gp.tri_inverse
     monkeypatch.setattr(exact_gp, "tri_inverse", lambda L: inversions.append(L) or real(L))
-    model, stats, history = fit_method(method, scene.train, None, None, seed=0)
-    assert len(history) == 4
-    assert calls == []
-    assert model.chol is None and model.jitter == 0.0
-    mean, latent, _ = predict_grid(model, stats, scene.truth)
-    assert calls == [] and inversions == []
-    assert np.all(np.isfinite(mean.values)) and np.all(latent.values >= 0.0)
+    for nodata in ([], [0, 9, 30, 31, 63]):
+        model, stats, history = fit_method(
+            method, with_nodata(scene.train, nodata), None, None, seed=0
+        )
+        assert model.X.shape[0] == 64 - len(nodata)
+        assert len(history) == 4
+        assert calls == []
+        assert model.chol is None and model.jitter == 0.0
+        mean, latent, _ = predict_grid(model, stats, scene.truth)
+        assert calls == [] and inversions == []
+        assert np.all(np.isfinite(mean.values)) and np.all(latent.values >= 0.0)
 
 
 def dense_posterior(X, Y, mean_fn, kernel, noise, Xstar):
@@ -390,36 +503,39 @@ def dense_posterior(X, Y, mean_fn, kernel, noise, Xstar):
 
 @pytest.mark.parametrize("nx, ny", [(7, 5), (40, 48), (1, 30), (16, 16)])
 def test_grid_posterior_matches_dense_oracle(rng, small_panels, nx, ny):
-    """An RBF model with one constant noise on a complete grid holds no
-    Cholesky factor.  Its alpha, and `predict_exact`'s mean and variance
-    on a query grid and on scattered queries across panel boundaries,
-    agree with a dense Cholesky.  The largest drifts seen were 7e-13 of
-    max |alpha|, 4e-13 of max |mean| and 4e-14 of the outputscale."""
-    X = complete_grid(nx, ny)
-    n = X.shape[0]
-    for _ in range(3):
-        kernel = kernels.KernelConfig(
-            kernels.RBF, log_lengthscale=rng.uniform(-1.5, 0.0),
-            log_outputscale=rng.normal() * 0.5,
-        )
-        noise = rng.uniform(0.01, 0.5) * kernel.outputscale
-        Y = np.sin(2.0 * X[:, 0]) * np.cos(X[:, 1]) + 0.3 * rng.normal(size=n)
-        mean_fn = ConstantMean(rng.normal() * 0.3, learnable=True)
-        model = exact_gp.build_model(
-            X, Y, mean_fn, kernel, noise, homoscedastic=True
-        )
-        assert model.chol is None and model.jitter == 0.0
-        queries = {
-            "grid": complete_grid(2 * nx + 1, ny + 3) * 1.2,
-            "scattered": rng.uniform(-2.0, 2.0, size=(3 * small_panels + 37, 2)),
-        }
-        for case, Xstar in queries.items():
-            alpha, want_mean, want_var = dense_posterior(X, Y, mean_fn, kernel, noise, Xstar)
-            assert np.abs(model.alpha - alpha).max() <= 1e-11 * np.abs(alpha).max()
-            mean, var = exact_gp.predict_exact(model, Xstar)
-            assert mean.tobytes() == model.predict_mean(Xstar).tobytes(), case
-            assert np.abs(mean - want_mean).max() <= 1e-11 * np.abs(want_mean).max(), case
-            assert np.abs(var - want_var).max() <= 1e-12 * kernel.outputscale, case
+    """An RBF model with one constant noise on a grid, complete or with a
+    twentieth of its cells missing, holds no Cholesky factor.  Its alpha,
+    and `predict_exact`'s mean and variance on a query grid and on
+    scattered queries across panel boundaries, agree with a dense
+    Cholesky.  The largest drifts seen were 7e-13 of max |alpha|, 4e-13
+    of max |mean| and 4e-14 of the outputscale on complete grids, and
+    1.6e-12, 7e-13 and 6.5e-14 with holes."""
+    for holes in (0, max(1, nx * ny // 20)):
+        X = holed_grid(nx, ny, rng.choice(nx * ny, holes, replace=False))
+        n = X.shape[0]
+        for _ in range(3):
+            kernel = kernels.KernelConfig(
+                kernels.RBF, log_lengthscale=rng.uniform(-1.5, 0.0),
+                log_outputscale=rng.normal() * 0.5,
+            )
+            noise = rng.uniform(0.01, 0.5) * kernel.outputscale
+            Y = np.sin(2.0 * X[:, 0]) * np.cos(X[:, 1]) + 0.3 * rng.normal(size=n)
+            mean_fn = ConstantMean(rng.normal() * 0.3, learnable=True)
+            model = exact_gp.build_model(
+                X, Y, mean_fn, kernel, noise, homoscedastic=True
+            )
+            assert model.chol is None and model.jitter == 0.0
+            queries = {
+                "grid": complete_grid(2 * nx + 1, ny + 3) * 1.2,
+                "scattered": rng.uniform(-2.0, 2.0, size=(3 * small_panels + 37, 2)),
+            }
+            for case, Xstar in queries.items():
+                alpha, want_mean, want_var = dense_posterior(X, Y, mean_fn, kernel, noise, Xstar)
+                assert np.abs(model.alpha - alpha).max() <= 1e-11 * np.abs(alpha).max()
+                mean, var = exact_gp.predict_exact(model, Xstar)
+                assert mean.tobytes() == model.predict_mean(Xstar).tobytes(), case
+                assert np.abs(mean - want_mean).max() <= 1e-11 * np.abs(want_mean).max(), case
+                assert np.abs(var - want_var).max() <= 1e-12 * kernel.outputscale, case
 
 
 def test_grid_predict_peak_memory(rng):

@@ -14,6 +14,8 @@ from terragp.methods import method_defaults, with_overrides
 from terragp.pipeline import make_scene
 from terragp.synth import SynthParams
 
+from helpers import with_nodata
+
 
 def small_scene():
     return make_scene(SynthParams(size=16, seed=2), noise_mode="split")
@@ -78,26 +80,29 @@ class TestModelRoundtrips:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_grid_exact_model_reloads_without_a_factor(self, tmp_path):
-        """A hayner model trained on a complete grid holds no Cholesky
-        factor, and neither does its reload: `load_model` rebuilds it
-        through `build_model`, which takes the same eigenbasis.  The file
-        format is unchanged, save -> load -> save is byte identical, and
-        the reloaded maps are the in-memory model's bit for bit."""
+        """A hayner model trained on a grid, complete or with nodata
+        cells, holds no Cholesky factor, and neither does its reload:
+        `load_model` rebuilds it through `build_model`, which takes the
+        same eigenbasis.  The file format is unchanged, save -> load ->
+        save is byte identical, and the reloaded maps are the in-memory
+        model's bit for bit."""
         scene = small_scene()
         method = with_overrides(method_defaults("hayner"), epochs=3)
-        model, stats, _ = pipeline.fit_method(method, scene.train, None, None, seed=0)
-        assert model.chol is None
-        path = tmp_path / "h.bin"
-        modelio.save_model(path, "hayner", model, stats)
-        _, loaded, loaded_stats = modelio.load_model(path)
-        assert loaded.chol is None
-        np.testing.assert_array_equal(loaded.alpha, model.alpha)
-        for a, b in zip(pipeline.predict_grid(model, stats, scene.truth),
-                        pipeline.predict_grid(loaded, loaded_stats, scene.truth)):
-            assert a.values.tobytes() == b.values.tobytes()
-        path2 = tmp_path / "h2.bin"
-        modelio.save_model(path2, "hayner", loaded, loaded_stats)
-        assert path.read_bytes() == path2.read_bytes()
+        for nodata in ([], [5, 17, 18, 40]):
+            train = with_nodata(scene.train, nodata)
+            model, stats, _ = pipeline.fit_method(method, train, None, None, seed=0)
+            assert model.chol is None
+            path = tmp_path / "h.bin"
+            modelio.save_model(path, "hayner", model, stats)
+            _, loaded, loaded_stats = modelio.load_model(path)
+            assert loaded.chol is None
+            np.testing.assert_array_equal(loaded.alpha, model.alpha)
+            for a, b in zip(pipeline.predict_grid(model, stats, scene.truth),
+                            pipeline.predict_grid(loaded, loaded_stats, scene.truth)):
+                assert a.values.tobytes() == b.values.tobytes()
+            path2 = tmp_path / "h2.bin"
+            modelio.save_model(path2, "hayner", loaded, loaded_stats)
+            assert path.read_bytes() == path2.read_bytes()
 
     def test_svgp_model(self, tmp_path, rng):
         scene = small_scene()

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -81,6 +81,18 @@ class TestFitNoiseGp:
         clamp = two_stage.LOG_VAR_CLAMP
         expected = np.clip(svgp.predictive_qf(nm.gp, far)[0], -clamp, clamp)
         assert nm.log_var_mean(far).tobytes() == expected.tobytes()
+
+    def test_holed_grid_stage_one_takes_no_dense_factor(self, monkeypatch):
+        """Stage 1 of the inducing sweep at n = 1536 (1536 of the 1600
+        cells of a 40 x 40 train grid) trains and builds on the holed grid
+        branch: no n x n factor, and no Cholesky factor kept."""
+        data, _ = pipeline._sweep_dataset(1536, seed=101)
+        calls = []
+        real = exact_gp.chol_with_jitter
+        monkeypatch.setattr(exact_gp, "chol_with_jitter", lambda mat: calls.append(mat) or real(mat))
+        nm = two_stage.fit_noise_gp(data.X, data.R, config=replace(NOISE_GP, epochs=2), seed=101)
+        assert calls == []
+        assert nm.gp.chol is None and nm.gp.alpha.shape == (1536,)
 
     @staticmethod
     def stage_one(monkeypatch, kind):
