@@ -105,34 +105,16 @@ def from_arrays(X_m, Y_m, R_m2=None) -> Dataset:
     )
 
 
-def grid_axes(X) -> tuple[np.ndarray, np.ndarray] | None:
-    """(xs, ys) when the rows of X are the complete product of xs and ys
-    in the row-major order `grid_to_dataset` yields (x fastest), compared
-    exactly; None for any other point set.  Normalization is elementwise,
-    so it keeps a grid's equal coordinates equal."""
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[1] != 2 or X.shape[0] == 0:
-        return None
-    nx = int(np.argmax(X[:, 1] != X[0, 1])) or X.shape[0]  # length of the first row
-    xs, ys = X[:nx, 0], X[::nx, 1]
-    xx, yy = np.meshgrid(xs, ys)
-    if np.array_equal(X[:, 0], xx.ravel()) and np.array_equal(X[:, 1], yy.ravel()):
-        return xs, ys
-    return None
-
-
-def grid_cells(X) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+def grid_cells(X) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(xs, ys, cells) when the rows of X are distinct cells of the
-    product of xs and ys in row-major order (x fastest), as
-    `grid_to_dataset` yields a raster with nodata cells; None for any
-    other point set.  `cells` is None for the complete product
-    (`grid_axes`); otherwise xs is ascending and `cells` holds each row's
-    index iy nx + ix in the ny x nx grid.  A cell that appears twice,
+    product of an ascending xs and ys in row-major order (x fastest), as
+    `grid_to_dataset` yields a raster, with or without nodata cells;
+    None for any other point set.  `cells` holds each row's index
+    iy nx + ix in the ny x nx grid, arange(n) for the complete product.
+    Coordinates are compared exactly; normalization is elementwise, so it
+    keeps a grid's equal coordinates equal.  A cell that appears twice,
     a row of y that appears in two runs and a non-finite coordinate make
     X no grid.  Every array here holds O(n) values, whatever nx ny is."""
-    axes = grid_axes(X)
-    if axes is not None:
-        return (*axes, None)
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != 2 or X.shape[0] == 0:
         return None

@@ -12,17 +12,17 @@ n x n array and forms neither the full inverse, a a^T nor a whole
 dK/dtheta; `build_model` holds one n x n array, the factor.
 
 One exception: a model with an RBF kernel, one constant noise and the
-points of a grid (hayner, and stage 1 on a raster) has K = s2 Ky (x) Kx
-on the whole grid for the 1-D Grams of the two axes (Saatci 2012,
-ch. 5; Wilson et al. 2014).  Its training epochs, its weights alpha and
-its predictive variance all come from the eigendecompositions of those
-Grams (`_grid_basis`), and it holds no Cholesky factor: no n x n array
-is formed in fit, build, load or predict.  Where the grid has M
-missing cells (nodata in the raster), the same eigenbasis serves with
-an M x M Schur correction (`_Holes`), as long as `_holes_pay` finds it
-cheaper than the dense path.  Likewise `predict_mean` with an RBF
-kernel on a complete query grid takes the mean from two 1-D
-cross-Grams.
+points of a raster with M >= 0 of its N cells missing (hayner and
+stage 1 on a raster) has K = s2 Ky (x) Kx on the whole grid for the 1-D
+Grams of the two axes (Saatci 2012, ch. 5; Wilson et al. 2014).  Its
+training epochs, its weights alpha and its predictive variance all come
+from the eigendecompositions of those Grams (`_grid_basis`) with an
+M x M Schur correction for the missing cells (`_Holes`), empty when
+M = 0, as long as `_holes_pay` finds the path cheaper than the dense
+one.  It holds no n x n array in fit, build, load or predict; its one
+factor is the M x M Schur matrix's, taken through `chol_with_jitter`
+like every other.  Likewise `predict_mean` with an RBF kernel on a
+complete query grid takes the mean from two 1-D cross-Grams.
 
 Off the grid, `predict_exact` forms the latent variance k** - |L^-1 K*|^2
 from an explicit L^-1 (`linalg.tri_inverse`, once per call), multiplied
@@ -32,7 +32,7 @@ grows with cond(L) (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 8 and 14), and here the noise, its floor and the jitter
 bound it: cond(L) was 37 to 162 on the Table-1 scenes' exact models.  On
 the grid the variance takes O(q n) flops from the query cross-Grams
-rotated into the eigenbasis (`_grid_variance`), and O(q M N) more for
+rotated into the eigenbasis (`_grid_variance`), plus O(q M N) for
 M holes among N cells.  The SVGP predicts
 through the same loop, `_predict`, with the inverse of its factor Lz of
 the floored inducing prior Kzz + 1e-6 s2 I (`svgp.KZZ_FLOOR`), which
@@ -54,11 +54,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
 
 from . import kernels
-from .datasets import Dataset, grid_axes, grid_cells
-from .errors import TrainingDivergedError
+from .datasets import Dataset, grid_cells
+from .errors import IllConditionedKernelError, TrainingDivergedError
 from .linalg import chol_inverse, chol_solve, chol_with_jitter, row_panels, tri_inverse, tri_matmul
 from .means import default_mean
 from .methods import (
@@ -108,7 +107,6 @@ class ExactGpModel:
     Y: np.ndarray
     chol: np.ndarray | None  # None on a `_grid_basis` training grid
     alpha: np.ndarray
-    jitter: float
     loss_history: list = field(default_factory=list, repr=False, compare=False)
 
     def predict(self, Xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,18 +120,18 @@ class ExactGpModel:
 
 
 def _factorize(K, X, Y, mean_fn, noise_vec):
-    """(L, a, lml, jitter): L L^T = K + diag(noise) for a C-ordered
+    """(L, a, lml): L L^T = K + diag(noise) for a C-ordered
     symmetric K (`kernels.sym_gram`), the noise added to K and the factor
     written over it, and a = (L L^T)^-1 (Y - m(X))."""
     K.flat[:: K.shape[0] + 1] += noise_vec
     # the Fortran-ordered K.T is factored in place; `chol_with_jitter` is
     # looked up at call time, so a tracer that rebinds it sees every call
-    L, jitter = chol_with_jitter(K.T)
+    L, _ = chol_with_jitter(K.T)
     resid = np.asarray(Y, dtype=float) - mean_fn(X)
     a = chol_solve(L, resid)
     n = a.size
     lml = float(-0.5 * resid @ a - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi))
-    return L, a, lml, jitter
+    return L, a, lml
 
 
 def lml_gradients(
@@ -152,16 +150,16 @@ def lml_gradients(
     0.5 s2n (a^T a - tr Ky^-1), the learned-constant mean sum(a).
 
     With an RBF kernel, one constant noise > 0 and X a grid
-    (`datasets.grid_cells`) with few enough holes, `_grid_lml_gradients`
-    gives the same values without an n x n matrix, unless the noise is
-    too small for it.
+    (`datasets.grid_cells`) with M >= 0 holes, few enough for
+    `_holes_pay`, `_grid_lml_gradients` gives the same values without an
+    n x n matrix, unless the noise is too small for it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     noise_vec = check_noise(noise_var, X.shape[0])
     grid = _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned)
     if grid is not None:
         return grid
-    L, a, lml, _ = _factorize(kernels.sym_gram(kernel, X), X, Y, mean_fn, noise_vec)
+    L, a, lml = _factorize(kernels.sym_gram(kernel, X), X, Y, mean_fn, noise_vec)
     Kinv = chol_inverse(L)  # Fortran-ordered lower triangle: Kinv.T is C-ordered upper
     trace = float(Kinv.diagonal().sum())
     sums, quad = kernels.sym_gradient_sums(kernel, X, Kinv.T, a)
@@ -180,16 +178,17 @@ def lml_gradients(
 # The Kronecker eigenbasis of K + s2n I on a product grid (xs, ys): the
 # unit-scale 1-D Grams of the axes with their d/dlog(ell), their
 # eigendecompositions, the ny x nx eigenvalues lam of K + s2n I, and the
-# `_Holes` correction for the grid's missing cells (None on a complete grid)
+# `_Holes` correction for the grid's missing cells
 _GridBasis = namedtuple("_GridBasis", "xs ys Ky dKy Kx dKx ly Qy lx Qx lam holes")
 
-# The M missing cells of a holed grid.  With A = K + s2n I on the whole
+# The M >= 0 missing cells of a grid.  With A = K + s2n I on the whole
 # grid, C = A^-1 E_m its columns at the missing cells and S = C_mm = L_S
 # L_S^T, the zero-padded inverse of the points' own K + s2n I is
 # A^-1 - C S^-1 C^T (Rasmussen & Williams, GPML, 2006, App. A.3).  `cells`
 # holds the points' flat indices in the ny x nx grid, `P` (M x nx ny) is
 # L_S^-1 C^T rotated into the eigenbasis, and `logdet` is log|S|, so that
-# log|K_oo + s2n I| = log|A| + log|S|.
+# log|K_oo + s2n I| = log|A| + log|S|.  For M = 0, P is 0 x nx ny and
+# log|S| is 0.
 _Holes = namedtuple("_Holes", "cells P logdet")
 
 
@@ -229,13 +228,18 @@ def _holes_pay(nx: int, ny: int, n: int) -> bool:
     return 4 * M * N * (M + nx + ny) <= n**3
 
 
-def _holes(cells, Qy, Qx, lam) -> _Holes | None:
+def _holes(cells, Qy, Qx, lam) -> _Holes:
     """The `_Holes` correction for the points at `cells` of the grid with
-    eigenvectors Qy, Qx and eigenvalues lam, or None when S fails to
-    factor.  Missing cell k = (i, j) is e_k = Q (Qy[i] (x) Qx[j]) in the
-    eigenbasis Q = Qy (x) Qx, so Q^T C_k = (Qy[i] (x) Qx[j]) / lam and
-    S = V V^T for V_k = (Qy[i] (x) Qx[j]) / sqrt(lam).  V, and P in its
-    place, hold M N doubles; S and P take M^2 N flops each."""
+    eigenvectors Qy, Qx and eigenvalues lam; a complete grid's is empty
+    and factors nothing.  Missing cell k = (i, j) is e_k = Q (Qy[i] (x)
+    Qx[j]) in the eigenbasis Q = Qy (x) Qx, so Q^T C_k = (Qy[i] (x)
+    Qx[j]) / lam and S = V V^T for V_k = (Qy[i] (x) Qx[j]) / sqrt(lam).
+    V, and P in its place, hold M N doubles; S and P take M^2 N flops
+    each.  IllConditionedKernelError if S does not factor without
+    jitter: it is then as ill-conditioned as the dense path's factor
+    would be, and that path owns the jitter policy."""
+    if cells.size == lam.size:
+        return _Holes(cells, np.empty((0, lam.size)), 0.0)
     missing = np.ones(lam.size, dtype=bool)
     missing[cells] = False
     i, j = np.divmod(np.flatnonzero(missing), lam.shape[1])
@@ -243,9 +247,9 @@ def _holes(cells, Qy, Qx, lam) -> _Holes | None:
     V = Qy[i][:, :, None] * Qx[j][:, None, :]
     V /= root
     V = V.reshape(i.size, lam.size)
-    L, info = dpotrf(V @ V.T, lower=1)
-    if info != 0:
-        return None
+    L, jitter = chol_with_jitter(V @ V.T)
+    if jitter > 0.0:
+        raise IllConditionedKernelError("the Schur matrix of the grid's holes needs jitter")
     V /= root.ravel()  # Q^T C, one row per missing cell
     # P^T = V^T L_S^-T, solved in place in the Fortran-ordered V^T
     P = dtrsm(1.0, L, V.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
@@ -254,35 +258,32 @@ def _holes(cells, Qy, Qx, lam) -> _Holes | None:
 
 def _grid_solve(basis: _GridBasis, resid):
     """(Rt, At, A) for the residual r of the grid's points: Rt = Qy^T R Qx
-    for R the ny x nx residual (zero at missing cells), At the weights in
-    the eigenbasis and A = Qy At Qx^T the weights on the grid, zero (to
-    roundoff) at missing cells.  On a complete grid At = Rt / lam and A
-    = (K + s2n I)^-1 R; with holes At = Rt / lam - P^T P Rt, that is
-    Q^T (A^-1 - C S^-1 C^T) R."""
-    holes = basis.holes
-    if holes is not None:
-        padded = np.zeros(basis.lam.size)
-        padded[holes.cells] = resid
-        resid = padded
-    Rt = basis.Qy.T @ resid.reshape(basis.lam.shape) @ basis.Qx
+    for R the ny x nx residual (zero at missing cells), At = Rt / lam -
+    P^T P Rt = Q^T (A^-1 - C S^-1 C^T) R the weights in the eigenbasis
+    and A = Qy At Qx^T the weights on the grid, zero (to roundoff) at
+    missing cells.  With no holes P is empty and A = (K + s2n I)^-1 R."""
+    P = basis.holes.P
+    padded = np.zeros(basis.lam.size)
+    padded[basis.holes.cells] = resid
+    Rt = basis.Qy.T @ padded.reshape(basis.lam.shape) @ basis.Qx
     At = Rt / basis.lam
-    if holes is not None:
-        At -= (holes.P.T @ (holes.P @ Rt.ravel())).reshape(At.shape)
+    At -= (P.T @ (P @ Rt.ravel())).reshape(At.shape)
     return Rt, At, basis.Qy @ At @ basis.Qx.T
 
 
 def _grid_basis(X, kernel, noise_vec) -> _GridBasis | None:
     """The eigenbasis of K + s2n I for an RBF kernel, one constant noise
-    s2n > 0 and X a grid (`datasets.grid_cells`) with any holes in it
-    that `_holes_pay`, else None.  There K = s2 Ky (x) Kx on the whole
-    grid for the unit-scale 1-D Grams of the axes, so K + s2n I = Q (s2
+    s2n > 0 and X a grid (`datasets.grid_cells`) with M >= 0 holes that
+    `_holes_pay`, else None.  There K = s2 Ky (x) Kx on the whole grid
+    for the unit-scale 1-D Grams of the axes, so K + s2n I = Q (s2
     ly (x) lx + s2n) Q^T with Q = Qy (x) Qx from their
-    eigendecompositions, and an n-vector reshaped to ny x nx turns into
-    that basis as Qy^T R Qx; missing cells add the `_Holes` correction.
-    Below a smallest eigenvalue of n eps times the largest it returns None
-    and the dense path, which owns the jitter policy, takes over; on RBF
-    grids of 30 to 2304 points that path's Cholesky first needed jitter
-    300 times lower.  It returns None too if the holes' S fails to factor.
+    eigendecompositions, and an N-vector reshaped to ny x nx turns into
+    that basis as Qy^T R Qx; the missing cells add the `_Holes`
+    correction, empty for M = 0.  Below a smallest eigenvalue of N eps
+    times the largest it returns None and the dense path, which owns the
+    jitter policy, takes over; on RBF grids of 30 to 2304 points that
+    path's Cholesky first needed jitter 300 times lower.  It returns None
+    too if the holes' S does not factor without jitter.
     """
     if kernel.family != kernels.RBF or not noise_vec[0] > 0.0 or np.any(noise_vec != noise_vec[0]):
         return None
@@ -290,7 +291,7 @@ def _grid_basis(X, kernel, noise_vec) -> _GridBasis | None:
     if grid is None:
         return None
     xs, ys, cells = grid
-    if cells is not None and not _holes_pay(xs.size, ys.size, cells.size):
+    if not _holes_pay(xs.size, ys.size, cells.size):
         return None
     sigma2 = noise_vec[0]
     unit = replace(kernel, log_outputscale=0.0)
@@ -302,20 +303,20 @@ def _grid_basis(X, kernel, noise_vec) -> _GridBasis | None:
     lam = kernel.outputscale * np.outer(ly, lx) + sigma2
     if lam.min() <= lam.size * np.finfo(float).eps * lam.max():
         return None
-    holes = None
-    if cells is not None:
+    try:
         holes = _holes(cells, Qy, Qx, lam)
-        if holes is None:
-            return None
+    except IllConditionedKernelError:
+        return None
     dKy, dKx = dy[kernels.LOG_LENGTHSCALE], dx[kernels.LOG_LENGTHSCALE]
     return _GridBasis(xs, ys, Ky, dKy, Kx, dKx, ly, Qy, lx, Qx, lam, holes)
 
 
 def _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
     """`lml_gradients` in the eigenbasis of `_grid_basis`, else None.
-    With holes each trace tr((K_oo + s2n I)^-1 dK) is the whole grid's
-    minus tr(S^-1 C^T dK C) = sum_k p_k^T (Q^T dK Q) p_k over the rows
-    p_k of P, and the log-determinant adds log|S|."""
+    Each trace tr((K_oo + s2n I)^-1 dK) is the whole grid's minus
+    tr(S^-1 C^T dK C) = sum_k p_k^T (Q^T dK Q) p_k over the M rows p_k of
+    P, and the log-determinant adds log|S|; both corrections are 0 for
+    M = 0."""
     basis = _grid_basis(X, kernel, noise_vec)
     if basis is None:
         return None
@@ -331,21 +332,20 @@ def _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
     trace = ((np.outer(dly, lx) + np.outer(ly, dlx)) / lam).sum()
     scale_trace = (S / lam).sum()
     noise_trace = (1.0 / lam).sum()
-    if holes is not None:
-        # Q^T dK Q / s2 = (Qy^T dKy Qy) (x) diag(lx) + diag(ly) (x) (Qx^T dKx Qx)
-        P = holes.P.reshape(-1, *lam.shape)
-        E = (Qy.T @ dKy @ Qy) @ P
-        E *= lx
-        trace -= np.vdot(P, E)
-        del E  # one M x N product at a time
-        E = P @ (Qx.T @ dKx @ Qx)
-        E *= ly[:, None]
-        trace -= np.vdot(P, E)
-        del E
-        weight = np.einsum("kij,kij->ij", P, P)  # diag(C S^-1 C^T) in the eigenbasis
-        scale_trace -= np.vdot(weight, S)
-        noise_trace -= weight.sum()
-        logdet += holes.logdet
+    # Q^T dK Q / s2 = (Qy^T dKy Qy) (x) diag(lx) + diag(ly) (x) (Qx^T dKx Qx)
+    P = holes.P.reshape(-1, *lam.shape)
+    E = (Qy.T @ dKy @ Qy) @ P
+    E *= lx
+    trace -= np.vdot(P, E)
+    del E  # one M x N product at a time
+    E = P @ (Qx.T @ dKx @ Qx)
+    E *= ly[:, None]
+    trace -= np.vdot(P, E)
+    del E
+    weight = np.einsum("kij,kij->ij", P, P)  # diag(C S^-1 C^T) in the eigenbasis
+    scale_trace -= np.vdot(weight, S)
+    noise_trace -= weight.sum()
+    logdet += holes.logdet
     lml = float(-0.5 * np.vdot(At, Rt) - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi))
     grads = {
         kernels.LOG_LENGTHSCALE: 0.5 * s2 * float(quad - trace),
@@ -360,15 +360,19 @@ def _grid_lml_gradients(X, Y, mean_fn, kernel, noise_vec, noise_learned):
 
 def _grid_mean(kernel, mean_fn, centres, weights, Xstar):
     """`predict_mean` for an RBF kernel and a complete query grid (xs, ys)
-    with nx + ny <= `_GRID_MEAN_MAX_AXES`, else None.  With the unit-scale
+    (`datasets.grid_cells` with no cell missing) with nx + ny <=
+    `_GRID_MEAN_MAX_AXES`, else None.  With the unit-scale
     Ex = k1(xs, C[:, 0]) and Ey = k1(ys, C[:, 1]) for the centres C, the
     ny x nx mean is m + Ey (s2 w (.) Ex)^T: (nx + ny) c kernel entries and
     one gemm instead of q c entries."""
-    axes = grid_axes(Xstar) if kernel.family == kernels.RBF else None
-    if axes is None or axes[0].size + axes[1].size > _GRID_MEAN_MAX_AXES:
+    grid = grid_cells(Xstar) if kernel.family == kernels.RBF else None
+    if grid is None:
+        return None
+    xs, ys, cells = grid
+    if cells.size != xs.size * ys.size or xs.size + ys.size > _GRID_MEAN_MAX_AXES:
         return None
     unit = replace(kernel, log_outputscale=0.0)
-    Ex, Ey = (kernels.gram(unit, v[:, None], centres[:, d : d + 1]) for d, v in enumerate(axes))
+    Ex, Ey = (kernels.gram(unit, v[:, None], centres[:, d : d + 1]) for d, v in enumerate((xs, ys)))
     Ex *= kernel.outputscale * weights
     return mean_fn(Xstar) + (Ey @ Ex.T).ravel()
 
@@ -382,12 +386,9 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic) -> ExactGpModel
     noise_vec = check_noise(noise_var, X.shape[0])
     basis = _grid_basis(X, kernel, noise_vec)
     if basis is None:
-        L, a, _, jitter = _factorize(kernels.sym_gram(kernel, X), X, Y, mean_fn, noise_vec)
+        L, a, _ = _factorize(kernels.sym_gram(kernel, X), X, Y, mean_fn, noise_vec)
     else:
-        a = _grid_solve(basis, Y - mean_fn(X))[2].ravel()
-        L, jitter = None, 0.0
-        if basis.holes is not None:
-            a = a[basis.holes.cells]
+        L, a = None, _grid_solve(basis, Y - mean_fn(X))[2].ravel()[basis.holes.cells]
     return ExactGpModel(
         kernel=kernel,
         mean_fn=mean_fn,
@@ -397,7 +398,6 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic) -> ExactGpModel
         Y=Y,
         chol=L,
         alpha=a,
-        jitter=jitter,
     )
 
 
@@ -493,35 +493,32 @@ def _grid_variance(basis: _GridBasis, kernel, Xstar) -> np.ndarray:
     """Latent variance at any query points of a model on `_grid_basis`'s
     inputs: s2 - s2^2 sum_ij Py[k, i]^2 Px[k, j]^2 / lam_ij, with the
     unit-scale cross-Grams against the training axes rotated into the
-    eigenbasis, Px = k1(x*, xs) Qx and Py = k1(y*, ys) Qy.  With holes it
-    adds back s2^2 |P (Py[k] (x) Px[k])|^2, the C S^-1 C^T part, from M
-    ny products per query.  A panel of queries holds at most three arrays
-    of up to max(nx, ny) columns, and with holes one of M ny."""
+    eigenbasis, Px = k1(x*, xs) Qx and Py = k1(y*, ys) Qy, plus s2^2
+    |P (Py[k] (x) Px[k])|^2, the C S^-1 C^T part for M holes, from M ny
+    products per query (none for M = 0).  A panel of queries holds at
+    most three arrays of up to max(nx, ny) columns and one of M ny."""
     s2 = kernel.outputscale
     unit = replace(kernel, log_outputscale=0.0)
     inv_lam = 1.0 / basis.lam
-    holes = basis.holes
     ny, nx = basis.lam.shape
-    M = 0 if holes is None else holes.P.shape[0]
+    M = basis.holes.P.shape[0]
     var = np.empty(Xstar.shape[0])
     for sl in _panel_slices(Xstar.shape[0], 3 * max(nx, ny) + M * ny):
         Px, Py = (
             kernels.gram(unit, Xstar[sl, d : d + 1], v[:, None]) @ Q
             for d, (v, Q) in enumerate(((basis.xs, basis.Qx), (basis.ys, basis.Qy)))
         )
-        if holes is not None:
-            # P_k (Py[k] (x) Px[k]) = Py[k] . (P_k Px[k]^T), P_k as ny x nx
-            H = (Px @ holes.P.reshape(M * ny, nx).T).reshape(-1, M, ny)
-            U = np.matmul(H, Py[:, :, None])[:, :, 0]
-            del H
+        # P_k (Py[k] (x) Px[k]) = Py[k] . (P_k Px[k]^T), P_k as ny x nx
+        H = (Px @ basis.holes.P.reshape(M * ny, nx).T).reshape(Px.shape[0], M, ny)
+        U = np.matmul(H, Py[:, :, None])[:, :, 0]
+        del H
         Px *= Px
         Py *= Py
         W = Py @ inv_lam
         W *= Px
         var[sl] = s2 - s2 * s2 * np.sum(W, axis=1)
-        if holes is not None:
-            var[sl] += s2 * s2 * np.sum(U * U, axis=1)
-        del Px, Py, W
+        var[sl] += s2 * s2 * np.sum(U * U, axis=1)
+        del Px, Py, W, U
     return np.maximum(var, 0.0)
 
 
@@ -529,7 +526,8 @@ def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and latent variance of an exact model: `_predict`
     through the inverse of its Cholesky factor, inverted on a copy, or,
     when it has none, `predict_mean`'s mean and `_grid_variance` from the
-    eigenbasis of its training grid."""
+    eigenbasis of its training grid and the correction for that grid's
+    M >= 0 missing cells."""
     if model.chol is not None:
         Linv = tri_inverse(model.chol)
         return _predict(model.kernel, model.mean_fn, model.X, model.alpha, Linv, Xstar)

@@ -42,10 +42,11 @@ LOG_VAR_CLAMP = 20.0
 # doubles.  Projected to n = 10 000 (n^3 time, n^2 plus those panels):
 # about 23 s per epoch, 15 min for 40 epochs, and 0.86 GB per epoch
 # (0.82 GB for the build).  These figures hold for scattered inputs.
-# A stage 1 on a raster, complete or with nodata cells few enough for
-# `exact_gp._holes_pay`, trains, builds and holds its weights through the
-# axis eigenbases of `exact_gp._grid_basis`, with no n x n array (a
-# holed grid adds about 2 M N doubles for M of its N cells missing), and
+# A stage 1 on a raster with M >= 0 of its N cells missing (nodata), few
+# enough for `exact_gp._holes_pay`, trains, builds and holds its weights
+# through the axis eigenbases of `exact_gp._grid_basis` and an M x M Schur
+# correction, factored through `linalg.chol_with_jitter`, with no n x n
+# array (about 2 M N doubles for the correction, none for M = 0), and
 # its noise field on a complete query grid holds only (nx + ny) x n
 # kernel factors.  Such rasters still switch to the sparse GP above this
 # size, though the grid path would stay cheap there.  At scattered

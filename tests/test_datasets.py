@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from terragp.datasets import from_arrays, grid_axes, grid_cells, grid_to_dataset
+from terragp.datasets import from_arrays, grid_cells, grid_to_dataset
 from terragp.errors import EmptyDatasetError, InvalidInputError
 from terragp.grids import make_grid
 
@@ -98,34 +98,50 @@ class TestGridToDataset:
 
 
 
+def complete_grid_axes(X):
+    """(xs, ys) when `grid_cells` finds every cell of its grid in X."""
+    grid = grid_cells(X)
+    if grid is None or grid[2].size != grid[0].size * grid[1].size:
+        return None
+    return grid[:2]
+
+
 class TestGridAxes:
+    """The axes `grid_cells` reads off a complete grid."""
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 3)])
     def test_complete_grid_yields_its_axes(self, rng, shape):
         ds = grid_to_dataset(make_grid(rng.normal(size=shape), xllcorner=3.0, cellsize=0.5))
-        xs, ys = grid_axes(ds.X)
+        xs, ys, cells = grid_cells(ds.X)
         assert (ys.size, xs.size) == shape
+        assert np.array_equal(cells, np.arange(ds.n))
+        nx = shape[1]
+        assert [a.tobytes() for a in (xs, ys)] == [ds.X[:nx, 0].tobytes(), ds.X[::nx, 1].tobytes()]
         xx, yy = np.meshgrid(xs, ys)
         assert np.array_equal(ds.X, np.column_stack([xx.ravel(), yy.ravel()]))
 
-    def test_other_point_sets_are_not_grids(self, rng):
+    def test_other_point_sets_are_not_complete_grids(self, rng):
         values = rng.normal(size=(4, 5))
         X = grid_to_dataset(make_grid(values)).X
+        assert complete_grid_axes(X) is not None
         values[2, 3] = -9999.0
-        assert grid_axes(grid_to_dataset(make_grid(values)).X) is None  # a nodata cell
-        assert grid_axes(X[rng.permutation(X.shape[0])]) is None
-        assert grid_axes(X[::-1]) is not None  # reversed axes are still a product
+        assert complete_grid_axes(grid_to_dataset(make_grid(values)).X) is None  # a nodata cell
+        assert complete_grid_axes(X[rng.permutation(X.shape[0])]) is None
+        # x descending: a product, but not in the order `grid_to_dataset` yields
+        assert complete_grid_axes(X[::-1]) is None
         moved = X.copy()
-        moved[7, 0] = np.nextafter(moved[7, 0], np.inf)
-        assert grid_axes(moved) is None
-        assert grid_axes(X[:, :1]) is None
+        moved[7, 0] = np.nextafter(moved[7, 0], np.inf)  # a sixth column, four holes
+        assert complete_grid_axes(moved) is None
+        assert complete_grid_axes(X[:, :1]) is None
 
 
 class TestGridCells:
     def test_complete_grid_has_no_cells(self, rng):
+        # no cell of a complete grid is missing: `cells` indexes all of them
         X = grid_to_dataset(make_grid(rng.normal(size=(4, 5)))).X
         xs, ys, cells = grid_cells(X)
-        assert cells is None
-        assert [a.tobytes() for a in (xs, ys)] == [a.tobytes() for a in grid_axes(X)]
+        assert np.array_equal(cells, np.arange(xs.size * ys.size))
+        assert [a.tobytes() for a in (xs, ys)] == [a.tobytes() for a in complete_grid_axes(X)]
 
     def test_nodata_cells_leave_the_others_indexed(self, rng):
         values = rng.normal(size=(4, 5))

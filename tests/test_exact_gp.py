@@ -6,7 +6,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from terragp import exact_gp, kernels, linalg, svgp
 from terragp.datasets import from_arrays, grid_cells, grid_to_dataset
-from terragp.errors import InvalidConfigError, InvalidInputError
+from terragp.errors import IllConditionedKernelError, InvalidConfigError, InvalidInputError
 from terragp.grids import make_grid
 from terragp.linalg import chol_with_jitter
 from terragp.means import ConstantMean, ZeroMean
@@ -335,14 +335,16 @@ def test_grid_branch_runs_only_on_its_inputs(rng, monkeypatch):
     calls = count_dense_factors(monkeypatch)
     for case, (Xc, Yc, kernel, noise_c) in dense.items():
         exact_gp.lml_gradients(Xc, Yc, mean, kernel, noise_c)
-        assert len(calls) == 1, case
+        assert calls == [Xc.shape[0]], case
         calls.clear()
+    # the complete grid factors nothing; with a cell dropped, its 1 x 1 S
     exact_gp.lml_gradients(X, Y, mean, rbf, noise, noise_learned=True)
-    exact_gp.lml_gradients(X[1:], Y[1:], mean, rbf, noise[1:], noise_learned=True)  # cell dropped
-    assert calls == []
+    exact_gp.lml_gradients(X[1:], Y[1:], mean, rbf, noise[1:], noise_learned=True)
+    assert calls == [1]
 
 
 HOLES = {
+    "none": lambda nx, ny, rng: [],
     "one hole": lambda nx, ny, rng: [nx * (ny // 2) + nx // 2],
     "row": lambda nx, ny, rng: np.arange(nx) + nx * (ny // 3),
     "column": lambda nx, ny, rng: np.arange(ny) * nx + nx // 2,
@@ -361,9 +363,9 @@ def test_holed_grid_lml_gradients_match_dense(rng, holes, nx, ny):
     """On a grid with cells missing, the Kronecker branch with its Schur
     correction against the dense path on the same points in shuffled
     order, with a learned noise and a learnable constant mean: the LML
-    to 1e-10 relative, every gradient to 1e-10 of its terms' sizes.  A
-    missing whole row or column leaves the complete product of the other
-    axes' cells, which the branch takes without a correction."""
+    to 1e-10 relative, every gradient to 1e-10 of its terms' sizes.  No
+    holes, or a missing whole row or column, leaves the complete product
+    of the axes' cells, whose correction is empty."""
     X = holed_grid(nx, ny, HOLES[holes](nx, ny, rng))
     assert_grid_matches_dense(rng, X)
 
@@ -403,22 +405,35 @@ def assert_grid_matches_dense(rng, X):
 
 
 def test_holed_grid_falls_back_when_its_schur_matrix_fails_to_factor(rng, monkeypatch):
-    """If S does not factor, the epoch and the build each take exactly one
-    dense factor and give the dense path's values."""
+    """If S factors only with jitter, or not even at the jitter ceiling,
+    the epoch and the build each take exactly one dense factor and give
+    the dense path's values."""
     X = holed_grid(12, 10, rng.choice(120, 6, replace=False))
     n = X.shape[0]
     Y = rng.normal(size=n)
     args = (X, Y, ConstantMean(0.0, learnable=True), kernels.KernelConfig(kernels.RBF),
             np.full(n, 0.1))
-    assert exact_gp._grid_basis(X, args[3], args[4]).holes is not None
+    assert exact_gp._grid_basis(X, args[3], args[4]).holes.P.shape[0] == 6
     want = exact_gp._factorize(kernels.sym_gram(args[3], X), X, Y, args[2], args[4])
-    monkeypatch.setattr(exact_gp, "dpotrf", lambda S, lower: (S, 1))
-    calls = count_dense_factors(monkeypatch)
-    assert exact_gp.lml_gradients(*args)[0] == want[2]
-    assert calls == [n]
-    model = exact_gp.build_model(*args, homoscedastic=True)
-    assert calls == [n, n] and model.chol is not None
-    assert model.alpha.tobytes() == want[1].tobytes()
+    real = exact_gp.chol_with_jitter
+    calls = []
+    for failure in ("jitter", "ceiling"):
+
+        def schur_fails(mat):
+            calls.append(mat.shape[0])
+            if mat.shape[0] == n:
+                return real(mat)
+            if failure == "ceiling":
+                raise IllConditionedKernelError("forced")
+            return real(mat)[0], 1e-8
+
+        monkeypatch.setattr(exact_gp, "chol_with_jitter", schur_fails)
+        assert exact_gp.lml_gradients(*args)[0] == want[2]
+        assert calls == [6, n], failure
+        model = exact_gp.build_model(*args, homoscedastic=True)
+        assert calls == [6, n, 6, n] and model.chol is not None, failure
+        assert model.alpha.tobytes() == want[1].tobytes()
+        calls.clear()
 
 
 def test_grid_detection_on_scattered_points_allocates_no_grid(rng):
@@ -471,7 +486,9 @@ def test_hayner_on_a_scene_takes_no_dense_factor(monkeypatch):
     """hayner (RBF, learned constant noise) on a training grid, complete
     or with nodata cells, trains every epoch on the grid branch, takes its
     alpha from the same eigenbasis, and predicts its maps from it: neither
-    the fit nor `predict_grid` factors or inverts an n x n matrix."""
+    the fit nor `predict_grid` factors or inverts an n x n matrix.  The
+    only factors are the M x M Schur matrices of the M nodata cells, none
+    on the complete grid."""
     scene = make_scene(SynthParams(size=16, seed=2), noise_mode="split")
     method = with_overrides(method_defaults("hayner"), epochs=4)
     calls = count_dense_factors(monkeypatch)
@@ -484,10 +501,11 @@ def test_hayner_on_a_scene_takes_no_dense_factor(monkeypatch):
         )
         assert model.X.shape[0] == 64 - len(nodata)
         assert len(history) == 4
-        assert calls == []
-        assert model.chol is None and model.jitter == 0.0
+        assert calls == [len(nodata)] * (5 if nodata else 0)  # four epochs and the build
+        assert model.chol is None
         mean, latent, _ = predict_grid(model, stats, scene.truth)
-        assert calls == [] and inversions == []
+        assert calls == [len(nodata)] * (6 if nodata else 0) and inversions == []
+        calls.clear()
         assert np.all(np.isfinite(mean.values)) and np.all(latent.values >= 0.0)
 
 
@@ -524,7 +542,7 @@ def test_grid_posterior_matches_dense_oracle(rng, small_panels, nx, ny):
             model = exact_gp.build_model(
                 X, Y, mean_fn, kernel, noise, homoscedastic=True
             )
-            assert model.chol is None and model.jitter == 0.0
+            assert model.chol is None
             queries = {
                 "grid": complete_grid(2 * nx + 1, ny + 3) * 1.2,
                 "scattered": rng.uniform(-2.0, 2.0, size=(3 * small_panels + 37, 2)),
@@ -661,7 +679,8 @@ class TestPredict:
 
     @pytest.mark.parametrize("jittered", [False, True], ids=["noisy", "jittered"])
     @pytest.mark.parametrize("family", range(6))
-    def test_variance_matches_triangular_solve(self, rng, small_panels, family, jittered):
+    def test_variance_matches_triangular_solve(self, rng, monkeypatch, small_panels, family,
+                                               jittered):
         """`predict_exact` forms L^-1 K* from an explicit inverse; an
         independent solve on the same factor gives the same variances to
         1e-12 of the outputscale, across panel boundaries.  The jittered
@@ -675,12 +694,18 @@ class TestPredict:
             noise = np.zeros(n)
         else:
             noise = np.exp(rng.normal(size=n) * 0.3 - 2)
+        jitters = []
+        real = exact_gp.chol_with_jitter
+        monkeypatch.setattr(
+            exact_gp, "chol_with_jitter", lambda mat: jitters.append(real(mat)) or jitters[-1]
+        )
         model = exact_gp.build_model(
             X, rng.normal(size=n), ConstantMean(0.3, False), kernel, noise,
             homoscedastic=False,
         )
+        (_, jitter), = jitters
         if jittered and family not in (2, 3):  # the two exponential kernels' need none
-            assert model.jitter > 0.0
+            assert jitter > 0.0
         Xstar = rng.uniform(-2.5, 2.5, size=(3 * small_panels + 37, 2))
         _, var = exact_gp.predict_exact(model, Xstar)
         V = solve_triangular(model.chol, kernels.gram(kernel, X, Xstar), lower=True)

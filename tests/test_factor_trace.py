@@ -5,7 +5,9 @@ factorizations by rebinding `chol_with_jitter` in every terragp module.
 A path that factored a matrix some other way would drop its calls from
 `linalg.chol_with_jitter.calls` in traced runs without any error, so
 here every LAPACK and library Cholesky entry point is wrapped as well,
-and each of its calls must happen inside a traced `chol_with_jitter`."""
+and each of its calls must happen inside a traced `chol_with_jitter`:
+on a complete scene and on one with nodata cells, whose grid fits
+factor the M x M Schur matrix of the missing cells."""
 
 import importlib
 from collections import Counter
@@ -16,6 +18,7 @@ from terragp import pipeline
 from terragp.methods import METHOD_IDS, method_defaults, with_overrides
 from terragp.synth import SynthParams
 
+from helpers import with_nodata
 from test_benchmark_names import TRACING
 
 # (module, attribute) of each Cholesky a module could call instead
@@ -31,7 +34,6 @@ FACTOR_ROUTINES = [
 def test_every_dense_factor_is_traced(method_id, monkeypatch):
     scene = pipeline.make_scene(SynthParams(size=16, seed=2), noise_mode="split")
     method = with_overrides(method_defaults(method_id), epochs=2, num_inducing=8, batch_size=16)
-    calls = Counter()
     depth = [0]
 
     def traced(fn):
@@ -61,11 +63,14 @@ def test_every_dense_factor_is_traced(method_id, monkeypatch):
             patcher.wrap(module, attr, factor)
             home = importlib.import_module(module)
             monkeypatch.setattr(home, attr, factor(getattr(home, attr)))
-        model, stats, _ = pipeline.fit_method(
-            method, scene.train, scene.uncertainty, scene.prior, seed=0
-        )
-        pipeline.predict_grid(model, stats, scene.truth)
-    assert calls["outside"] == 0
-    assert calls["inside"] >= calls["chol_with_jitter"]
-    # hayner trains and predicts on its grid's eigenbasis, with no factor
-    assert (calls["chol_with_jitter"] == 0) == (method_id == "hayner")
+        for nodata in ([], [5, 30, 50]):
+            calls = Counter()
+            model, stats, _ = pipeline.fit_method(
+                method, with_nodata(scene.train, nodata), scene.uncertainty, scene.prior, seed=0
+            )
+            pipeline.predict_grid(model, stats, scene.truth)
+            assert calls["outside"] == 0, nodata
+            assert calls["inside"] >= calls["chol_with_jitter"], nodata
+            # hayner trains and predicts on its grid's eigenbasis, with no
+            # factor on the complete grid
+            assert (calls["chol_with_jitter"] == 0) == (method_id == "hayner" and not nodata)
