@@ -60,7 +60,8 @@ _FIT_FLAGS = {
     "--mean": ("mean_kind", {"choices": ("constant", "zero", "prior")}),
 }
 
-# DemGrid fields of predict's explicit target geometry
+# predict's explicit target geometry: --ncols and --nrows give the
+# shape of the target's values, the others its DemGrid fields
 _GEOMETRY_FLAGS = {
     "--ncols": ("ncols", {"type": int}),
     "--nrows": ("nrows", {"type": int}),
@@ -164,7 +165,7 @@ def _target_geometry(args) -> DemGrid:
     for flag, (field, kw) in _GEOMETRY_FLAGS.items():
         if kw["type"] is int and explicit[field] < 1:
             raise InvalidConfigError(f"{flag} must be a positive integer, got {explicit[field]}")
-    shape = (explicit["nrows"], explicit["ncols"])
+    shape = (explicit.pop("nrows"), explicit.pop("ncols"))
     return DemGrid(**explicit, nodata=DEFAULT_NODATA, values=np.zeros(shape))
 
 

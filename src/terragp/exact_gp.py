@@ -24,6 +24,11 @@ factor is the M x M Schur matrix's, taken through `chol_with_jitter`
 like every other.  Likewise `predict_mean` with an RBF kernel on a
 complete query grid takes the mean from two 1-D cross-Grams.
 
+A model keeps the factor `build_model` made it on, `ExactGpModel.factor`:
+the lower Cholesky factor off the grid, the `_GridBasis` (the axis
+eigenbases and the `_Holes` correction) on it.  `predict_exact` reads
+that factor and forms none again.
+
 Off the grid, `predict_exact` forms the latent variance k** - |L^-1 K*|^2
 from an explicit L^-1 (`linalg.tri_inverse`, once per call), multiplied
 into each query panel's K* in place by BLAS dtrmm: the same n^2 q flops
@@ -48,7 +53,6 @@ special case of the general one.
 
 from __future__ import annotations
 
-import copy
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -59,7 +63,7 @@ from . import kernels
 from .datasets import Dataset, grid_cells
 from .errors import IllConditionedKernelError, TrainingDivergedError
 from .linalg import chol_inverse, chol_solve, chol_with_jitter, row_panels, tri_inverse, tri_matmul
-from .means import default_mean
+from .means import ConstantMean, default_mean
 from .methods import (
     LOG_NOISE_VARIANCE, MethodConfig, check_noise, init_kernel, noise_plan,
 )
@@ -99,13 +103,17 @@ _GRID_MEAN_MAX_AXES = 4096
 
 @dataclass
 class ExactGpModel:
+    """A fitted exact GP: its inputs, weights alpha and the factor it was
+    built on, the Cholesky factor of K + diag(noise) or, on a
+    `_grid_basis` training grid, that `_GridBasis`."""
+
     kernel: kernels.KernelConfig
     mean_fn: object
     noise_var: np.ndarray  # (n,) effective variances, normalized units
     homoscedastic: bool
     X: np.ndarray
     Y: np.ndarray
-    chol: np.ndarray | None  # None on a `_grid_basis` training grid
+    factor: np.ndarray | _GridBasis
     alpha: np.ndarray
     loss_history: list = field(default_factory=list, repr=False, compare=False)
 
@@ -378,17 +386,17 @@ def _grid_mean(kernel, mean_fn, centres, weights, Xstar):
 
 
 def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic) -> ExactGpModel:
-    """Assemble a model with its weights alpha and, off `_grid_basis`'s
-    inputs, its Cholesky factor.  On them alpha comes from the eigenbasis
-    and `chol` is None: no n x n array is formed."""
+    """Assemble a model with its weights alpha and the factor they came
+    from, which the model keeps: the Cholesky factor, or on
+    `_grid_basis`'s inputs that eigenbasis, with no n x n array formed."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
     noise_vec = check_noise(noise_var, X.shape[0])
-    basis = _grid_basis(X, kernel, noise_vec)
-    if basis is None:
-        L, a, _ = _factorize(kernels.sym_gram(kernel, X), X, Y, mean_fn, noise_vec)
+    factor = _grid_basis(X, kernel, noise_vec)
+    if factor is None:
+        factor, a, _ = _factorize(kernels.sym_gram(kernel, X), X, Y, mean_fn, noise_vec)
     else:
-        L, a = None, _grid_solve(basis, Y - mean_fn(X))[2].ravel()[basis.holes.cells]
+        a = _grid_solve(factor, Y - mean_fn(X))[2].ravel()[factor.holes.cells]
     return ExactGpModel(
         kernel=kernel,
         mean_fn=mean_fn,
@@ -396,7 +404,7 @@ def build_model(X, Y, mean_fn, kernel, noise_var, homoscedastic) -> ExactGpModel
         homoscedastic=bool(homoscedastic),
         X=X,
         Y=Y,
-        chol=L,
+        factor=factor,
         alpha=a,
     )
 
@@ -523,17 +531,16 @@ def _grid_variance(basis: _GridBasis, kernel, Xstar) -> np.ndarray:
 
 
 def predict_exact(model: ExactGpModel, Xstar) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and latent variance of an exact model: `_predict`
-    through the inverse of its Cholesky factor, inverted on a copy, or,
-    when it has none, `predict_mean`'s mean and `_grid_variance` from the
-    eigenbasis of its training grid and the correction for that grid's
-    M >= 0 missing cells."""
-    if model.chol is not None:
-        Linv = tri_inverse(model.chol)
-        return _predict(model.kernel, model.mean_fn, model.X, model.alpha, Linv, Xstar)
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    basis = _grid_basis(model.X, model.kernel, model.noise_var)
-    return model.predict_mean(Xstar), _grid_variance(basis, model.kernel, Xstar)
+    """Posterior mean and latent variance of an exact model from the
+    factor it keeps: on a grid, `predict_mean`'s mean and `_grid_variance`
+    from the eigenbasis of its training grid and the correction for that
+    grid's M >= 0 missing cells; else `_predict` through the inverse of
+    its Cholesky factor, inverted on a copy."""
+    if isinstance(model.factor, _GridBasis):
+        Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+        return model.predict_mean(Xstar), _grid_variance(model.factor, model.kernel, Xstar)
+    Linv = tri_inverse(model.factor)
+    return _predict(model.kernel, model.mean_fn, model.X, model.alpha, Linv, Xstar)
 
 
 def fit_exact(
@@ -552,8 +559,7 @@ def fit_exact(
     n = data.n
     noise_field, constant, learn_noise = noise_plan(method, n, noise_vector)
     noise_vec = np.full(n, float(constant)) if noise_field is None else noise_field
-    # a learnable constant is trained in place, so train the model's own copy
-    mean_fn = default_mean(method) if mean_fn is None else copy.copy(mean_fn)
+    mean_fn = default_mean(method) if mean_fn is None else mean_fn
     kernel = init_kernel(method, stream_rng(seed, INIT))
 
     blocks = dict(zip(kernels.param_names(kernel), kernels.get_params(kernel)))
@@ -563,10 +569,11 @@ def fit_exact(
         blocks[LOG_NOISE_VARIANCE] = np.log(noise_vec[0])
 
     def unpack(new: dict):
-        nonlocal kernel, noise_vec
+        nonlocal kernel, mean_fn, noise_vec
         kernel = kernels.with_params(kernel, [new[name] for name in kernels.param_names(kernel)])
         if MEAN_CONSTANT in new:
-            mean_fn.constant = new[MEAN_CONSTANT]
+            # only a ConstantMean is learnable; the caller's is left as it is
+            mean_fn = ConstantMean(new[MEAN_CONSTANT])
         if learn_noise:
             noise_vec = np.full(n, float(np.exp(new[LOG_NOISE_VARIANCE])))
             if not np.isfinite(noise_vec[0]):

@@ -1,7 +1,8 @@
 """Georeferenced elevation/variance rasters and the data protocol ops.
 
-A `DemGrid` stores row-major values with row 0 at the northern edge.
-Cell (i, j) is centered at
+A `DemGrid` stores row-major values with row 0 at the northern edge;
+its shape, `nrows` x `ncols`, is the shape of those values and is not
+stored beside them.  Cell (i, j) is centered at
 
     x = xllcorner + (j + 0.5) * cellsize
     y = yllcorner + (nrows - i - 0.5) * cellsize
@@ -35,8 +36,9 @@ _HEADER_KEYS = (
 
 @dataclass
 class DemGrid:
-    ncols: int
-    nrows: int
+    """A raster: its lower-left corner, cellsize and nodata marker, and
+    its values, whose shape (`nrows`, `ncols`) is the raster's."""
+
     xllcorner: float
     yllcorner: float
     cellsize: float
@@ -45,8 +47,8 @@ class DemGrid:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.ncols < 1 or self.nrows < 1:
-            raise InvalidConfigError("grid dimensions must be positive")
+        if self.values.ndim != 2 or self.values.size == 0:
+            raise InvalidConfigError("values must be a nonempty 2-D array")
         if not all(map(math.isfinite, (self.xllcorner, self.yllcorner, self.cellsize))):
             raise InvalidConfigError("grid corners and cellsize must be finite")
         far_corner = (self.xllcorner + self.ncols * self.cellsize,
@@ -55,11 +57,14 @@ class DemGrid:
             raise InvalidConfigError("grid extent (corner + cells x cellsize) must be finite")
         if self.cellsize <= 0:
             raise InvalidConfigError("cellsize must be positive")
-        if self.values.shape != (self.nrows, self.ncols):
-            raise InvalidConfigError(
-                f"values shape {self.values.shape} does not match "
-                f"(nrows, ncols)=({self.nrows}, {self.ncols})"
-            )
+
+    @property
+    def nrows(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def ncols(self) -> int:
+        return self.values.shape[1]
 
     def x_centers(self) -> np.ndarray:
         return self.xllcorner + (np.arange(self.ncols) + 0.5) * self.cellsize
@@ -92,10 +97,7 @@ class DemGrid:
 
 
 def make_grid(values, xllcorner=0.0, yllcorner=0.0, cellsize=1.0, nodata=DEFAULT_NODATA) -> DemGrid:
-    values = np.asarray(values, dtype=float)
     return DemGrid(
-        ncols=values.shape[1],
-        nrows=values.shape[0],
         xllcorner=float(xllcorner),
         yllcorner=float(yllcorner),
         cellsize=float(cellsize),
@@ -194,8 +196,6 @@ def read_asc(path) -> DemGrid:
     values = np.array(flat, dtype=float).reshape(nrows, ncols)
     try:
         return DemGrid(
-            ncols=ncols,
-            nrows=nrows,
             xllcorner=xllcorner,
             yllcorner=yllcorner,
             cellsize=header["cellsize"],
@@ -241,13 +241,10 @@ def downsample(dem: DemGrid, factor: int) -> DemGrid:
             f"({dem.nrows}x{dem.ncols})"
         )
     values = dem.values[::factor, ::factor].copy()
-    nrows, ncols = values.shape
     c = dem.cellsize
     return DemGrid(
-        ncols=ncols,
-        nrows=nrows,
         xllcorner=dem.xllcorner + c * (1 - factor) / 2.0,
-        yllcorner=dem.yllcorner + c * (dem.nrows - factor * nrows) + c * (factor - 1) / 2.0,
+        yllcorner=dem.yllcorner + c * (dem.nrows - factor * len(values)) + c * (factor - 1) / 2.0,
         cellsize=c * factor,
         nodata=dem.nodata,
         values=values,

@@ -59,6 +59,16 @@ LOG_LENGTHSCALE = "log_lengthscale"
 LOG_OUTPUTSCALE = "log_outputscale"
 LOG_ALPHA = "log_alpha"
 
+# Largest |log ell|, |log s2| and |log alpha| a kernel takes.  A double
+# is normal between exp(-708) and exp(709).  The kernels, their
+# gradients and the posterior variance form products of up to three of
+# these scales, such as the RBF slope's s2 / ell^2, so a bound of 708 / 3
+# keeps them normal; 200 leaves a margin for the data's own scales.  At
+# the 8 corners of +-200, for every family, the Grams and their
+# gradients, dense and grid exact epochs, builds and predictions raised
+# no numpy warning; at +-300 they overflowed or divided by zero.
+LOG_BOUND = 200.0
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -84,8 +94,9 @@ class KernelConfig:
                 f"matern nu must be one of {MATERN_NUS}, got {self.nu}"
             )
         for name in (LOG_LENGTHSCALE, LOG_OUTPUTSCALE, LOG_ALPHA):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidConfigError(f"{name} must be finite")
+            value = getattr(self, name)
+            if not abs(value) <= LOG_BOUND:
+                raise InvalidConfigError(f"{name} = {value!r} is not within +-{LOG_BOUND:g}")
 
     @property
     def lengthscale(self) -> float:

@@ -288,8 +288,7 @@ _STATS = _Table("", NormStats, NormStats, (
 
 
 def _grid_mean(stats: NormStats, values: np.ndarray, **corners) -> GridInterpMean:
-    grid = DemGrid(ncols=values.shape[1], nrows=values.shape[0], values=values, **corners)
-    return GridInterpMean(grid, stats)
+    return GridInterpMean(DemGrid(values=values, **corners), stats)
 
 
 # mean kind -> table; the grid mean is built in the stats of its GP

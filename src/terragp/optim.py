@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import InvalidConfigError, TrainingDivergedError
 from .methods import LOG_NOISE_VARIANCE, NOISE_FLOOR
 
 
@@ -109,7 +109,9 @@ def minimize(objective_grad, unpack, blocks, learning_rate, epochs, batches):
     for the objective and its gradient blocks at the current state, steps
     the parameter `blocks` (other gradient blocks are ignored), floors a
     `LOG_NOISE_VARIANCE` block at log(NOISE_FLOOR) and hands the new blocks
-    to `unpack`."""
+    to `unpack`.  A step whose blocks `unpack` refuses as a configuration
+    (a kernel log-hyperparameter beyond `kernels.LOG_BOUND`) is a
+    divergence."""
     params = flatten(blocks)
     state = adam_init(params.size)
     noise = _layout(blocks).get(LOG_NOISE_VARIANCE, (None, None))[1]
@@ -125,7 +127,10 @@ def minimize(objective_grad, unpack, blocks, learning_rate, epochs, batches):
             params, state = adam_step(state, params, -flatten(grads, blocks), learning_rate, name_of)
             if noise is not None:
                 params[noise] = np.maximum(params[noise], np.log(NOISE_FLOOR))
-            unpack(unflatten(params, blocks))
+            try:
+                unpack(unflatten(params, blocks))
+            except InvalidConfigError as exc:
+                raise TrainingDivergedError(f"a training step left the valid range: {exc}") from None
         history.append(float(np.mean(losses)))
     return history
 

@@ -446,15 +446,16 @@ def _state_blocks(state: SvgpState) -> dict:
 
 def _from_blocks(state: SvgpState, blocks: dict) -> SvgpState:
     """`state` with its parameters read from `blocks`; without a noise
-    block the state keeps its own noise."""
+    block the state keeps its own noise.  The kernel is built first, so
+    that a step it refuses is refused before anything is exponentiated."""
+    names = kernels.param_names(state.kernel)
+    kernel = kernels.with_params(state.kernel, [blocks[name] for name in names])
     m = state.num_inducing
     L = np.zeros((m, m))
     L[strict_lower_mask(m)] = blocks["variational_chol"]
     L[np.diag_indices(m)] = np.exp(blocks["variational_chol_logdiag"])
-    names = kernels.param_names(state.kernel)
     return replace(
-        state, mvec=blocks["variational_mean"], L=L,
-        kernel=kernels.with_params(state.kernel, [blocks[name] for name in names]),
+        state, mvec=blocks["variational_mean"], L=L, kernel=kernel,
         log_noise_var=blocks.get(LOG_NOISE_VARIANCE, state.log_noise_var),
     )
 

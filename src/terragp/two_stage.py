@@ -26,7 +26,7 @@ from . import exact_gp, svgp
 from .datasets import Dataset, NormStats
 from .errors import InvalidInputError
 from .means import ConstantMean
-from .methods import NOISE_GP, MethodConfig
+from .methods import NOISE_GP, MethodConfig, check_noise
 
 # queries far outside the data can extrapolate wildly in log space;
 # clamp before exponentiation
@@ -46,7 +46,9 @@ LOG_VAR_CLAMP = 20.0
 # enough for `exact_gp._holes_pay`, trains, builds and holds its weights
 # through the axis eigenbases of `exact_gp._grid_basis` and an M x M Schur
 # correction, factored through `linalg.chol_with_jitter`, with no n x n
-# array (about 2 M N doubles for the correction, none for M = 0), and
+# array (about 2 M N doubles for the correction, none for M = 0).  The
+# model keeps that basis, with the correction's M x N matrix P (M N
+# doubles, 0.8 MB for the inducing sweep's n = 1536 of 1600 cells), and
 # its noise field on a complete query grid holds only (nx + ny) x n
 # kernel factors.  Such rasters still switch to the sparse GP above this
 # size, though the grid path would stay cheap there.  At scattered
@@ -99,18 +101,13 @@ def fit_noise_gp(
     """Stage 1: fit the log-variance GP and freeze it.
 
     `R` holds per-sample noise variances in normalized target units
-    (already divided by std(Y)^2); all entries must be finite and
-    positive.  The
+    (already divided by std(Y)^2); `methods.check_noise` requires them
+    finite and positive, as for a variational likelihood.  The
     prior mean is the constant mean of the log-variance targets, fixed
     on both the exact and the sparse path; the kernel and the noise are
     trained.
     """
-    R = np.asarray(R, dtype=float)
-    bad = np.flatnonzero(~((R > 0) & np.isfinite(R)))
-    if bad.size:
-        raise InvalidInputError(
-            f"noise variance must be finite and positive; r[{int(bad[0])}] = {R[bad[0]]}"
-        )
+    R = check_noise(R, np.size(R), variational=True)
     if config is None:
         config = NOISE_GP
     targets = np.log(R)

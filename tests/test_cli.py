@@ -6,7 +6,7 @@ import pytest
 from terragp import modelio, pipeline, svgp
 from terragp.cli import main
 from terragp.grids import make_grid, read_asc, write_asc
-from terragp.methods import method_defaults, with_overrides
+from terragp.methods import METHOD_IDS, method_defaults, with_overrides
 
 SCENE_FILES = ("truth.asc", "dem.asc", "train.asc", "prior.asc", "uncertainty.asc")
 
@@ -216,6 +216,29 @@ class TestFitCommand:
             ])
         assert code == 4
 
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    @pytest.mark.parametrize("flags", [["--lr", "1e3"], ["--lr", "1e6", "--epochs", "5"]],
+                             ids=" ".join)
+    def test_step_beyond_the_kernel_bound_is_numerical_error(
+        self, tmp_path, capsys, method, flags
+    ):
+        """A learning rate that throws a kernel log-hyperparameter past
+        `kernels.LOG_BOUND` in one Adam step stops the fit with exit 4 and
+        one error line naming the parameter, before any numpy overflow
+        (numpy's RuntimeWarnings are errors here), and writes nothing."""
+        out = synth(tmp_path)
+        model = tmp_path / "m.bin"
+        code = main([
+            "fit", "--method", method, "--train", str(out / "train.asc"),
+            "--noise", str(out / "uncertainty.asc"), "--prior", str(out / "prior.asc"),
+            "--out", str(model), "--inducing", "8", "--batch-size", "16", *flags,
+        ])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a training step left"), err
+        assert "log_" in err[0]
+        assert not model.exists() and not (tmp_path / "m.bin.loss.csv").exists()
+
     def test_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
         # stands in for an exact fit whose n x n kernel matrix does not fit
         def fit_method(*args):
@@ -231,6 +254,20 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "out of memory" in err and "variational method" in err
         assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def rq_model_file(tmp_path_factory):
+    """(scene directory, model file) of a tomita fit with a rational
+    quadratic kernel, which has all three log-hyperparameters."""
+    tmp_path = tmp_path_factory.mktemp("rq")
+    out = synth(tmp_path)
+    model = tmp_path / "m.bin"
+    assert main([
+        "fit", "--method", "tomita", "--kernel", "rq", "--train", str(out / "train.asc"),
+        "--out", str(model), "--epochs", "2",
+    ]) == 0
+    return out, model
 
 
 class TestPredictCommand:
@@ -316,6 +353,26 @@ class TestPredictCommand:
         ])
         assert code == 2
 
+
+    @pytest.mark.parametrize("name", ["log_lengthscale", "log_outputscale", "log_alpha"])
+    @pytest.mark.parametrize("value", [-800.0, -400.0, 400.0, 700.0, 800.0, 1e300])
+    def test_kernel_beyond_the_bound_is_data_error(self, rq_model_file, tmp_path, capsys,
+                                                   name, value):
+        """A model file whose kernel log-hyperparameter lies beyond
+        `kernels.LOG_BOUND` is refused as data, naming the kernel's
+        sections, before any scale is formed from it."""
+        scene, model = rq_model_file
+        payload = modelio.bytes_to_payload(model.read_bytes())
+        payload[f"kernel.{name}"] = value
+        edited = tmp_path / "edited.bin"
+        edited.write_bytes(modelio.payload_to_bytes(payload))
+        code = main([
+            "predict", "--model", str(edited),
+            "--target", str(scene / "truth.asc"), "--out-dir", str(tmp_path / "pred"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "section kernel.*" in err[0] and name in err[0], err
 
     def test_truncated_model_is_data_error(self, tmp_path):
         out = synth(tmp_path)

@@ -431,7 +431,7 @@ def test_holed_grid_falls_back_when_its_schur_matrix_fails_to_factor(rng, monkey
         assert exact_gp.lml_gradients(*args)[0] == want[2]
         assert calls == [6, n], failure
         model = exact_gp.build_model(*args, homoscedastic=True)
-        assert calls == [6, n, 6, n] and model.chol is not None, failure
+        assert calls == [6, n, 6, n] and isinstance(model.factor, np.ndarray), failure
         assert model.alpha.tobytes() == want[1].tobytes()
         calls.clear()
 
@@ -474,7 +474,7 @@ def test_grid_branch_falls_back_before_the_dense_path_needs_jitter(rng, monkeypa
     exact_gp.lml_gradients(X, Y, mean, kernel, np.full(n, 1e-18), noise_learned=True)
     assert calls == [n]
     model = exact_gp.build_model(X, Y, mean, kernel, 1e-18, homoscedastic=True)
-    assert calls == [n, n] and model.chol is not None
+    assert calls == [n, n] and isinstance(model.factor, np.ndarray)
     dense = []
     real = exact_gp._predict
     monkeypatch.setattr(exact_gp, "_predict", lambda *args: dense.append(args) or real(*args))
@@ -485,10 +485,11 @@ def test_grid_branch_falls_back_before_the_dense_path_needs_jitter(rng, monkeypa
 def test_hayner_on_a_scene_takes_no_dense_factor(monkeypatch):
     """hayner (RBF, learned constant noise) on a training grid, complete
     or with nodata cells, trains every epoch on the grid branch, takes its
-    alpha from the same eigenbasis, and predicts its maps from it: neither
-    the fit nor `predict_grid` factors or inverts an n x n matrix.  The
-    only factors are the M x M Schur matrices of the M nodata cells, none
-    on the complete grid."""
+    alpha from the same eigenbasis, keeps it, and predicts its maps from
+    it: neither the fit nor `predict_grid` factors or inverts an n x n
+    matrix.  The only factors are the M x M Schur matrices of the M nodata
+    cells, one per epoch and one for the build, none on the complete grid;
+    the prediction takes none."""
     scene = make_scene(SynthParams(size=16, seed=2), noise_mode="split")
     method = with_overrides(method_defaults("hayner"), epochs=4)
     calls = count_dense_factors(monkeypatch)
@@ -502,9 +503,9 @@ def test_hayner_on_a_scene_takes_no_dense_factor(monkeypatch):
         assert model.X.shape[0] == 64 - len(nodata)
         assert len(history) == 4
         assert calls == [len(nodata)] * (5 if nodata else 0)  # four epochs and the build
-        assert model.chol is None
+        assert isinstance(model.factor, exact_gp._GridBasis)
         mean, latent, _ = predict_grid(model, stats, scene.truth)
-        assert calls == [len(nodata)] * (6 if nodata else 0) and inversions == []
+        assert calls == [len(nodata)] * (5 if nodata else 0) and inversions == []
         calls.clear()
         assert np.all(np.isfinite(mean.values)) and np.all(latent.values >= 0.0)
 
@@ -542,7 +543,7 @@ def test_grid_posterior_matches_dense_oracle(rng, small_panels, nx, ny):
             model = exact_gp.build_model(
                 X, Y, mean_fn, kernel, noise, homoscedastic=True
             )
-            assert model.chol is None
+            assert isinstance(model.factor, exact_gp._GridBasis)
             queries = {
                 "grid": complete_grid(2 * nx + 1, ny + 3) * 1.2,
                 "scattered": rng.uniform(-2.0, 2.0, size=(3 * small_panels + 37, 2)),
@@ -708,7 +709,7 @@ class TestPredict:
             assert jitter > 0.0
         Xstar = rng.uniform(-2.5, 2.5, size=(3 * small_panels + 37, 2))
         _, var = exact_gp.predict_exact(model, Xstar)
-        V = solve_triangular(model.chol, kernels.gram(kernel, X, Xstar), lower=True)
+        V = solve_triangular(model.factor, kernels.gram(kernel, X, Xstar), lower=True)
         want = np.maximum(kernels.gram_diag(kernel, Xstar) - np.sum(V * V, axis=0), 0.0)
         assert np.max(np.abs(var - want)) <= 1e-12 * kernel.outputscale
 
@@ -753,7 +754,7 @@ def panel_cases(rng, n, q):
     grid = exact_gp.build_model(
         G, rng.normal(size=G.shape[0]), ConstantMean(0.2, False), rbf, 0.05, True,
     )
-    assert grid.chol is None
+    assert isinstance(grid.factor, exact_gp._GridBasis)
     m = 64
     Lw = np.tril(rng.normal(size=(m, m)) * 0.1, -1) + np.diag(rng.uniform(0.3, 1.0, size=m))
     sparse = svgp.SvgpState(

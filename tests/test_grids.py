@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,26 @@ class TestGeometry:
         # finite corner and cellsize, but corner + 2 cells overflows
         with pytest.raises(InvalidConfigError, match="extent"):
             make_grid(np.zeros((2, 2)), cellsize=1e308, **{corner: 1e308})
+
+    def test_shape_is_the_values_shape(self):
+        """A raster stores its shape once, as its values' shape: ncols and
+        nrows are no fields, and they follow `with_values`."""
+        assert [f.name for f in fields(DemGrid)] == [
+            "xllcorner", "yllcorner", "cellsize", "nodata", "values"
+        ]
+        g = make_grid(np.zeros((2, 3)))
+        assert (g.nrows, g.ncols) == (2, 3)
+        wide = g.with_values(np.ones((4, 5)))
+        assert (wide.nrows, wide.ncols) == (4, 5) and (g.nrows, g.ncols) == (2, 3)
+        assert wide.same_geometry(make_grid(np.zeros((4, 5))))
+        assert not wide.same_geometry(g)
+
+    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros((0, 2)), np.zeros((2, 0)), 1.0])
+    def test_values_must_be_a_nonempty_matrix(self, values):
+        # a file cannot describe such a raster: read_asc refuses a zero
+        # NCOLS or NROWS in its header (test_bad_header_value_is_format_error)
+        with pytest.raises(InvalidConfigError, match="nonempty 2-D"):
+            make_grid(values)
 
 
 class TestDownsample:

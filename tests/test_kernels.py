@@ -62,6 +62,19 @@ class TestKernelValues:
         with pytest.raises(InvalidConfigError):
             kernels.KernelConfig(kernels.MATERN, nu=2.0)
 
+    @pytest.mark.parametrize("name", [kernels.LOG_LENGTHSCALE, kernels.LOG_OUTPUTSCALE,
+                                      kernels.LOG_ALPHA])
+    def test_log_hyperparameters_are_bounded(self, name):
+        """+-LOG_BOUND is a kernel; the next double beyond it, an infinity
+        or a NaN is a configuration error naming the parameter."""
+        for sign in (-1.0, 1.0):
+            edge = sign * kernels.LOG_BOUND
+            cfg = kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, **{name: edge})
+            assert getattr(cfg, name) == edge
+            for bad in (np.nextafter(edge, sign * np.inf), sign * np.inf, np.nan):
+                with pytest.raises(InvalidConfigError, match=name):
+                    kernels.KernelConfig(kernels.RATIONAL_QUADRATIC, **{name: bad})
+
 
 class TestGramMatrix:
     def test_single_point(self):

@@ -79,26 +79,35 @@ class TestModelRoundtrips:
         modelio.save_model(path2, mid, loaded, stats)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_grid_exact_model_reloads_without_a_factor(self, tmp_path):
+    def test_grid_exact_model_reloads_without_a_factor(self, tmp_path, monkeypatch):
         """A hayner model trained on a grid, complete or with nodata
         cells, holds no Cholesky factor, and neither does its reload:
         `load_model` rebuilds it through `build_model`, which takes the
-        same eigenbasis.  The file format is unchanged, save -> load ->
+        same eigenbasis and keeps it, so predicting from the reload
+        factors nothing more than the load's one Schur matrix (none on
+        the complete grid).  The file format is unchanged, save -> load ->
         save is byte identical, and the reloaded maps are the in-memory
         model's bit for bit."""
         scene = small_scene()
         method = with_overrides(method_defaults("hayner"), epochs=3)
+        factors = []
+        real = exact_gp.chol_with_jitter
+        monkeypatch.setattr(
+            exact_gp, "chol_with_jitter", lambda mat: factors.append(mat.shape) or real(mat)
+        )
         for nodata in ([], [5, 17, 18, 40]):
             train = with_nodata(scene.train, nodata)
             model, stats, _ = pipeline.fit_method(method, train, None, None, seed=0)
-            assert model.chol is None
+            assert isinstance(model.factor, exact_gp._GridBasis)
             path = tmp_path / "h.bin"
             modelio.save_model(path, "hayner", model, stats)
+            factors.clear()
             _, loaded, loaded_stats = modelio.load_model(path)
-            assert loaded.chol is None
+            assert isinstance(loaded.factor, exact_gp._GridBasis)
             np.testing.assert_array_equal(loaded.alpha, model.alpha)
-            for a, b in zip(pipeline.predict_grid(model, stats, scene.truth),
-                            pipeline.predict_grid(loaded, loaded_stats, scene.truth)):
+            maps = pipeline.predict_grid(loaded, loaded_stats, scene.truth)
+            assert factors == [(len(nodata),) * 2] * bool(nodata)
+            for a, b in zip(pipeline.predict_grid(model, stats, scene.truth), maps):
                 assert a.values.tobytes() == b.values.tobytes()
             path2 = tmp_path / "h2.bin"
             modelio.save_model(path2, "hayner", loaded, loaded_stats)
@@ -371,7 +380,7 @@ def golden_models():
     stats = NormStats(np.array([50.0, 40.0]), np.array([20.0, 25.0]), 3.5, 1.25)
     t = np.arange(12.0)
     X = np.column_stack([np.cos(t), np.sin(0.7 * t)])
-    grid = DemGrid(ncols=3, nrows=2, xllcorner=0.5, yllcorner=-1.0, cellsize=40.0,
+    grid = DemGrid(xllcorner=0.5, yllcorner=-1.0, cellsize=40.0,
                    nodata=-9999.0, values=np.arange(6.0).reshape(2, 3) / 7.0)
     exact = exact_gp.build_model(
         X, np.sin(t) - 0.1 * t, GridInterpMean(grid, stats),
